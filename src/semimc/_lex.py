@@ -130,6 +130,23 @@ class TokenStream:
             raise ParseError(f"expected number, got {tok.text!r}", tok.line, tok.col)
         return tok
 
+    def expect_weight(self, semiring):
+        """WEIGHT := NUMBER ["/" NUMBER] | "inf", parsed by `semiring`;
+        errors carry the position of the weight's first token."""
+        tok = self.peek()
+        if self.at_ident("inf"):
+            self.next()
+            text = "inf"
+        else:
+            text = self.expect_number().text
+            if self.at_symbol("/"):
+                self.next()
+                text = f"{text}/{self.expect_number().text}"
+        try:
+            return semiring.parse(text)
+        except ParseError as e:
+            raise ParseError(str(e), tok.line, tok.col) from None
+
     def expect_eof(self):
         tok = self.peek()
         if tok.kind != "eof":

@@ -17,9 +17,11 @@ with a per-semiring stop rule:
 The constant T denotes the greatest-extent predicate, so greatest
 fixpoints of formulas are seeded at the interpretation of T, while the
 extent computation itself is seeded at the constant-one predicate (the
-lattice top).  Both are computed through different code paths: the
-dedicated extent routines below, and the Modal evaluation pipeline for
-formulas.
+lattice top).  The extent operator, the Modal clause and T all run
+through one transition-step kernel per semiring (``Semiring.step``) on
+the model's compiled form; the path oracle is the separate view that
+cross-checks it.  Inside, predicates are lists indexed by state id;
+name-keyed dicts appear only at the public functions.
 
 Everything here is pure; a shared Model can serve concurrent evaluations.
 """
@@ -28,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge, le, sub
 from typing import Callable, Literal
 
 from .errors import EvaluationError, NonConvergence, NonMonotoneChain
 from .logic import Formula, Modal, Mu, Nu, Top, Var, WeightedSum, size
-from .model import Model
+from .model import CompiledModel, Model
 from .semiring import INF, Semiring, UNDEFINED
 
 Predicate = dict
@@ -68,15 +71,6 @@ class KleeneResult:
     report: KleeneReport
 
 
-def _delta(semiring: Semiring, prev: Predicate, cur: Predicate):
-    worst = Fraction(0)
-    for k, v in cur.items():
-        d = abs(v - prev[k])
-        if d > worst:
-            worst = d
-    return worst
-
-
 # Probabilistic iterates are kept on a fixed denominator grid once they get
 # finer than this; otherwise slowly-mixing chains accumulate denominators of
 # thousands of digits and exact arithmetic dominates the runtime.  Rounding
@@ -88,8 +82,6 @@ _GRID_ERROR = Fraction(1, 1 << 100)
 
 
 def _snap_to_grid(v: Fraction, direction: str) -> Fraction:
-    if v.denominator <= _DENOM_CAP:
-        return v
     scaled = v.numerator * _DENOM_CAP
     n = scaled // v.denominator
     if direction == "gfp" and n * v.denominator != scaled:
@@ -98,13 +90,18 @@ def _snap_to_grid(v: Fraction, direction: str) -> Fraction:
 
 
 def kleene(semiring: Semiring,
-           operator: Callable[[Predicate], Predicate],
-           start: Predicate,
+           operator: Callable,
+           start: list | Predicate,
            direction: Literal["lfp", "gfp"],
            cfg: EvalConfig,
            promote_bound: int | None = None,
-           force_exact: bool = False) -> KleeneResult:
+           force_exact: bool = False,
+           names: tuple[str, ...] | None = None) -> KleeneResult:
     """Iterate a monotone operator from `start` until the stop rule fires.
+
+    Iterates are lists indexed by state id, named by `names` (default:
+    the ids) in reports and errors.  A dict `start` makes `operator` and
+    the result values name-keyed instead, with the keys as the names.
 
     Chains are checked to stay monotone in the induced order (increasing
     for lfp, decreasing for gfp); a violation raises NonMonotoneChain.
@@ -117,30 +114,42 @@ def kleene(semiring: Semiring,
     otherwise swamp the enclosing chain's progress and defeat its
     contraction estimate.
     """
+    if isinstance(start, dict):
+        names, by_name = tuple(start), operator
+        res = kleene(semiring, lambda v: [by_name(dict(zip(names, v)))[s] for s in names],
+                     list(start.values()), direction, cfg, promote_bound, force_exact, names)
+        return KleeneResult(dict(zip(names, res.values)), res.report)
+    names = names or tuple(range(len(start)))
+    prob = semiring.kind == "probabilistic"
     promoting = semiring.kind == "tropical" and direction == "gfp"
     if promoting and promote_bound is None:
         promote_bound = cfg.promote_bound if cfg.promote_bound is not None else 10**6
+    # the induced order is numeric <= for bool and prob, >= for the
+    # tropical family; consecutive iterates must be `in_order`
+    rises = (direction == "lfp") == (semiring.kind in ("boolean", "probabilistic"))
+    in_order = le if rises else ge
     # the epsilon stop targets the distance to the limit, estimated from
     # the measured contraction ratio
     margin = cfg.epsilon / 64
+    fallback = cfg.epsilon ** 2
 
-    cur = dict(start)
-    prev: Predicate | None = None
-    promoted: set[str] = set()
+    cur = list(start)
+    prev: list | None = None
+    promoted: set[int] = set()
     prev_delta: Fraction | None = None
     gridded = False
     for i in range(1, cfg.max_iterations + 1):
         nxt = operator(cur)
         if promoting:
-            for s, v in nxt.items():
+            for s, v in enumerate(nxt):
                 if v != INF and v > promote_bound and v != cur[s]:
                     nxt[s] = INF
                     promoted.add(s)
-        if semiring.kind == "probabilistic":
-            for s, v in nxt.items():
-                snapped = _snap_to_grid(v, direction)
-                if snapped is not v:
+        if prob:
+            for s, v in enumerate(nxt):
+                if v.denominator > _DENOM_CAP:
                     gridded = True
+                    snapped = _snap_to_grid(v, direction)
                     # directional rounding can overshoot the previous
                     # iterate by one grid step when that iterate sits off
                     # the grid; clamp to keep the chain monotone
@@ -149,30 +158,32 @@ def kleene(semiring: Semiring,
                     elif direction == "lfp" and snapped < cur[s]:
                         snapped = cur[s]
                     nxt[s] = snapped
-        for s in nxt:
-            a, b = (cur[s], nxt[s]) if direction == "lfp" else (nxt[s], cur[s])
-            if not semiring.leq(a, b):
-                raise NonMonotoneChain(
-                    f"fixpoint chain left the {direction} direction at state {s!r} "
-                    f"(step {i}); seed the iteration below the extent")
+        if not all(map(in_order, cur, nxt)):
+            s = list(map(in_order, cur, nxt)).index(False)
+            raise NonMonotoneChain(
+                f"fixpoint chain left the {direction} direction at state {names[s]!r} "
+                f"(step {i}); seed the iteration below the extent")
         if nxt == cur:
-            zero = Fraction(0) if semiring.kind == "probabilistic" else None
+            zero = Fraction(0) if prob else None
             tail = (_GRID_ERROR if gridded else zero)
-            return KleeneResult(nxt, KleeneReport(i, zero, tail, tuple(sorted(promoted))))
-        if semiring.kind == "probabilistic" and not force_exact:
-            d = _delta(semiring, cur, nxt)
+            return KleeneResult(nxt, KleeneReport(
+                i, zero, tail, tuple(sorted(names[s] for s in promoted))))
+        if prob and not force_exact:
+            # the chain is monotone, so the larger iterate comes first
+            d = max(map(sub, nxt, cur) if direction == "lfp" else map(sub, cur, nxt))
             if prev_delta is not None and 0 < d < prev_delta:
                 ratio = d / prev_delta
                 tail = d * ratio / (1 - ratio)
                 if d < margin and tail < margin:
                     return KleeneResult(nxt, KleeneReport(i, d, tail, ()))
-            if d < cfg.epsilon ** 2:  # fallback for erratic ratios
+            if d < fallback:  # fallback for erratic ratios
                 return KleeneResult(nxt, KleeneReport(i, d, d, ()))
             prev_delta = d
         prev, cur = cur, nxt
     raise NonConvergence(
         f"no fixpoint after {cfg.max_iterations} iterations",
-        last=cur, previous=prev, iterations=cfg.max_iterations)
+        last=dict(zip(names, cur)), previous=None if prev is None else dict(zip(names, prev)),
+        iterations=cfg.max_iterations)
 
 
 def default_promote_bound(model: Model, formula_size: int = 0) -> int:
@@ -189,41 +200,22 @@ def default_promote_bound(model: Model, formula_size: int = 0) -> int:
     return n * (1 + model.max_finite_weight()) * (1 + formula_size) * branching
 
 
-def _extent_step(model: Model, semiring: Semiring) -> Callable[[Predicate], Predicate]:
-    """One unfolding of the transition structure: weighted sum over all
-    transitions of the product of successor values, offset by the state's
-    own scalar."""
-    def step(p: Predicate) -> Predicate:
-        out = {}
-        for c in model.states:
-            terms = []
-            for t in model.transitions[c]:
-                v = t.weight
-                for s in t.successors:
-                    v = semiring.times(v, p[s])
-                terms.append(v)
-            total = semiring.sum(terms)
-            if total is UNDEFINED:
-                raise EvaluationError(f"transition sum undefined at state {c!r}")
-            out[c] = semiring.oslash(total, model.offsets[c])
-        return out
-    return step
+def _extent_result(model: Model, cfg: EvalConfig | None, direction: str) -> KleeneResult:
+    cfg = cfg or EvalConfig()
+    cm = model.compiled
+    semiring = model.semiring
+    start = [semiring.one if direction == "gfp" else semiring.zero] * len(cm.states)
+    bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)
+    res = kleene(semiring, cm.extent_step, start, direction, cfg, bound, names=cm.states)
+    return KleeneResult(dict(zip(cm.states, res.values)), res.report)
 
 
 def nu_extent_result(model: Model, cfg: EvalConfig | None = None) -> KleeneResult:
-    cfg = cfg or EvalConfig()
-    semiring = model.semiring
-    start = {c: semiring.one for c in model.states}
-    bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)
-    return kleene(semiring, _extent_step(model, semiring), start, "gfp", cfg, bound)
+    return _extent_result(model, cfg, "gfp")
 
 
 def mu_extent_result(model: Model, cfg: EvalConfig | None = None) -> KleeneResult:
-    cfg = cfg or EvalConfig()
-    semiring = model.semiring
-    start = {c: semiring.zero for c in model.states}
-    bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)
-    return kleene(semiring, _extent_step(model, semiring), start, "lfp", cfg, bound)
+    return _extent_result(model, cfg, "lfp")
 
 
 def nu_extent(model: Model, cfg: EvalConfig | None = None) -> Predicate:
@@ -238,12 +230,11 @@ def mu_extent(model: Model, cfg: EvalConfig | None = None) -> Predicate:
 
 @dataclass
 class _EvalContext:
-    model: Model
-    semiring: Semiring
+    cm: CompiledModel
     cfg: EvalConfig
     promote_bound: int  # for fixpoints of the formula under evaluation
     top_bound: int  # for the embedded extent; matches the dedicated routine
-    top: Predicate | None = None
+    top: list | None = None
     top_report: KleeneReport | None = None
     fix_depth: int = 0  # number of enclosing fixpoint iterations running
 
@@ -253,37 +244,29 @@ def _run_fixpoint(ctx: _EvalContext, operator, start, direction, bound) -> Kleen
     already inside a running iteration stabilise exactly on the grid."""
     force_exact = ctx.fix_depth > 0
 
-    def op(p: Predicate) -> Predicate:
+    def op(p: list) -> list:
         ctx.fix_depth += 1
         try:
             return operator(p)
         finally:
             ctx.fix_depth -= 1
 
-    return kleene(ctx.semiring, op, start, direction, ctx.cfg, bound,
-                  force_exact=force_exact)
+    return kleene(ctx.cm.semiring, op, start, direction, ctx.cfg, bound,
+                  force_exact=force_exact, names=ctx.cm.states)
 
 
-def _top_predicate(ctx: _EvalContext) -> Predicate:
-    """Interpretation of T, computed through the Modal pipeline as the
-    greatest fixpoint of the one-step unfolding modality over the full
-    signature, seeded at the constant-one predicate."""
-    if ctx.top is not None:
-        return ctx.top
-    var = "@top"
-    unfold = Modal(tuple(
-        (l.name, tuple(Var(var) for _ in range(l.arity)))
-        for l in ctx.model.signature.labels))
-    start = {c: ctx.semiring.one for c in ctx.model.states}
-    res = _run_fixpoint(ctx, lambda p: _eval(ctx, unfold, {var: p}), start,
-                        "gfp", ctx.top_bound)
-    ctx.top = res.values
-    ctx.top_report = res.report
+def _top_predicate(ctx: _EvalContext) -> list:
+    """Interpretation of T: the greatest fixpoint of the one-step
+    unfolding over the full signature, seeded at the constant one."""
+    if ctx.top is None:
+        start = [ctx.cm.semiring.one] * len(ctx.cm.states)
+        res = _run_fixpoint(ctx, ctx.cm.extent_step, start, "gfp", ctx.top_bound)
+        ctx.top, ctx.top_report = res.values, res.report
     return ctx.top
 
 
-def _eval(ctx: _EvalContext, f: Formula, env: dict) -> Predicate:
-    model, semiring = ctx.model, ctx.semiring
+def _eval(ctx: _EvalContext, f: Formula, env: dict) -> list:
+    cm, semiring = ctx.cm, ctx.cm.semiring
     if isinstance(f, Top):
         return _top_predicate(ctx)
     if isinstance(f, Var):
@@ -292,38 +275,28 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict) -> Predicate:
         return env[f.name]
     if isinstance(f, WeightedSum):
         parts = [(c, _eval(ctx, op, env)) for c, op in f.terms]
-        out = {}
-        for state in model.states:
-            total = semiring.sum([semiring.times(c, p[state]) for c, p in parts])
+        out = []
+        for i, state in enumerate(cm.states):
+            total = semiring.sum([semiring.times(c, p[i]) for c, p in parts])
             if total is UNDEFINED:
                 raise EvaluationError(f"weighted sum undefined at state {state!r}")
-            out[state] = total
+            out.append(total)
         return out
     if isinstance(f, Modal):
-        args = {lbl: [_eval(ctx, a, env) for a in arglist] for lbl, arglist in f.disjuncts}
-        out = {}
-        for state in model.states:
-            terms = []
-            for t in model.transitions[state]:
-                if t.label not in args:
-                    continue
-                v = t.weight
-                for pred, succ in zip(args[t.label], t.successors):
-                    v = semiring.times(v, pred[succ])
-                terms.append(v)
-            total = semiring.sum(terms)
-            if total is UNDEFINED:
-                raise EvaluationError(f"modal sum undefined at state {state!r}")
-            out[state] = semiring.oslash(total, model.offsets[state])
-        return out
+        args = [None] * len(cm.label_ids)
+        for lbl, arglist in f.disjuncts:
+            preds = tuple(_eval(ctx, a, env) for a in arglist)
+            if lbl in cm.label_ids:  # other labels have no transitions
+                args[cm.label_ids[lbl]] = preds
+        return cm.step(args)
     if isinstance(f, (Mu, Nu)):
         direction = "lfp" if isinstance(f, Mu) else "gfp"
         if direction == "lfp":
-            start = {c: semiring.zero for c in model.states}
+            start = [semiring.zero] * len(cm.states)
         else:
             start = _top_predicate(ctx)
 
-        def op(p: Predicate) -> Predicate:
+        def op(p: list) -> list:
             inner = dict(env)
             inner[f.var] = p
             return _eval(ctx, f.body, inner)
@@ -347,7 +320,7 @@ def _context_for(model: Model, formula: Formula, cfg: EvalConfig) -> _EvalContex
     else:
         formula_bound = default_promote_bound(model, size(formula))
         top_bound = default_promote_bound(model)
-    return _EvalContext(model, model.semiring, cfg, formula_bound, top_bound)
+    return _EvalContext(model.compiled, cfg, formula_bound, top_bound)
 
 
 def eval_formula(model: Model, formula: Formula,
@@ -358,10 +331,7 @@ def eval_formula(model: Model, formula: Formula,
     `valuation` must cover the free variables.  Greatest fixpoints are
     seeded at the interpretation of T; least fixpoints at constant zero.
     """
-    cfg = cfg or EvalConfig()
-    _check_valuation(model, valuation)
-    ctx = _context_for(model, formula, cfg)
-    return _eval(ctx, formula, dict(valuation or {}))
+    return eval_with_certificate(model, formula, valuation, cfg)[0]
 
 
 def eval_with_certificate(model: Model, formula: Formula,
@@ -372,8 +342,8 @@ def eval_with_certificate(model: Model, formula: Formula,
     cfg = cfg or EvalConfig()
     _check_valuation(model, valuation)
     ctx = _context_for(model, formula, cfg)
-    values = _eval(ctx, formula, dict(valuation or {}))
-    return values, ctx.top_report
+    env = {name: [pred[s] for s in ctx.cm.states] for name, pred in (valuation or {}).items()}
+    return dict(zip(ctx.cm.states, _eval(ctx, formula, env))), ctx.top_report
 
 
 def leq_pointwise(semiring: Semiring, p: Predicate, q: Predicate) -> bool:

@@ -302,28 +302,10 @@ class _FormulaParser:
     def summand(self, scope) -> tuple[object | None, Formula]:
         ts = self.ts
         if ts.peek().kind == "number" or ts.at_ident("inf"):
-            w = self.weight()
+            w = ts.expect_weight(self.semiring)
             ts.expect_symbol("*")
             return w, self.atom(scope)
         return None, self.atom(scope)
-
-    def weight(self):
-        ts = self.ts
-        tok = ts.peek()
-        if ts.at_ident("inf"):
-            ts.next()
-            text = "inf"
-        else:
-            num = ts.expect_number()
-            text = num.text
-            if ts.at_symbol("/"):
-                ts.next()
-                den = ts.expect_number()
-                text = f"{num.text}/{den.text}"
-        try:
-            return self.semiring.parse(text)
-        except ParseError as e:
-            raise ParseError(str(e), tok.line, tok.col) from None
 
     def atom(self, scope) -> Formula:
         ts = self.ts

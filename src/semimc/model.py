@@ -17,12 +17,15 @@ Text format (whitespace-insensitive, '#' starts a line comment)::
 
 Successor lists are omitted for nullary labels.  Labels must be declared
 before use; states may be referenced forward but every referenced state
-needs its own "state" block.  Models are immutable after parsing.
+needs its own "state" block.  Models are immutable after parsing; each
+builds its semiring once and, on first evaluation, its indexed
+``CompiledModel``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ._lex import TokenStream, tokenize
 from .errors import ParseError, ValidationError
@@ -79,7 +82,7 @@ class Diagnostic:
         return f"{loc}{self.severity}: {self.message}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     descriptor: SemiringDescriptor
     signature: Signature
@@ -88,14 +91,35 @@ class Model:
     offsets: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        one = semiring_for(self.descriptor).one
+        one = self.semiring.one
         for s in self.states:
             self.transitions.setdefault(s, [])
             self.offsets.setdefault(s, one)
 
-    @property
+    @cached_property
     def semiring(self) -> Semiring:
         return semiring_for(self.descriptor)
+
+    @cached_property
+    def compiled(self) -> "CompiledModel":
+        """The indexed form every evaluation runs on, built on first use."""
+        index = {s: i for i, s in enumerate(self.states)}
+        label_ids = {l.name: j for j, l in enumerate(self.signature.labels)}
+        arities = [l.arity for l in self.signature.labels]
+        rows = []
+        for c in self.states:
+            row = []
+            for t in self.transitions[c]:
+                lid = label_ids.get(t.label)
+                succs = tuple(index.get(s) for s in t.successors)
+                if lid is None or None in succs or arities[lid] != len(succs):
+                    _raise_if_invalid(self)
+                row.append((t.weight, lid, tuple(enumerate(succs))))
+            rows.append(tuple(row))
+        offsets = tuple(self.offsets[c] for c in self.states)
+        offset_ids = tuple(i for i, v in enumerate(offsets) if v != self.semiring.one)
+        return CompiledModel(self.semiring, self.states, label_ids, max(arities),
+                             tuple(rows), offsets, offset_ids)
 
     @property
     def is_plain(self) -> bool:
@@ -115,11 +139,12 @@ class Model:
 
     def max_finite_weight(self):
         """Largest finite transition weight; 0 when there are none."""
+        zero = self.semiring.zero
         best = 0
         for ts in self.transitions.values():
             for t in ts:
                 w = t.weight
-                if w != semiring_for(self.descriptor).zero and isinstance(w, int) and w > best:
+                if w != zero and isinstance(w, int) and w > best:
                     best = w
         return best
 
@@ -128,6 +153,34 @@ class Model:
         new.update(offsets)
         return Model(self.descriptor, self.signature, self.states,
                      {s: list(ts) for s, ts in self.transitions.items()}, new)
+
+
+@dataclass(frozen=True)
+class CompiledModel:
+    """A model indexed for evaluation; predicates are lists by state id.
+
+    ``rows[i]`` holds one ``(weight, label id, successors)`` triple per
+    transition of ``states[i]``, the successors as ``(argument position,
+    state id)`` pairs; ``offset_ids`` lists the states whose offset is not
+    the semiring unit.
+    """
+
+    semiring: Semiring
+    states: tuple[str, ...]
+    label_ids: dict[str, int]
+    max_arity: int
+    rows: tuple[tuple[tuple[object, int, tuple[tuple[int, int], ...]], ...], ...]
+    offsets: tuple
+    offset_ids: tuple[int, ...]
+
+    def step(self, args: list) -> list:
+        """The semiring's transition-step kernel on this model."""
+        return self.semiring.step(self, args)
+
+    def extent_step(self, p: list) -> list:
+        """One unfolding over every label with `p` as every argument; one
+        tuple of max_arity copies serves the positions of all labels."""
+        return self.semiring.step(self, [(p,) * self.max_arity] * len(self.label_ids))
 
 
 _STYPES = {"bool": "boolean", "prob": "probabilistic", "trop": "tropical"}
@@ -150,25 +203,6 @@ def _parse_descriptor(ts: TokenStream) -> SemiringDescriptor:
             raise ParseError("bound must be at least 1", btok.line, btok.col)
         return SemiringDescriptor("bounded_tropical", bound)
     return SemiringDescriptor(kind)
-
-
-def _parse_weight(ts: TokenStream, semiring: Semiring):
-    """WEIGHT := NUMBER ["/" NUMBER] | "inf"; validated against the carrier."""
-    tok = ts.peek()
-    if ts.at_ident("inf"):
-        ts.next()
-        text = "inf"
-    else:
-        num = ts.expect_number()
-        text = num.text
-        if ts.at_symbol("/"):
-            ts.next()
-            den = ts.expect_number()
-            text = f"{num.text}/{den.text}"
-    try:
-        return semiring.parse(text)
-    except ParseError as e:
-        raise ParseError(str(e), tok.line, tok.col) from None
 
 
 def parse_model(text: str) -> Model:
@@ -224,7 +258,7 @@ def parse_model(text: str) -> Model:
         elif tok.text == "offset":
             name_tok = ts.expect_ident()
             ts.expect_symbol("=")
-            w = _parse_weight(ts, semiring)
+            w = ts.expect_weight(semiring)
             if name_tok.text in offsets:
                 raise ParseError(f"duplicate offset for {name_tok.text!r}", name_tok.line, name_tok.col)
             offsets[name_tok.text] = (w, name_tok.line, name_tok.col)
@@ -243,14 +277,18 @@ def parse_model(text: str) -> Model:
 
     model = Model(descriptor, Signature(tuple(labels)), tuple(states),
                   transitions, {k: v for k, (v, _, _) in offsets.items()})
-    errors = [d for d in validate(model) if d.severity == "error"]
-    if errors:
-        raise ValidationError(errors[0].message, errors)
+    _raise_if_invalid(model)
     return model
 
 
+def _raise_if_invalid(model: Model):
+    errors = [d for d in validate(model) if d.severity == "error"]
+    if errors:
+        raise ValidationError(errors[0].message, errors)
+
+
 def _parse_transition(ts, semiring, labels, referenced) -> Transition:
-    w = _parse_weight(ts, semiring)
+    w = ts.expect_weight(semiring)
     lbl_tok = ts.expect_label_name()
     arity = None
     for l in labels:

@@ -19,6 +19,9 @@ oslash(s, t) is the order-infimum of all u with u * t above s.  It is a
 capped division for probabilistic values, truncated subtraction for the
 tropical family, and the first projection for booleans.
 
+``step`` is the transition-step kernel of every fixpoint, written per
+instance with native operators instead of one method call per scalar.
+
 All values are immutable and all operations are pure, so semirings can be
 shared freely across concurrent evaluations.
 """
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CarrierError, ParseError
+from .errors import CarrierError, EvaluationError, ParseError
 
 INF = float("inf")
 
@@ -119,6 +122,20 @@ class Semiring:
         """Offset s by t: the order-infimum of {u | u * t above s}."""
         raise NotImplementedError
 
+    def step(self, cm, args) -> list:
+        """One transition step on compiled model `cm`: per state, the sum
+        over its transitions of the weight times each successor's value in
+        its argument, offset by the state's scalar.  `args[label id]` holds
+        one predicate (a list by state id) per argument position, or None
+        to drop that label.  oslash(s, one) == s in every instance, so only
+        non-unit offsets are applied."""
+        raise NotImplementedError
+
+    def _offset(self, cm, out: list) -> list:
+        for i in cm.offset_ids:
+            out[i] = self.oslash(out[i], cm.offsets[i])
+        return out
+
     def parse(self, text: str):
         raise NotImplementedError
 
@@ -158,6 +175,20 @@ class BooleanSemiring(Semiring):
     def oslash(self, s, t):
         return s
 
+    def step(self, cm, args):
+        # oslash is the first projection, so offsets never apply
+        out = []
+        for row in cm.rows:
+            total = 0
+            for w, lid, succs in row:
+                preds = args[lid]
+                if preds is not None:
+                    for k, s in succs:
+                        w &= preds[k][s]
+                    total |= w
+            out.append(total)
+        return out
+
     def parse(self, text):
         if text == "0":
             return 0
@@ -194,6 +225,27 @@ class ProbabilisticSemiring(Semiring):
             return Fraction(1)
         return min(Fraction(1), Fraction(s, 1) / t)
 
+    def step(self, cm, args):
+        # exact: each state's sum is kept as an integer fraction num/den
+        # and normalised once; terms are non-negative, so checking the
+        # total catches every partial sum above 1
+        out = []
+        for c, row in enumerate(cm.rows):
+            num, den = 0, 1
+            for w, lid, succs in row:
+                preds = args[lid]
+                if preds is not None:
+                    n, d = w.numerator, w.denominator
+                    for k, s in succs:
+                        v = preds[k][s]
+                        n *= v.numerator
+                        d *= v.denominator
+                    num, den = num * d + n * den, den * d
+            if num > den:
+                raise EvaluationError(f"transition sum undefined at state {cm.states[c]!r}")
+            out.append(Fraction(num, den))
+        return self._offset(cm, out)
+
     def parse(self, text):
         try:
             v = Fraction(text)
@@ -211,9 +263,10 @@ class TropicalSemiring(Semiring):
     kind = "tropical"
     zero = INF
     one = 0
+    bound = INF  # products above the bound saturate to INF
 
     def contains(self, v):
-        return v == INF or (isinstance(v, int) and not isinstance(v, bool) and v >= 0)
+        return v == INF or (isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= self.bound)
 
     def plus(self, a, b):
         return min(a, b)
@@ -221,7 +274,8 @@ class TropicalSemiring(Semiring):
     def times(self, a, b):
         if a == INF or b == INF:
             return INF
-        return a + b
+        s = a + b
+        return s if s <= self.bound else INF
 
     def leq(self, a, b):
         return a >= b
@@ -233,6 +287,24 @@ class TropicalSemiring(Semiring):
             return 0
         return max(s - t, 0)
 
+    def step(self, cm, args):
+        # weights and values are naturals or INF, so native + absorbs INF
+        bound = self.bound
+        out = []
+        for row in cm.rows:
+            total = INF
+            for w, lid, succs in row:
+                preds = args[lid]
+                if preds is not None:
+                    for k, s in succs:
+                        w += preds[k][s]
+                    if w > bound:
+                        w = INF
+                    if w < total:
+                        total = w
+            out.append(total)
+        return self._offset(cm, out)
+
     def parse(self, text):
         if text == "inf":
             return INF
@@ -242,6 +314,8 @@ class TropicalSemiring(Semiring):
             raise ParseError(f"bad tropical scalar {text!r}") from None
         if v < 0:
             raise CarrierError(f"tropical scalar {text!r} is negative")
+        if v > self.bound:
+            raise CarrierError(f"scalar {text!r} exceeds bound {self.bound}")
         return v
 
     def render(self, v):
@@ -255,32 +329,9 @@ class BoundedTropicalSemiring(TropicalSemiring):
         super().__init__(descriptor)
         self.bound = descriptor.bound
 
-    def contains(self, v):
-        return v == INF or (isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= self.bound)
-
-    def times(self, a, b):
-        if a == INF or b == INF:
-            return INF
-        s = a + b
-        return s if s <= self.bound else INF
-
     def carrier(self):
         """The full (finite) carrier, bottom first in the induced order."""
         return [INF] + list(range(self.bound, -1, -1))
-
-    def oslash(self, s, t):
-        # direct minimisation over the finite carrier; the infimum of the
-        # empty set is the top element (the unit 0)
-        qualifying = [u for u in self.carrier() if self.leq(s, self.times(u, t))]
-        if not qualifying:
-            return 0
-        return max(qualifying)
-
-    def parse(self, text):
-        v = super().parse(text)
-        if v != INF and v > self.bound:
-            raise CarrierError(f"scalar {text!r} exceeds bound {self.bound}")
-        return v
 
 
 def semiring_for(descriptor: SemiringDescriptor) -> Semiring:

@@ -5,7 +5,8 @@ cut short by top leaves (written "T"); a completed trace has every branch
 ending in a nullary label.  Fragment text uses the formula-like syntax
 ``a(b(T), *)`` with nullary labels written bare.
 
-Three state-indexed behaviours are computed by structural recursion, which
+Three state-indexed behaviours are computed by one structural recursion
+over the fragment, one transition-step kernel application per node, which
 yields the unique fixpoint of the defining one-step operators because every
 value depends only on structurally smaller fragments:
 
@@ -23,6 +24,7 @@ first distinguishing fragment as a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Literal
 
 from ._lex import TokenStream, tokenize
@@ -30,7 +32,6 @@ from .errors import OffsetUnsupported, ParseError, SizingError, ValidationError
 from .evaluator import EvalConfig, Predicate, nu_extent
 from .logic import Formula, Modal, TOP
 from .model import Model, Signature
-from .semiring import UNDEFINED
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def enumerate_fragments(signature: Signature, max_depth: int,
         pool = [f for level in by_depth for f in level]  # depth < d
         level: list[TraceFragment] = []
         for label in signature.labels:
-            for combo in _tuples(pool, label.arity):
+            for combo in product(pool, repeat=label.arity):
                 if label.arity and max(depth(c) for c in combo) != d - 1:
                     continue  # at least one child must reach depth d-1
                 frag = TraceNode(label.name, combo)
@@ -146,15 +147,6 @@ def enumerate_fragments(signature: Signature, max_depth: int,
                 level.append(frag)
                 yield frag
         by_depth.append(level)
-
-
-def _tuples(pool, n):
-    if n == 0:
-        yield ()
-        return
-    for head in pool:
-        for rest in _tuples(pool, n - 1):
-            yield (head,) + rest
 
 
 def truncations(signature: Signature, n: int, cap: int | None = None) -> Iterator[TraceFragment]:
@@ -176,17 +168,8 @@ def _truncs(signature: Signature, n: int) -> Iterator[TraceFragment]:
         if label.arity == 0:
             yield TraceNode(label.name, ())
         else:
-            for combo in _combos([list(_truncs(signature, n - 1))] * label.arity):
+            for combo in product(list(_truncs(signature, n - 1)), repeat=label.arity):
                 yield TraceNode(label.name, combo)
-
-
-def _combos(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _combos(pools[1:]):
-            yield (head,) + rest
 
 
 def _require_plain(model: Model, op: str):
@@ -194,38 +177,35 @@ def _require_plain(model: Model, op: str):
         raise OffsetUnsupported(f"{op} requires a model without offsets")
 
 
+def _behaviour(model: Model, state: str, fragment: TraceFragment, leaf: list | None):
+    """Value of `state` on `fragment`: top leaves take `leaf` (a list by
+    state id) and each node is one kernel step over its label, with the
+    children's values as arguments.  Sub-fragment values are shared per
+    call, keyed by identity, as `enumerate_fragments` shares sub-trees."""
+    cm = model.compiled
+    memo: dict = {}
+
+    def go(b: TraceFragment) -> list:
+        v = memo.get(id(b))
+        if v is None:
+            if isinstance(b, TopLeaf):
+                v = leaf
+            else:
+                args = [None] * len(cm.label_ids)
+                args[cm.label_ids[b.label]] = tuple(go(c) for c in b.children)
+                v = cm.step(args)
+            memo[id(b)] = v
+        return v
+
+    return go(fragment)[cm.states.index(state)]
+
+
 def lt(model: Model, state: str, fragment: TraceFragment,
        cfg: EvalConfig | None = None, _extent: Predicate | None = None):
     """Linear-time behaviour of `state` on `fragment`."""
-    cfg = cfg or EvalConfig()
     check_fragment(fragment, model.signature)
     ext = _extent if _extent is not None else nu_extent(model, cfg)
-    semiring = model.semiring
-    memo: dict = {}
-
-    def go(c: str, b: TraceFragment):
-        key = (c, b)
-        if key in memo:
-            return memo[key]
-        if isinstance(b, TopLeaf):
-            v = ext[c]
-        else:
-            terms = []
-            for t in model.transitions[c]:
-                if t.label != b.label:
-                    continue
-                w = t.weight
-                for succ, child in zip(t.successors, b.children):
-                    w = semiring.times(w, go(succ, child))
-                terms.append(w)
-            total = semiring.sum(terms)
-            if total is UNDEFINED:
-                raise ValidationError(f"behaviour sum undefined at state {c!r}")
-            v = semiring.oslash(total, model.offsets[c])
-        memo[key] = v
-        return v
-
-    return go(state, fragment)
+    return _behaviour(model, state, fragment, [ext[s] for s in model.states])
 
 
 def finite_tr(model: Model, state: str, trace: TraceFragment):
@@ -235,28 +215,7 @@ def finite_tr(model: Model, state: str, trace: TraceFragment):
     check_fragment(trace, model.signature)
     if not is_completed(trace):
         raise ValidationError("finite_tr needs a completed trace (no T leaves)")
-    semiring = model.semiring
-    memo: dict = {}
-
-    def go(c: str, b: TraceNode):
-        key = (c, b)
-        if key in memo:
-            return memo[key]
-        terms = []
-        for t in model.transitions[c]:
-            if t.label != b.label:
-                continue
-            w = t.weight
-            for succ, child in zip(t.successors, b.children):
-                w = semiring.times(w, go(succ, child))
-            terms.append(w)
-        total = semiring.sum(terms)
-        if total is UNDEFINED:
-            raise ValidationError(f"behaviour sum undefined at state {c!r}")
-        memo[key] = total
-        return total
-
-    return go(state, trace)
+    return _behaviour(model, state, trace, None)
 
 
 def _check_truncation(b: TraceFragment, n: int, signature: Signature):
@@ -276,36 +235,12 @@ def tr_approx(model: Model, state: str, truncation: TraceFragment, n: int):
 
     `truncation` must be a depth-n truncation: top leaves sit under exactly
     n nodes and branches may complete earlier through nullary labels.  The
-    base approximant is constant one.
+    base approximant is constant one, so the top leaves are worth one.
     """
     _require_plain(model, "tr_approx")
     check_fragment(truncation, model.signature)
     _check_truncation(truncation, n, model.signature)
-    semiring = model.semiring
-    memo: dict = {}
-
-    def go(c: str, b: TraceFragment, k: int):
-        if k == 0:
-            return semiring.one
-        key = (c, b, k)
-        if key in memo:
-            return memo[key]
-        assert isinstance(b, TraceNode)
-        terms = []
-        for t in model.transitions[c]:
-            if t.label != b.label:
-                continue
-            w = t.weight
-            for succ, child in zip(t.successors, b.children):
-                w = semiring.times(w, go(succ, child, k - 1))
-            terms.append(w)
-        total = semiring.sum(terms)
-        if total is UNDEFINED:
-            raise ValidationError(f"behaviour sum undefined at state {c!r}")
-        memo[key] = total
-        return total
-
-    return go(state, truncation, n)
+    return _behaviour(model, state, truncation, [model.semiring.one] * len(model.states))
 
 
 @dataclass

@@ -238,7 +238,8 @@ def test_c09_strictness_counterexample(counterexample_prob):
 def test_c10_semiring_axiom_suite():
     test_semiring.test_bulk_randomized_axioms()
     test_semiring.test_oslash_residuation_exhaustive_boolean()
-    test_semiring.test_oslash_residuation_exhaustive_bounded_tropical()
+    for bound in range(1, 9):
+        test_semiring.test_oslash_residuation_exhaustive_bounded_tropical(bound)
     test_semiring.test_oslash_residuation_on_grids()
 
 

@@ -1,0 +1,106 @@
+"""The compiled model form and the per-semiring transition-step kernel."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from semimc import (INF, UNDEFINED, EvaluationError, Label, Model, Signature,
+                    Transition, ValidationError, eval_formula, nu_extent,
+                    parse_formula)
+from randgen import DESCRIPTORS, carrier_values, random_model
+
+
+def naive_step(model, args):
+    """The transition operator as a fold of semiring method calls; `args`
+    maps a label to one name-keyed predicate per argument position."""
+    sr = model.semiring
+    out = {}
+    for c in model.states:
+        terms = []
+        for t in model.transitions[c]:
+            if t.label not in args:
+                continue
+            v = t.weight
+            for pred, s in zip(args[t.label], t.successors):
+                v = sr.times(v, pred[s])
+            terms.append(v)
+        total = sr.sum(terms)
+        assert total is not UNDEFINED
+        out[c] = sr.oslash(total, model.offsets[c])
+    return out
+
+
+def random_offsets(rng, model):
+    """Offsets on about half the states, with INF on the tropical family."""
+    d = model.descriptor
+    offsets = {}
+    for s in model.states:
+        if rng.random() < 0.5:
+            if d.kind in ("tropical", "bounded_tropical") and rng.random() < 0.3:
+                offsets[s] = INF
+            else:
+                offsets[s] = carrier_values(d, rng, 1)[0]
+    return model.with_offsets(offsets)
+
+
+@pytest.mark.parametrize("kind", sorted(DESCRIPTORS))
+def test_step_matches_naive_fold_on_random_models(kind):
+    rng = random.Random(f"kernel:{kind}")
+    d = DESCRIPTORS[kind]
+    deadlocks = unit_offsets = infinite = 0
+    for _ in range(150):
+        m = random_offsets(rng, random_model(rng, d, max_states=5, max_arity=3))
+        cm = m.compiled
+        deadlocks += bool(m.deadlock_states())
+        unit_offsets += len(m.states) - len(cm.offset_ids)
+        # a random subset of labels, each with its own argument predicates
+        args = {}
+        for l in m.signature.labels:
+            if rng.random() < 0.75:
+                args[l.name] = tuple(dict(zip(m.states, carrier_values(d, rng, len(m.states))))
+                                     for _ in range(l.arity))
+        want = naive_step(m, args)
+        kernel_args = [None] * len(cm.label_ids)
+        for name, preds in args.items():
+            kernel_args[cm.label_ids[name]] = tuple([p[s] for s in m.states] for p in preds)
+        got = dict(zip(m.states, cm.step(kernel_args)))
+        assert got == want, (m, args)
+        infinite += INF in got.values()
+        # the extent operator is the step with every label, all arguments p
+        p = dict(zip(m.states, carrier_values(d, rng, len(m.states))))
+        everything = {l.name: (p,) * l.arity for l in m.signature.labels}
+        assert cm.extent_step([p[s] for s in m.states]) == list(naive_step(m, everything).values())
+    assert deadlocks and unit_offsets
+    if kind in ("tropical", "bounded_tropical"):
+        assert infinite
+
+
+SIG = Signature((Label("a", 1), Label("b", 1)))
+
+
+def test_inf_offset_on_inf_sum_stays_inf():
+    # a deadlock sums to INF, and oslash(INF, INF) == INF
+    m = Model(DESCRIPTORS["tropical"], SIG, ("x",), {"x": []}, {"x": INF})
+    assert m.compiled.extent_step([0]) == [INF]
+
+
+def test_prob_sum_above_one_raises():
+    bad = Model(DESCRIPTORS["probabilistic"], SIG, ("x",),
+                {"x": [Transition(Fraction(3, 4), "a", ("x",)),
+                       Transition(Fraction(3, 4), "b", ("x",))]})
+    with pytest.raises(EvaluationError, match="transition sum undefined at state 'x'"):
+        nu_extent(bad)
+    modal = parse_formula("[a](X) | [b](X)", SIG, bad.descriptor)
+    with pytest.raises(EvaluationError, match="transition sum undefined at state 'x'"):
+        eval_formula(bad, modal, {"X": {"x": Fraction(1)}})
+
+
+def test_evaluating_programmatic_breakage_is_a_validation_error(extent_prob):
+    bad = Model(extent_prob.descriptor, extent_prob.signature, ("x",),
+                {"x": [Transition(Fraction(1, 2), "a", ("w",))]})
+    with pytest.raises(ValidationError, match="undeclared successor"):
+        nu_extent(bad)
+

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -93,6 +94,12 @@ def test_validate_reports_programmatic_breakage(extent_prob):
                 {"x": [Transition(Fraction(1, 2), "a", ("w",))]})
     msgs = [d.message for d in validate(bad) if d.severity == "error"]
     assert any("undeclared successor" in m for m in msgs)
+
+
+def test_model_is_frozen_with_one_semiring(extent_prob):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        extent_prob.states = ()
+    assert extent_prob.semiring is extent_prob.semiring
 
 
 def test_offsets_default_to_one_and_gate_plain():

@@ -150,8 +150,9 @@ def test_oslash_residuation_exhaustive_boolean():
             _residuation_check(sr, [0, 1], s_, t)
 
 
-def test_oslash_residuation_exhaustive_bounded_tropical():
-    sr = semiring_for(SemiringDescriptor("bounded_tropical", 5))
+@pytest.mark.parametrize("bound", range(1, 9))
+def test_oslash_residuation_exhaustive_bounded_tropical(bound):
+    sr = semiring_for(SemiringDescriptor("bounded_tropical", bound))
     carrier = sr.carrier()
     for s_ in carrier:
         for t in carrier:
