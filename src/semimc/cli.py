@@ -331,6 +331,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(_error_payload(args.command, fmt, str(e), EXIT_IO), file=sys.stderr)
         return EXIT_IO
+    except RecursionError:
+        # the parser and evaluator recurse once per nesting level
+        print(_error_payload(args.command, fmt, "input nested too deeply", EXIT_USER),
+              file=sys.stderr)
+        return EXIT_USER
 
 
 if __name__ == "__main__":

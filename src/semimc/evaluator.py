@@ -8,7 +8,9 @@ with a per-semiring stop rule:
 * probabilistic: stop once the estimated distance to the limit (per-step
   change scaled by the measured contraction ratio) certifies epsilon
   accuracy, recording a convergence certificate (iteration count, last
-  delta, tail bound);
+  delta, tail bound).  The operator maps lists of Fractions; the grid
+  snapping, monotonicity check and stop rule around it run on their
+  integer numerators and denominators;
 * tropical: exact stabilisation, with any state that grows past
   ``promote_bound`` while still strictly changing promoted to infinity.
   Promotion only arises on chains that increase towards the numeric
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge, le, sub
+from operator import ge, le
 from typing import Callable, Literal
 
 from .errors import EvaluationError, NonConvergence, NonMonotoneChain
@@ -77,16 +79,22 @@ class KleeneResult:
 # is directional (towards the start of the chain), so iterates stay monotone
 # and on the safe side of the limit; the error per step is below 2^-128,
 # orders of magnitude under any epsilon in use.
-_DENOM_CAP = 1 << 128
+_GRID_BITS = 128
+_DENOM_CAP = 1 << _GRID_BITS
 _GRID_ERROR = Fraction(1, 1 << 100)
 
 
-def _snap_to_grid(v: Fraction, direction: str) -> Fraction:
-    scaled = v.numerator * _DENOM_CAP
-    n = scaled // v.denominator
-    if direction == "gfp" and n * v.denominator != scaled:
-        n += 1  # round up: stay above the decreasing chain's limit
-    return Fraction(n, _DENOM_CAP)
+def _left_direction(direction: str, name, step: int) -> NonMonotoneChain:
+    return NonMonotoneChain(
+        f"fixpoint chain left the {direction} direction at state {name!r} "
+        f"(step {step}); seed the iteration below the extent")
+
+
+def _no_fixpoint(cfg: EvalConfig, names, cur: list, prev: list | None) -> NonConvergence:
+    return NonConvergence(
+        f"no fixpoint after {cfg.max_iterations} iterations",
+        last=dict(zip(names, cur)), previous=None if prev is None else dict(zip(names, prev)),
+        iterations=cfg.max_iterations)
 
 
 def kleene(semiring: Semiring,
@@ -108,6 +116,14 @@ def kleene(semiring: Semiring,
     Raises NonConvergence after cfg.max_iterations, reporting the final
     two iterates.
 
+    Probabilistic chains stop once the largest per-state step d certifies
+    epsilon accuracy: with p the previous step and r = d/p < 1 the
+    measured contraction ratio, the estimated distance to the limit is
+    the geometric tail d*r/(1-r) = d^2/(p-d), and the chain stops when
+    both d and that tail fall below epsilon/64, or when d falls below
+    epsilon^2.  This bookkeeping runs on the iterates' integer numerators
+    and denominators (see `_prob_kleene`).
+
     With `force_exact`, probabilistic chains run to exact stabilisation on
     the denominator grid instead of the epsilon stop.  Fixpoints nested
     inside another running fixpoint need this: their stopping noise would
@@ -120,24 +136,19 @@ def kleene(semiring: Semiring,
                      list(start.values()), direction, cfg, promote_bound, force_exact, names)
         return KleeneResult(dict(zip(names, res.values)), res.report)
     names = names or tuple(range(len(start)))
-    prob = semiring.kind == "probabilistic"
+    if semiring.kind == "probabilistic":
+        return _prob_kleene(operator, start, direction, cfg, force_exact, names)
     promoting = semiring.kind == "tropical" and direction == "gfp"
     if promoting and promote_bound is None:
         promote_bound = cfg.promote_bound if cfg.promote_bound is not None else 10**6
-    # the induced order is numeric <= for bool and prob, >= for the
-    # tropical family; consecutive iterates must be `in_order`
-    rises = (direction == "lfp") == (semiring.kind in ("boolean", "probabilistic"))
+    # the induced order is numeric <= for bool, >= for the tropical
+    # family; consecutive iterates must be `in_order`
+    rises = (direction == "lfp") == (semiring.kind == "boolean")
     in_order = le if rises else ge
-    # the epsilon stop targets the distance to the limit, estimated from
-    # the measured contraction ratio
-    margin = cfg.epsilon / 64
-    fallback = cfg.epsilon ** 2
 
     cur = list(start)
     prev: list | None = None
     promoted: set[int] = set()
-    prev_delta: Fraction | None = None
-    gridded = False
     for i in range(1, cfg.max_iterations + 1):
         nxt = operator(cur)
         if promoting:
@@ -145,45 +156,85 @@ def kleene(semiring: Semiring,
                 if v != INF and v > promote_bound and v != cur[s]:
                     nxt[s] = INF
                     promoted.add(s)
-        if prob:
-            for s, v in enumerate(nxt):
-                if v.denominator > _DENOM_CAP:
-                    gridded = True
-                    snapped = _snap_to_grid(v, direction)
-                    # directional rounding can overshoot the previous
-                    # iterate by one grid step when that iterate sits off
-                    # the grid; clamp to keep the chain monotone
-                    if direction == "gfp" and snapped > cur[s]:
-                        snapped = cur[s]
-                    elif direction == "lfp" and snapped < cur[s]:
-                        snapped = cur[s]
-                    nxt[s] = snapped
         if not all(map(in_order, cur, nxt)):
-            s = list(map(in_order, cur, nxt)).index(False)
-            raise NonMonotoneChain(
-                f"fixpoint chain left the {direction} direction at state {names[s]!r} "
-                f"(step {i}); seed the iteration below the extent")
+            raise _left_direction(direction, names[list(map(in_order, cur, nxt)).index(False)], i)
         if nxt == cur:
-            zero = Fraction(0) if prob else None
-            tail = (_GRID_ERROR if gridded else zero)
             return KleeneResult(nxt, KleeneReport(
-                i, zero, tail, tuple(sorted(names[s] for s in promoted))))
-        if prob and not force_exact:
-            # the chain is monotone, so the larger iterate comes first
-            d = max(map(sub, nxt, cur) if direction == "lfp" else map(sub, cur, nxt))
-            if prev_delta is not None and 0 < d < prev_delta:
-                ratio = d / prev_delta
-                tail = d * ratio / (1 - ratio)
-                if d < margin and tail < margin:
-                    return KleeneResult(nxt, KleeneReport(i, d, tail, ()))
-            if d < fallback:  # fallback for erratic ratios
-                return KleeneResult(nxt, KleeneReport(i, d, d, ()))
-            prev_delta = d
+                i, None, None, tuple(sorted(names[s] for s in promoted))))
         prev, cur = cur, nxt
-    raise NonConvergence(
-        f"no fixpoint after {cfg.max_iterations} iterations",
-        last=dict(zip(names, cur)), previous=None if prev is None else dict(zip(names, prev)),
-        iterations=cfg.max_iterations)
+    raise _no_fixpoint(cfg, names, cur, prev)
+
+
+def _prob_kleene(operator: Callable, start: list, direction: str, cfg: EvalConfig,
+                 force_exact: bool, names) -> KleeneResult:
+    """`kleene` on the probabilistic semiring.
+
+    The operator consumes and returns lists of Fractions; everything
+    between two steps works on their integer numerators and denominators,
+    in one pass per iteration: snap to the grid (with the clamp to the
+    previous iterate), check monotonicity, detect stabilisation and find
+    the largest step.  The stop rule compares by cross-multiplication, so
+    Fractions are built only for snapped iterates and for the report.
+    """
+    lfp = direction == "lfp"
+    # the epsilon stop targets the distance to the limit, estimated from
+    # the measured contraction ratio
+    margin, fallback = cfg.epsilon / 64, cfg.epsilon ** 2
+    mp, mq = margin.numerator, margin.denominator
+    fp, fq = fallback.numerator, fallback.denominator
+
+    cur = list(start)
+    pairs = [v.as_integer_ratio() for v in cur]
+    prev: list | None = None
+    pn, pd = 0, 0  # the previous iteration's largest step pn/pd; pd = 0 until one
+    gridded = False
+    for i in range(1, cfg.max_iterations + 1):
+        nxt = operator(cur)
+        nxt_pairs = []
+        dn, dd = 0, 1  # the largest step, as the integer fraction dn/dd
+        for s, (cn, cd) in enumerate(pairs):
+            n, d = nxt[s].as_integer_ratio()
+            if d > _DENOM_CAP:
+                gridded = True
+                # directional rounding: down for lfp, up for gfp (stay on
+                # the start's side of the limit)
+                n, r = divmod(n << _GRID_BITS, d)
+                if r and not lfp:
+                    n += 1
+                # rounding can overshoot the previous iterate by one grid
+                # step when that iterate sits off the grid; clamp to keep
+                # the chain monotone
+                if (n * cd < cn << _GRID_BITS) if lfp else (n * cd > cn << _GRID_BITS):
+                    nxt[s] = cur[s]
+                    nxt_pairs.append((cn, cd))
+                    continue
+                nxt[s], d = Fraction(n, _DENOM_CAP), _DENOM_CAP
+            nxt_pairs.append((n, d))
+            # the chain rises for lfp and falls for gfp: the step is
+            # step/(d*cd), negative when the chain turned back
+            step = n * cd - cn * d if lfp else cn * d - n * cd
+            if step < 0:
+                raise _left_direction(direction, names[s], i)
+            den = d * cd
+            if step * dd > dn * den:
+                dn, dd = step, den
+        if not dn:  # stabilised
+            zero = Fraction(0)
+            return KleeneResult(nxt, KleeneReport(i, zero, _GRID_ERROR if gridded else zero))
+        if not force_exact:
+            # with r = d/p the ratio to the previous step p, the tail
+            # d*r/(1-r) is d^2/(p-d) = tn/td; compare both with margin
+            gap = pn * dd - dn * pd  # (p - d) * pd * dd, positive when d < p
+            if gap > 0:
+                tn, td = dn * dn * pd, dd * gap
+                if dn * mq < mp * dd and tn * mq < mp * td:
+                    return KleeneResult(nxt, KleeneReport(i, Fraction(dn, dd), Fraction(tn, td)))
+            if dn * fq < fp * dd:  # fallback for erratic ratios
+                last = Fraction(dn, dd)
+                return KleeneResult(nxt, KleeneReport(i, last, last))
+            pn, pd = dn, dd
+        prev, cur, pairs = cur, nxt, nxt_pairs
+    raise _no_fixpoint(cfg, names, cur, prev)
 
 
 def default_promote_bound(model: Model, formula_size: int = 0) -> int:

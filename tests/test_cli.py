@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from semimc.cli import main
 from conftest import corpus_path
 
@@ -139,6 +141,19 @@ def test_json_error_payload(capsys):
     assert code == 1
     payload = json.loads(err)
     assert payload["exit"] == 1 and "unknown label" in payload["error"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_deeply_nested_formula_exits_1(capsys, fmt):
+    deep = "[a](" * 3000 + "T" + ")" * 3000
+    code, out, err = run(capsys, "eval", MODEL, deep, "--format", fmt)
+    assert code == 1 and not out
+    assert "Traceback" not in err
+    if fmt == "json":
+        assert json.loads(err) == {"command": "eval", "error": "input nested too deeply",
+                                   "exit": 1}
+    else:
+        assert err == "error: input nested too deeply\n"
 
 
 def test_deterministic_output(capsys):

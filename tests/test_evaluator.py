@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimc import (INF, EvalConfig, NonConvergence, NonMonotoneChain,
-                    EvaluationError, Modal, Var, eval_formula, kleene,
-                    mu_extent, nu_extent, nu_extent_result, parse_formula,
-                    parse_model, semiring_for)
+from semimc import (INF, EvalConfig, KleeneResult, NonConvergence, NonMonotoneChain,
+                    EvaluationError, Modal, Var, eval_formula, eval_with_certificate,
+                    kleene, mu_extent, mu_extent_result, nu_extent, nu_extent_result,
+                    parse_formula, parse_model, semiring_for)
 from semimc.evaluator import leq_pointwise
 from randgen import DESCRIPTORS, random_model, random_qualitative_formula
 
@@ -105,6 +105,141 @@ def test_kleene_rejects_non_monotone_direction():
     flip = lambda p: {"s": 1 - p["s"]}
     with pytest.raises(NonMonotoneChain):
         kleene(sr, flip, {"s": 0}, "gfp", EvalConfig())
+
+
+@pytest.mark.parametrize("direction, move", [("lfp", -1), ("gfp", 1)])
+def test_kleene_rejects_non_monotone_prob_chain(direction, move):
+    # the second state steps against the direction on the first iteration
+    sr = semiring_for(DESCRIPTORS["probabilistic"])
+    against = lambda p: {"ok": p["ok"], "bad": p["bad"] + move * Fraction(1, 8)}
+    start = {"ok": Fraction(1, 3), "bad": Fraction(1, 2)}
+    with pytest.raises(NonMonotoneChain, match=f"left the {direction} direction "
+                                               r"at state 'bad' \(step 1\)"):
+        kleene(sr, against, start, direction, EvalConfig())
+
+
+# Probabilistic chains pinned bit for bit: values and KleeneReport fields
+# (iterations, last_delta, tail_bound) as recorded from the Fraction-based
+# bookkeeping that the integer one replaced.  Each chain ends on a
+# different exit of the probabilistic pass.
+
+RING = "semiring prob label a/1 label e/0 state u { 9/10 a -> u; %s e }"
+THIRDS = ("semiring prob label a/1 label e/0 "
+          "state u { 1/3 a -> u; 1/3 e } state w { 2/3 a -> u; 1/5 e }")
+GRID = 1 << 128
+
+
+def _thirds(direction, force_exact):
+    m = parse_model(THIRDS)
+    s = Fraction(0) if direction == "lfp" else Fraction(1)
+    res = kleene(m.semiring, m.compiled.extent_step, [s, s], direction, EvalConfig(),
+                 force_exact=force_exact, names=m.compiled.states)
+    return KleeneResult(dict(zip(m.compiled.states, res.values)), res.report)
+
+
+def _off_grid(direction):
+    # from 1/3, off the grid, one tiny step towards the limit snaps past
+    # the start and is clamped back to it
+    step = Fraction(1, 3**100) * (1 if direction == "lfp" else -1)
+    return kleene(semiring_for(DESCRIPTORS["probabilistic"]),
+                  lambda p: {"s": p["s"] + step}, {"s": Fraction(1, 3)}, direction, EvalConfig())
+
+
+def _erratic():
+    # steps 1/4, 1/8, 3/200, 3/200, 1/200 with epsilon^2 = 1/100: the
+    # ratio never certifies epsilon/64, the fallback stops the chain on
+    # the first step below epsilon^2
+    chain = [Fraction(0), Fraction(1, 4), Fraction(3, 8), Fraction(39, 100), Fraction(81, 200),
+             Fraction(41, 100), 1]
+    return kleene(semiring_for(DESCRIPTORS["probabilistic"]),
+                  lambda p: {"s": chain[chain.index(p["s"]) + 1]}, {"s": Fraction(0)}, "lfp",
+                  EvalConfig(epsilon=Fraction(1, 10)))
+
+
+PINNED_CHAINS = {
+    # ratio stop on the grid, rounding down (lfp) and up (gfp)
+    "ring-mu": (lambda: mu_extent_result(parse_model(RING % "1/10")),
+                {"u": Fraction(340282366916070871312624326139985964579, GRID)}, 237,
+                Fraction(2704217861527934050990137151, 1701411834604692317316873037158841057280),
+                Fraction(7312794242606712701513941599342564755346154677790396801,
+                         511220919217002231238131570963235284335720490470664818782990499840)),
+    "ring-nu": (lambda: nu_extent_result(parse_model(RING % "1/20")),
+                {"u": Fraction(85070591732778847362404826147270630405, GRID // 2)}, 230,
+                Fraction(565384777013594286517461675, GRID),
+                Fraction(319659946078711734302483156077761790275744685093805625,
+                         21376718904805873976525106836857220947422678196497265513675620352)),
+    # ratio stop before the denominators reach the grid
+    "thirds-mu": (lambda: _thirds("lfp", False),
+                  {"u": Fraction(141214768240, 282429536481),
+                   "w": Fraction(753145430611, 1412147682405)}, 24,
+                  Fraction(2, 282429536481), Fraction(1, 282429536481)),
+    "thirds-nu": (lambda: _thirds("gfp", False),
+                  {"u": Fraction(141214768241, 282429536481),
+                   "w": Fraction(753145430621, 1412147682405)}, 24,
+                  Fraction(2, 282429536481), Fraction(1, 282429536481)),
+    # force_exact: exact stabilisation on the grid, both rounding directions
+    "thirds-mu-exact": (lambda: _thirds("lfp", True),
+                        {"u": Fraction(GRID // 2 - 1, GRID),
+                         "w": Fraction(181483929024500513847133123963609712775, GRID)}, 82,
+                        Fraction(0), Fraction(1, 1 << 100)),
+    "thirds-nu-exact": (lambda: _thirds("gfp", True),
+                        {"u": Fraction(GRID // 2 + 1, GRID),
+                         "w": Fraction(90741964512250256923566561981804856389, GRID // 2)}, 82,
+                        Fraction(0), Fraction(1, 1 << 100)),
+    # the clamp to an off-grid previous iterate, both directions
+    "clamp-lfp": (lambda: _off_grid("lfp"), {"s": Fraction(1, 3)}, 1,
+                  Fraction(0), Fraction(1, 1 << 100)),
+    "clamp-gfp": (lambda: _off_grid("gfp"), {"s": Fraction(1, 3)}, 1,
+                  Fraction(0), Fraction(1, 1 << 100)),
+    # the epsilon^2 fallback: on the first step, and after erratic ratios
+    "tiny-mu": (lambda: mu_extent_result(
+                    parse_model("semiring prob label e/0 state u { 1/100000000000000000000 e }")),
+                {"u": Fraction(1, 10**20)}, 1, Fraction(1, 10**20), Fraction(1, 10**20)),
+    "erratic": (_erratic, {"s": Fraction(41, 100)}, 5, Fraction(1, 200), Fraction(1, 200)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHAINS))
+def test_prob_chain_pinned(name):
+    run, values, iterations, last_delta, tail_bound = PINNED_CHAINS[name]
+    res = run()
+    assert res.values == values
+    assert (res.report.iterations, res.report.last_delta, res.report.tail_bound) == (
+        iterations, last_delta, tail_bound)
+
+
+def test_prob_nested_chains_pinned(counterexample_prob, monkeypatch):
+    # the outer nu stops on the fallback after one step; the inner mu runs
+    # force_exact to stabilisation on the grid
+    from semimc import evaluator
+    chains = []
+
+    def recording(*args, **kwargs):
+        res = kleene(*args, **kwargs)
+        r = res.report
+        chains.append((args[3], kwargs["force_exact"], r.iterations, r.last_delta, r.tail_bound))
+        return res
+
+    monkeypatch.setattr(evaluator, "kleene", recording)
+    m = counterexample_prob
+    f = parse_formula("nu X. mu Y. ([a](X) | [b](Y) | [c](Y))", m.signature, m.descriptor)
+    values, top = eval_with_certificate(m, f)
+    assert values == {"x": Fraction(GRID // 2 - 1, GRID // 2), "y": Fraction(GRID - 3, GRID),
+                      "u": Fraction(GRID // 2 - 3, GRID // 2), "v": Fraction(GRID - 7, GRID)}
+    assert (top.iterations, top.last_delta, top.tail_bound) == (1, 0, 0)
+    assert chains == [("gfp", False, 1, 0, 0),
+                      ("lfp", True, 943, 0, Fraction(1, 1 << 100)),
+                      ("gfp", False, 1, Fraction(7, GRID), Fraction(7, GRID))]
+
+
+def test_prob_non_convergence_pinned():
+    with pytest.raises(NonConvergence) as info:
+        mu_extent(parse_model(RING % "1/10"), EvalConfig(max_iterations=60))
+    assert info.value.iterations == 60
+    assert info.value.last == {
+        "u": Fraction(42458859500337784413639989063636046173, 42535295865117307932921825928971026432)}
+    assert info.value.previous == {
+        "u": Fraction(339602932567342698847536057517679498043, GRID)}
 
 
 def test_unbound_variable():
