@@ -7,6 +7,13 @@ declaration order and scalars use the canonical per-semiring syntax.
 Epsilon-converged probabilistic values are printed as the simplest
 rational within the configured epsilon of the computed value.
 
+`main` parses with one parser per process: `build_parser` runs on the
+first call and its parser is shared by every later call, which saves
+in-process callers (test suites, benchmark loops, programs embedding the
+CLI) a few milliseconds per call.  Parsing does not change the parser and
+every default is immutable, so sharing is safe; do not mutate the parser
+that `main` uses.
+
 Exit codes: 0 success, 1 validation or usage errors, 2 non-convergence or
 enumeration caps, 3 I/O errors.
 """
@@ -14,6 +21,7 @@ enumeration caps, 3 I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -291,6 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 _HANDLERS = {
     "check": _cmd_check,
     "eval": _cmd_eval,
@@ -316,7 +329,7 @@ def _error_payload(command: str, fmt: str, message: str, code: int) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     fmt = getattr(args, "format", "text")
     try:
         code, out = _HANDLERS[args.command](args)

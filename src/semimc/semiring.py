@@ -365,15 +365,16 @@ def render_certified(value, descriptor: SemiringDescriptor, epsilon: Fraction) -
     """Render a scalar that is only known up to `epsilon`.
 
     Probabilistic values produced by converging iterations are printed as
-    the simplest rational within epsilon of the iterate, which recovers
-    the exact value whenever the limit is a small fraction.  Other
-    semirings render exactly.
+    the simplest rational in [value - epsilon, value + epsilon] (clipped
+    to [0, 1]), which recovers the exact value whenever the limit is a
+    small fraction; `simplest_in_interval` finds it with one iterative
+    integer descent.  Other semirings render exactly.
     """
     if descriptor.kind != "probabilistic":
         return render_scalar(value, descriptor)
-    lo = max(Fraction(0), Fraction(value) - epsilon)
-    hi = min(Fraction(1), Fraction(value) + epsilon)
-    return render_scalar(simplest_in_interval(lo, hi), descriptor)
+    v = Fraction(value)
+    return str(simplest_in_interval(max(Fraction(0), v - epsilon),
+                                    min(Fraction(1), v + epsilon)))
 
 
 def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
@@ -381,7 +382,15 @@ def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
 
     Used to report epsilon-converged probabilistic values: among all
     rationals compatible with the certified precision this is the canonical
-    representative.
+    representative.  Among several integers the one nearest to zero wins.
+
+    The continued-fraction descent is one loop on the integer numerators
+    and denominators of the two endpoints: each step takes the common
+    integer part `a` of lo and hi, folds it into the convergents
+    (p1/q1 and the one before it, p0/q0) and replaces [lo, hi] by
+    [1/(hi - a), 1/(lo - a)].  It stops at the first interval holding an
+    integer, so it takes no more steps than either endpoint has
+    continued-fraction terms, and it never recurses.
     """
     if lo > hi:
         raise ValueError("empty interval")
@@ -389,14 +398,16 @@ def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
         return Fraction(0)
     if hi < 0:
         return -simplest_in_interval(-hi, -lo)
-    return _simplest_positive(Fraction(lo), Fraction(hi))
-
-
-def _simplest_positive(lo: Fraction, hi: Fraction) -> Fraction:
-    # continued-fraction descent; 0 < lo <= hi
-    a = lo.numerator // lo.denominator
-    if lo.denominator == 1:
-        return lo
-    if a + 1 <= hi:
-        return Fraction(a + 1)
-    return a + 1 / _simplest_positive(1 / (hi - a), 1 / (lo - a))
+    ln, ld = lo.as_integer_ratio()
+    hn, hd = hi.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a, r = divmod(ln, ld)
+        if r == 0:  # lo is the integer a
+            break
+        if (a + 1) * hd <= hn:  # a + 1 <= hi
+            a += 1
+            break
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        ln, ld, hn, hd = hd, hn - a * hd, ld, r
+    return Fraction(a * p1 + p0, a * q1 + q0)

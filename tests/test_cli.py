@@ -6,12 +6,16 @@ import json
 
 import pytest
 
+from semimc import cli
 from semimc.cli import main
 from conftest import corpus_path
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse usage errors
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -194,3 +198,79 @@ def test_check_json_shape(capsys):
     assert code == 0
     assert payload["command"] == "check"
     assert any("deadlock: y" in d for d in payload["diagnostics"])
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+# each call follows one whose options must not carry over
+SHARED_PARSER_SEQUENCE = [
+    ("extent", "--mu", TROP),
+    ("extent", TROP),
+    ("eval", MODEL, FORMULA, "--epsilon", "1/10"),
+    ("eval", MODEL, FORMULA),
+    ("extent", "--mu", "--nu", TROP),
+    ("info", TROP),
+]
+
+
+@pytest.fixture
+def clear_shared_parser():
+    cli._shared_parser.cache_clear()
+    yield
+    cli._shared_parser.cache_clear()
+
+
+def test_shared_parser_matches_fresh_parser(capsys, monkeypatch, clear_shared_parser):
+    fresh = []
+    for argv in SHARED_PARSER_SEQUENCE:
+        cli._shared_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._shared_parser.cache_clear()
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    shared = [run(capsys, *argv) for argv in SHARED_PARSER_SEQUENCE]
+    assert shared == fresh
+    assert len(builds) == 1
+    mu, nu, eps, default, usage, info = shared
+    assert mu[:2] == (0, "x = 4\ny = 2\nz = 4\n")
+    assert nu[:2] == (0, "x = 1\ny = 1\nz = 0\n")
+    assert eps[:2] == (0, "x = 1/3\ny = 0\nz = 1/4\n")
+    assert default[:2] == (0, "x = 2/5\ny = 1/10\nz = 1/5\n")
+    assert usage[0] == 2 and "not allowed with argument --mu" in usage[2]
+    assert info[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# known certificate defects: the stop rule cuts off a slow chain and
+# prints u = 0 where the least fixpoint is 1; a bracketing certificate
+# must turn these into passes
+
+TWO_RATE = """semiring prob
+label a/1
+label e/0
+state u { 999999999999/1000000000000 a -> u; 1/1000000000000 e }
+state v { 1/2 a -> v; 1/2 e }"""
+
+# the first step is below epsilon squared, and the fallback stops on it
+FIRST_STEP_FALLBACK = """semiring prob
+label a/1
+label e/0
+state u { 99999999999999999999/100000000000000000000 a -> u; 1/100000000000000000000 e }"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="unsound stop rule: prints u = 0, true value 1")
+@pytest.mark.parametrize("command", [("extent", "--mu"), ("eval", "mu X. ([a](X) | [e])")],
+                         ids=["extent-mu", "eval-mu"])
+@pytest.mark.parametrize("text", [TWO_RATE, FIRST_STEP_FALLBACK],
+                         ids=["two-rate", "first-step-fallback"])
+def test_slow_chain_certifies_one(tmp_path, capsys, text, command):
+    path = tmp_path / "slow.model"
+    path.write_text(text)
+    name, arg = command
+    code, payload = run_json(capsys, name, str(path), arg)
+    assert code == 0
+    assert payload["values"]["u"] == "1"

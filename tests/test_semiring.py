@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from semimc import (INF, UNDEFINED, CarrierError, ParseError,
@@ -249,3 +250,46 @@ def test_simplest_in_interval():
     assert simplest_in_interval(Fraction(1) - eps, Fraction(1)) == 1
     assert simplest_in_interval(Fraction(39, 100), Fraction(41, 100)) == Fraction(2, 5)
     assert simplest_in_interval(Fraction(1, 3), Fraction(1, 2)) == Fraction(1, 2)
+
+
+def brute_simplest(lo, hi):
+    """The first denominator q with a multiple of 1/q in [lo, hi]; of those
+    multiples, the one nearest to zero."""
+    q = 1
+    while True:
+        first, last = math.ceil(lo * q), math.floor(hi * q)
+        if first <= last:
+            return Fraction(min(max(0, first), last), q)
+        q += 1
+
+
+# endpoints with denominators up to 60 keep the brute force short (lo is a
+# candidate itself); other endpoints come with a width of at least 1/1000
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+_WIDE = st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=10**12),
+                  st.fractions(min_value=Fraction(1, 1000), max_value=2,
+                               max_denominator=10**6)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@given(st.one_of(st.tuples(_SMALL, _SMALL).map(sorted), _WIDE,
+                 _SMALL.map(lambda v: (v, v))))
+@example((Fraction(0), Fraction(0)))
+@example((Fraction(1), Fraction(1)))
+@example((Fraction(2), Fraction(5)))
+@example((Fraction(-5), Fraction(-2)))
+@example((Fraction(0), Fraction(1, 3)))
+@example((Fraction(2, 3), Fraction(1)))
+@example((Fraction(-1, 2), Fraction(-1, 3)))
+@example((Fraction(-7, 3), Fraction(3, 2)))
+def test_simplest_in_interval_matches_brute_force(interval):
+    lo, hi = interval
+    assert simplest_in_interval(lo, hi) == brute_simplest(lo, hi)
+
+
+def test_simplest_in_interval_long_continued_fraction():
+    # F(3002)/F(3001) = [1; 1, ..., 1, 2]: 3000 continued-fraction terms
+    p, q = 1, 1
+    for _ in range(3000):
+        p, q = p + q, p
+    v = Fraction(p, q)
+    assert simplest_in_interval(v, v) == v
