@@ -4,6 +4,8 @@
 Run from the repository root:
 
     python scripts/corpus_report.py [--corpus DIR]
+
+Exits 1 when any oracle cross-check reports a mismatch.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ def formula_for(name: str) -> str | None:
     return None
 
 
-def report(path: pathlib.Path, cfg: EvalConfig) -> None:
+def report(path: pathlib.Path, cfg: EvalConfig) -> bool:
+    """Print the report for one model; False on an oracle mismatch."""
     model = parse_model(path.read_text())
     d = model.descriptor
     print(f"== {path.name} ({d.short_name}, {len(model.states)} states, "
@@ -47,6 +50,7 @@ def report(path: pathlib.Path, cfg: EvalConfig) -> None:
     print("   nu-extent: " + ", ".join(f"{s}={render_certified(nu[s], d, cfg.epsilon)}" for s in model.states))
     print("   mu-extent: " + ", ".join(f"{s}={render_certified(mu[s], d, cfg.epsilon)}" for s in model.states))
 
+    ok = True
     text = formula_for(path.name)
     if text:
         f = parse_formula(text, model.signature, d)
@@ -54,6 +58,7 @@ def report(path: pathlib.Path, cfg: EvalConfig) -> None:
         print(f"   [[{text}]]: "
               + ", ".join(f"{s}={render_certified(v[s], d, cfg.epsilon)}" for s in model.states))
         rep = compare_semantics(model, f, 3, cfg)
+        ok = rep.ok
         disc = rep.max_discrepancy
         shown = f"{float(disc):.3e}" if disc != 0 else "0"
         print(f"   oracle cross-check at unroll 3: max discrepancy "
@@ -64,6 +69,7 @@ def report(path: pathlib.Path, cfg: EvalConfig) -> None:
             v = lt(model, s, parse_fragment("a(T)", model.signature), cfg)
             print(f"   lt({s}, a(T)) = {render_certified(v, d, cfg.epsilon)}")
     print()
+    return ok
 
 
 def main() -> int:
@@ -73,9 +79,8 @@ def main() -> int:
     corpus = pathlib.Path(args.corpus) if args.corpus else \
         pathlib.Path(__file__).resolve().parent.parent / "corpus"
     cfg = EvalConfig()
-    for path in sorted(corpus.glob("*.model")):
-        report(path, cfg)
-    return 0
+    results = [report(path, cfg) for path in sorted(corpus.glob("*.model"))]
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":

@@ -329,7 +329,14 @@ def _error_payload(command: str, fmt: str, message: str, code: int) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    try:
+        args = _shared_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed the usage error; its code 2 would read as
+        # non-convergence here (--help exits 0 and passes through)
+        if e.code == 2:
+            return EXIT_USER
+        raise
     fmt = getattr(args, "format", "text")
     try:
         code, out = _HANDLERS[args.command](args)

@@ -16,6 +16,14 @@ with a per-semiring stop rule:
   Promotion only arises on chains that increase towards the numeric
   supremum; decreasing chains over the naturals stabilise on their own.
 
+Extents of offset-free tropical and bounded tropical models (the embedded
+extent behind T included) are not iterated: ``_trop_extent`` solves them
+exactly with Knuth's generalisation of Dijkstra's algorithm, so they
+never depend on ``promote_bound`` or ``max_iterations``.  Promotion
+remains for models with offsets (truncated subtraction is not a superior
+function) and for the fixpoints of formulas, and ``kleene`` stays the
+reference the solver is tested against.
+
 The constant T denotes the greatest-extent predicate, so greatest
 fixpoints of formulas are seeded at the interpretation of T, while the
 extent computation itself is seeded at the constant-one predicate (the
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import ge, le
 from typing import Callable, Literal
 
@@ -237,13 +246,102 @@ def _prob_kleene(operator: Callable, start: list, direction: str, cfg: EvalConfi
     raise _no_fixpoint(cfg, names, cur, prev)
 
 
-def default_promote_bound(model: Model, formula_size: int = 0) -> int:
-    """Divergence cutoff for tropical chains: any finite fixpoint value is
-    witnessed by a bounded unfolding, so values past this keep growing.
+def _exact_tropical(cm: CompiledModel) -> bool:
+    """True when `_trop_extent` solves the extent of `cm` exactly."""
+    return cm.semiring.kind in ("tropical", "bounded_tropical") and not cm.offset_ids
 
-    The witnessing unfolding is a tree, not a path: with labels of arity
-    up to A its minimal completed form can hold on the order of A^states
-    nodes, so the cutoff carries that branching factor.
+
+def _zero_cost_states(owner: list, weight: list, uses: list) -> list[int]:
+    """The states with a zero-cost run tree: the greatest set in which
+    every state has a weight-0 transition with all successors in the set.
+
+    `live[s]` counts the weight-0 transitions of s with no successor
+    removed yet; a state is removed when that count reaches 0, and each
+    removal kills the weight-0 transitions that use it.
+    """
+    n = len(uses)
+    live = [0] * n
+    for t, w in enumerate(weight):
+        if not w:
+            live[owner[t]] += 1
+    removed = [s for s in range(n) if not live[s]]
+    dead = set()
+    while removed:
+        for t in uses[removed.pop()]:
+            if not weight[t] and t not in dead:
+                dead.add(t)
+                live[owner[t]] -= 1
+                if not live[owner[t]]:
+                    removed.append(owner[t])
+    return [s for s in range(n) if live[s]]
+
+
+def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
+    """Exact extent of an offset-free (bounded) tropical model.
+
+    A transition of weight w to successors x1 .. xk contributes
+    w + x1 + ... + xk, a superior function (Knuth, IPL 1977), so states
+    settle in order of value as in Dijkstra's algorithm: arity-0
+    transitions seed their owner at w, and once every successor of a
+    transition has settled it offers its owner w plus their values.  On
+    trop[B] an offer above B is infinity.  States never settled are
+    infinity.  This is the lfp, the cheapest finite run tree.  For the
+    gfp, run trees may be infinite: the states with a zero-cost run tree
+    are seeded at 0 as well.
+
+    The report counts settled states as iterations; for the gfp,
+    `promoted` lists the infinite states.
+    """
+    n = len(cm.states)
+    bound = cm.semiring.bound
+    owner, weight, waiting = [], [], []  # per transition
+    uses = [[] for _ in range(n)]  # per state: transitions, once per occurrence
+    heap = []
+    for i, row in enumerate(cm.rows):
+        for w, _, succs in row:
+            for _, s in succs:
+                uses[s].append(len(owner))
+            if not succs:
+                heap.append((w, i))
+            owner.append(i)
+            weight.append(w)
+            waiting.append(len(succs))
+    if direction == "gfp":
+        heap += [(0, s) for s in _zero_cost_states(owner, weight, uses)]
+    heapify(heap)
+    value = [INF] * n
+    partial = [0] * len(owner)
+    settled = 0
+    while heap:
+        v, s = heappop(heap)
+        if value[s] != INF:
+            continue
+        value[s] = v
+        settled += 1
+        for t in uses[s]:
+            partial[t] += v
+            waiting[t] -= 1
+            if not waiting[t]:
+                offer = weight[t] + partial[t]
+                if offer <= bound and value[owner[t]] == INF:
+                    heappush(heap, (offer, owner[t]))
+    promoted = ()
+    if direction == "gfp":
+        promoted = tuple(sorted(cm.states[s] for s, v in enumerate(value) if v == INF))
+    return KleeneResult(value, KleeneReport(settled, promoted=promoted))
+
+
+def default_promote_bound(model: Model, formula_size: int = 0) -> int:
+    """Divergence cutoff for tropical Kleene chains: a state still
+    strictly growing past it is promoted to infinity.
+
+    A finite value is witnessed by a run tree, not a path, so the cutoff
+    carries a branching factor for labels of arity up to A.  The factor
+    is capped at A^6, so this is a heuristic, not a bound: past 6 states
+    with arity >= 2 a finite value can exceed it and be promoted wrongly
+    (a chain of n states each doubling the one below has value 2^n - 1).
+    Offset-free tropical extents do not use it (see `_trop_extent`); it
+    remains for models with offsets and for fixpoints of formulas.
     """
     n = max(1, len(model.states))
     max_arity = max((l.arity for l in model.signature.labels), default=1)
@@ -254,10 +352,13 @@ def default_promote_bound(model: Model, formula_size: int = 0) -> int:
 def _extent_result(model: Model, cfg: EvalConfig | None, direction: str) -> KleeneResult:
     cfg = cfg or EvalConfig()
     cm = model.compiled
-    semiring = model.semiring
-    start = [semiring.one if direction == "gfp" else semiring.zero] * len(cm.states)
-    bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)
-    res = kleene(semiring, cm.extent_step, start, direction, cfg, bound, names=cm.states)
+    if _exact_tropical(cm):
+        res = _trop_extent(cm, direction)
+    else:
+        semiring = model.semiring
+        start = [semiring.one if direction == "gfp" else semiring.zero] * len(cm.states)
+        bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)
+        res = kleene(semiring, cm.extent_step, start, direction, cfg, bound, names=cm.states)
     return KleeneResult(dict(zip(cm.states, res.values)), res.report)
 
 
@@ -310,8 +411,11 @@ def _top_predicate(ctx: _EvalContext) -> list:
     """Interpretation of T: the greatest fixpoint of the one-step
     unfolding over the full signature, seeded at the constant one."""
     if ctx.top is None:
-        start = [ctx.cm.semiring.one] * len(ctx.cm.states)
-        res = _run_fixpoint(ctx, ctx.cm.extent_step, start, "gfp", ctx.top_bound)
+        if _exact_tropical(ctx.cm):
+            res = _trop_extent(ctx.cm, "gfp")
+        else:
+            start = [ctx.cm.semiring.one] * len(ctx.cm.states)
+            res = _run_fixpoint(ctx, ctx.cm.extent_step, start, "gfp", ctx.top_bound)
         ctx.top, ctx.top_report = res.values, res.report
     return ctx.top
 

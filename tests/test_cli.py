@@ -140,6 +140,15 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    code, out, err = run(capsys, "extent", "--mu", "--nu", TROP)
+    assert code == 1 and "not allowed with argument --mu" in err
+    code, out, err = run(capsys, "eval", MODEL)
+    assert code == 1 and "required: formula" in err
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and "usage: semimc" in out
+
+
 def test_json_error_payload(capsys):
     code, out, err = run(capsys, "eval", MODEL, "[q](T)", "--format", "json")
     assert code == 1
@@ -239,7 +248,7 @@ def test_shared_parser_matches_fresh_parser(capsys, monkeypatch, clear_shared_pa
     assert nu[:2] == (0, "x = 1\ny = 1\nz = 0\n")
     assert eps[:2] == (0, "x = 1/3\ny = 0\nz = 1/4\n")
     assert default[:2] == (0, "x = 2/5\ny = 1/10\nz = 1/5\n")
-    assert usage[0] == 2 and "not allowed with argument --mu" in usage[2]
+    assert usage[0] == 1 and "not allowed with argument --mu" in usage[2]
     assert info[0] == 0
 
 
@@ -274,3 +283,33 @@ def test_slow_chain_certifies_one(tmp_path, capsys, text, command):
     code, payload = run_json(capsys, name, str(path), arg)
     assert code == 0
     assert payload["values"]["u"] == "1"
+
+
+# ---------------------------------------------------------------------------
+# exact tropical extents: s_i unfolds to two copies of s_(i-1), so s13 costs
+# 2^14 - 1 = 16383, past default_promote_bound
+
+DOUBLING = "semiring trop\nlabel e/0\nlabel f/2\nstate s0 { 1 e }\n" + "".join(
+    f"state s{i} {{ 1 f -> s{i - 1} s{i - 1} }}\n" for i in range(1, 14))
+
+
+@pytest.mark.parametrize("argv", [("extent", "--nu"), ("extent", "--mu"), ("eval", "T"),
+                                  ("eval", "nu X. ([f](X, X) | [e])")],
+                         ids=["extent-nu", "extent-mu", "eval-T", "eval-nu"])
+def test_doubling_model_is_exact(tmp_path, capsys, argv):
+    path = tmp_path / "doubling.model"
+    path.write_text(DOUBLING)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "s13 = 16383"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="offsets fall back to Kleene, whose promote bound is "
+                          "below 16383: prints inf")
+def test_doubling_model_with_offset_is_exact(tmp_path, capsys):
+    path = tmp_path / "doubling.model"
+    path.write_text(DOUBLING + "offset s13 = 1\n")
+    code, out, err = run(capsys, "extent", "--nu", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "s13 = 16382"
