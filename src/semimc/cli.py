@@ -62,13 +62,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
+_CONFIG_FIELDS = ("epsilon", "max_iterations", "promote_bound", "enum_cap")
+
+
 def _config(args) -> EvalConfig:
-    return EvalConfig(
-        epsilon=args.epsilon,
-        max_iterations=args.max_iters,
-        promote_bound=args.promote_bound,
-        enum_cap=args.enum_cap,
-    )
+    """The EvalConfig set by the solver options on the command line; an
+    option the user left out (or the command does not offer) keeps its
+    EvalConfig default."""
+    return EvalConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
 
 
 class _Output:
@@ -80,20 +81,20 @@ class _Output:
         self.model = model
         self.lines: list[str] = []
 
-    def _render(self, v, cfg: EvalConfig, certified: bool) -> str:
-        d = self.model.descriptor
-        if certified:
-            return render_certified(v, d, cfg.epsilon)
-        return self.model.semiring.render(v)
+    def _render(self, v, cfg: EvalConfig | None) -> str:
+        """Certified to cfg.epsilon when a cfg is given, exact otherwise."""
+        if cfg is None:
+            return self.model.semiring.render(v)
+        return render_certified(v, self.model.descriptor, cfg.epsilon)
 
-    def values(self, pred: dict, cfg: EvalConfig, certified: bool = True):
-        rendered = {s: self._render(pred[s], cfg, certified) for s in self.model.states}
+    def values(self, pred: dict, cfg: EvalConfig):
+        rendered = {s: self._render(pred[s], cfg) for s in self.model.states}
         self.payload["values"] = rendered
         for s, v in rendered.items():
             self.lines.append(f"{s} = {v}")
 
-    def value(self, state: str, v, cfg: EvalConfig, certified: bool = True):
-        rendered = self._render(v, cfg, certified)
+    def value(self, state: str, v, cfg: EvalConfig | None = None):
+        rendered = self._render(v, cfg)
         self.payload["values"] = {state: rendered}
         self.lines.append(f"{state} = {rendered}")
 
@@ -166,19 +167,17 @@ def _cmd_lt(args) -> tuple[int, _Output]:
 
 def _cmd_ftr(args) -> tuple[int, _Output]:
     model = _load_model(args.model)
-    cfg = _config(args)
     frag = parse_fragment(_inline_or_file(args.fragment), model.signature)
     _need_state(model, args.state)
     v = finite_tr(model, args.state, frag)
     out = _Output("ftr", model, args.format)
     out.extra("fragment", render_fragment(frag))
-    out.value(args.state, v, cfg, certified=False)
+    out.value(args.state, v)
     return EXIT_OK, out
 
 
 def _cmd_tr(args) -> tuple[int, _Output]:
     model = _load_model(args.model)
-    cfg = _config(args)
     frag = parse_fragment(_inline_or_file(args.fragment), model.signature)
     _need_state(model, args.state)
     n = args.n if args.n is not None else fragment_depth(frag)
@@ -186,7 +185,7 @@ def _cmd_tr(args) -> tuple[int, _Output]:
     out = _Output("tr", model, args.format)
     out.extra("fragment", render_fragment(frag))
     out.extra("n", n)
-    out.value(args.state, v, cfg, certified=False)
+    out.value(args.state, v)
     return EXIT_OK, out
 
 
@@ -256,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "linear-time fixpoint logics")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, formula=False, fragment=False, state=False):
+    def common(sp, formula=False, fragment=False, state=False, solver=False, enum=False):
+        """Arguments of a subcommand; `solver` adds the fixpoint options and
+        `enum` the enumeration cap.  Their defaults are EvalConfig's."""
         sp.add_argument("model", help="model file")
         if formula:
             sp.add_argument("formula", help="formula text or file")
@@ -264,36 +265,40 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("fragment", help="trace fragment text or file")
         if state:
             sp.add_argument("--state", required=True, help="state to query")
-        sp.add_argument("--epsilon", type=_fraction, default=Fraction(1, 10**9),
-                        help="probabilistic convergence target (rational)")
-        sp.add_argument("--max-iters", type=int, default=10**6, dest="max_iters")
-        sp.add_argument("--promote-bound", type=int, default=None, dest="promote_bound",
-                        help="tropical divergence cutoff (default: derived from the model)")
-        sp.add_argument("--enum-cap", type=int, default=200_000, dest="enum_cap")
+        if solver:
+            sp.add_argument("--epsilon", type=_fraction, default=argparse.SUPPRESS,
+                            help="probabilistic convergence target (rational, default 1/10^9)")
+            sp.add_argument("--max-iters", type=int, default=argparse.SUPPRESS,
+                            dest="max_iterations")
+            sp.add_argument("--promote-bound", type=int, default=argparse.SUPPRESS,
+                            help="tropical divergence cutoff (default: derived from the model)")
+        if enum:
+            sp.add_argument("--enum-cap", type=int, default=argparse.SUPPRESS)
         sp.add_argument("--format", choices=("text", "json"), default="text")
         return sp
 
     common(sub.add_parser("check", help="validate a model, list diagnostics"))
-    common(sub.add_parser("eval", help="evaluate a closed formula"), formula=True)
-    ext = common(sub.add_parser("extent", help="greatest or least extent"))
+    common(sub.add_parser("eval", help="evaluate a closed formula"), formula=True, solver=True)
+    ext = common(sub.add_parser("extent", help="greatest or least extent"), solver=True)
     g = ext.add_mutually_exclusive_group()
     g.add_argument("--nu", action="store_true", help="greatest extent (default)")
     g.add_argument("--mu", action="store_true", help="least extent")
     common(sub.add_parser("lt", help="linear-time behaviour of a fragment"),
-           fragment=True, state=True)
+           fragment=True, state=True, solver=True)
     tr = common(sub.add_parser("tr", help="depth-n trace approximant"),
                 fragment=True, state=True)
     tr.add_argument("--n", type=int, default=None,
                     help="approximation depth (default: fragment depth)")
     common(sub.add_parser("ftr", help="completed-trace behaviour"),
            fragment=True, state=True)
-    eq = common(sub.add_parser("equiv", help="depth-bounded equivalence check"))
+    eq = common(sub.add_parser("equiv", help="depth-bounded equivalence check"),
+                solver=True, enum=True)
     eq.add_argument("left", help="first state")
     eq.add_argument("right", help="second state")
     eq.add_argument("--kind", choices=("lt", "tr"), default="lt")
     eq.add_argument("--depth", type=int, default=2)
     orc = common(sub.add_parser("oracle", help="cross-check step-wise vs path semantics"),
-                 formula=True)
+                 formula=True, solver=True, enum=True)
     orc.add_argument("--unroll", type=int, default=2, help="fixpoint unrolling depth")
     common(sub.add_parser("info", help="model statistics"))
     return p

@@ -24,14 +24,19 @@ remains for models with offsets (truncated subtraction is not a superior
 function) and for the fixpoints of formulas, and ``kleene`` stays the
 reference the solver is tested against.
 
-The constant T denotes the greatest-extent predicate, so greatest
-fixpoints of formulas are seeded at the interpretation of T, while the
-extent computation itself is seeded at the constant-one predicate (the
-lattice top).  The extent operator, the Modal clause and T all run
-through one transition-step kernel per semiring (``Semiring.step``) on
-the model's compiled form; the path oracle is the separate view that
-cross-checks it.  Inside, predicates are lists indexed by state id;
-name-keyed dicts appear only at the public functions.
+The constant T denotes the greatest extent.  A query computes it at most
+once, on first use, by ``_extent``, the routine behind ``extent --nu``
+(``nu_extent_result``), so T under a binder is the extent itself bit for
+bit.  Greatest fixpoints of formulas are seeded at T, while the extent
+computation itself is seeded at the constant-one predicate (the lattice
+top).  Nesting is lexical: ``_eval`` marks binder bodies as nested, and
+fixpoints inside them run with ``force_exact`` (see ``kleene``).
+
+The extent operator, the Modal clause and T all run through one
+transition-step kernel per semiring (``Semiring.step``) on the model's
+compiled form; the path oracle is the separate view that cross-checks
+it.  Inside, predicates are lists indexed by state id; name-keyed dicts
+appear only at the public functions.
 
 Everything here is pure; a shared Model can serve concurrent evaluations.
 """
@@ -45,7 +50,7 @@ from operator import ge, le
 from typing import Callable, Literal
 
 from .errors import EvaluationError, NonConvergence, NonMonotoneChain
-from .logic import Formula, Modal, Mu, Nu, Top, Var, WeightedSum, size
+from .logic import TOP, Formula, Modal, Mu, Nu, Top, Var, WeightedSum, size
 from .model import CompiledModel, Model
 from .semiring import INF, Semiring, UNDEFINED
 
@@ -108,7 +113,7 @@ def _no_fixpoint(cfg: EvalConfig, names, cur: list, prev: list | None) -> NonCon
 
 def kleene(semiring: Semiring,
            operator: Callable,
-           start: list | Predicate,
+           start: list,
            direction: Literal["lfp", "gfp"],
            cfg: EvalConfig,
            promote_bound: int | None = None,
@@ -117,13 +122,16 @@ def kleene(semiring: Semiring,
     """Iterate a monotone operator from `start` until the stop rule fires.
 
     Iterates are lists indexed by state id, named by `names` (default:
-    the ids) in reports and errors.  A dict `start` makes `operator` and
-    the result values name-keyed instead, with the keys as the names.
+    the ids) in reports and errors.
 
     Chains are checked to stay monotone in the induced order (increasing
     for lfp, decreasing for gfp); a violation raises NonMonotoneChain.
     Raises NonConvergence after cfg.max_iterations, reporting the final
     two iterates.
+
+    On tropical gfp chains, a state that grows past `promote_bound` while
+    still strictly changing is promoted to infinity; with no bound,
+    nothing is promoted.
 
     Probabilistic chains stop once the largest per-state step d certifies
     epsilon accuracy: with p the previous step and r = d/p < 1 the
@@ -134,22 +142,16 @@ def kleene(semiring: Semiring,
     and denominators (see `_prob_kleene`).
 
     With `force_exact`, probabilistic chains run to exact stabilisation on
-    the denominator grid instead of the epsilon stop.  Fixpoints nested
-    inside another running fixpoint need this: their stopping noise would
-    otherwise swamp the enclosing chain's progress and defeat its
-    contraction estimate.
+    the denominator grid instead of the epsilon stop.  The evaluator sets
+    it for fixpoints nested lexically inside another binder's body: their
+    stopping noise would otherwise swamp the enclosing chain's progress
+    and defeat its contraction estimate.  T is not such a fixpoint: it is
+    the greatest extent, computed once per query with the epsilon stop.
     """
-    if isinstance(start, dict):
-        names, by_name = tuple(start), operator
-        res = kleene(semiring, lambda v: [by_name(dict(zip(names, v)))[s] for s in names],
-                     list(start.values()), direction, cfg, promote_bound, force_exact, names)
-        return KleeneResult(dict(zip(names, res.values)), res.report)
     names = names or tuple(range(len(start)))
     if semiring.kind == "probabilistic":
         return _prob_kleene(operator, start, direction, cfg, force_exact, names)
-    promoting = semiring.kind == "tropical" and direction == "gfp"
-    if promoting and promote_bound is None:
-        promote_bound = cfg.promote_bound if cfg.promote_bound is not None else 10**6
+    promoting = promote_bound is not None and semiring.kind == "tropical" and direction == "gfp"
     # the induced order is numeric <= for bool, >= for the tropical
     # family; consecutive iterates must be `in_order`
     rises = (direction == "lfp") == (semiring.kind == "boolean")
@@ -349,17 +351,21 @@ def default_promote_bound(model: Model, formula_size: int = 0) -> int:
     return n * (1 + model.max_finite_weight()) * (1 + formula_size) * branching
 
 
-def _extent_result(model: Model, cfg: EvalConfig | None, direction: str) -> KleeneResult:
-    cfg = cfg or EvalConfig()
+def _extent(model: Model, cfg: EvalConfig, direction: str) -> KleeneResult:
+    """The extent with list values: the routine behind the public extent
+    functions and behind T."""
     cm = model.compiled
     if _exact_tropical(cm):
-        res = _trop_extent(cm, direction)
-    else:
-        semiring = model.semiring
-        start = [semiring.one if direction == "gfp" else semiring.zero] * len(cm.states)
-        bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)
-        res = kleene(semiring, cm.extent_step, start, direction, cfg, bound, names=cm.states)
-    return KleeneResult(dict(zip(cm.states, res.values)), res.report)
+        return _trop_extent(cm, direction)
+    semiring = model.semiring
+    start = [semiring.one if direction == "gfp" else semiring.zero] * len(cm.states)
+    bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)
+    return kleene(semiring, cm.extent_step, start, direction, cfg, bound, names=cm.states)
+
+
+def _extent_result(model: Model, cfg: EvalConfig | None, direction: str) -> KleeneResult:
+    res = _extent(model, cfg or EvalConfig(), direction)
+    return KleeneResult(dict(zip(model.compiled.states, res.values)), res.report)
 
 
 def nu_extent_result(model: Model, cfg: EvalConfig | None = None) -> KleeneResult:
@@ -382,54 +388,25 @@ def mu_extent(model: Model, cfg: EvalConfig | None = None) -> Predicate:
 
 @dataclass
 class _EvalContext:
-    cm: CompiledModel
+    model: Model
     cfg: EvalConfig
-    promote_bound: int  # for fixpoints of the formula under evaluation
-    top_bound: int  # for the embedded extent; matches the dedicated routine
-    top: list | None = None
-    top_report: KleeneReport | None = None
-    fix_depth: int = 0  # number of enclosing fixpoint iterations running
+    promote_bound: int | None  # for the formula's fixpoints; None off the tropical kind
+    top: KleeneResult | None = None  # T, the greatest extent, once needed
 
 
-def _run_fixpoint(ctx: _EvalContext, operator, start, direction, bound) -> KleeneResult:
-    """Run one fixpoint with body evaluations marked as nested; fixpoints
-    already inside a running iteration stabilise exactly on the grid."""
-    force_exact = ctx.fix_depth > 0
-
-    def op(p: list) -> list:
-        ctx.fix_depth += 1
-        try:
-            return operator(p)
-        finally:
-            ctx.fix_depth -= 1
-
-    return kleene(ctx.cm.semiring, op, start, direction, ctx.cfg, bound,
-                  force_exact=force_exact, names=ctx.cm.states)
-
-
-def _top_predicate(ctx: _EvalContext) -> list:
-    """Interpretation of T: the greatest fixpoint of the one-step
-    unfolding over the full signature, seeded at the constant one."""
-    if ctx.top is None:
-        if _exact_tropical(ctx.cm):
-            res = _trop_extent(ctx.cm, "gfp")
-        else:
-            start = [ctx.cm.semiring.one] * len(ctx.cm.states)
-            res = _run_fixpoint(ctx, ctx.cm.extent_step, start, "gfp", ctx.top_bound)
-        ctx.top, ctx.top_report = res.values, res.report
-    return ctx.top
-
-
-def _eval(ctx: _EvalContext, f: Formula, env: dict) -> list:
-    cm, semiring = ctx.cm, ctx.cm.semiring
+def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> list:
+    """Denotation of `f` as a list; `nested` is set inside binder bodies."""
+    cm, semiring = ctx.model.compiled, ctx.model.semiring
     if isinstance(f, Top):
-        return _top_predicate(ctx)
+        if ctx.top is None:
+            ctx.top = _extent(ctx.model, ctx.cfg, "gfp")
+        return ctx.top.values
     if isinstance(f, Var):
         if f.name not in env:
             raise EvaluationError(f"unbound variable {f.name!r}")
         return env[f.name]
     if isinstance(f, WeightedSum):
-        parts = [(c, _eval(ctx, op, env)) for c, op in f.terms]
+        parts = [(c, _eval(ctx, op, env, nested)) for c, op in f.terms]
         out = []
         for i, state in enumerate(cm.states):
             total = semiring.sum([semiring.times(c, p[i]) for c, p in parts])
@@ -440,23 +417,21 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict) -> list:
     if isinstance(f, Modal):
         args = [None] * len(cm.label_ids)
         for lbl, arglist in f.disjuncts:
-            preds = tuple(_eval(ctx, a, env) for a in arglist)
+            preds = tuple(_eval(ctx, a, env, nested) for a in arglist)
             if lbl in cm.label_ids:  # other labels have no transitions
                 args[cm.label_ids[lbl]] = preds
         return cm.step(args)
     if isinstance(f, (Mu, Nu)):
-        direction = "lfp" if isinstance(f, Mu) else "gfp"
-        if direction == "lfp":
-            start = [semiring.zero] * len(cm.states)
+        if isinstance(f, Mu):
+            direction, start = "lfp", [semiring.zero] * len(cm.states)
         else:
-            start = _top_predicate(ctx)
+            direction, start = "gfp", _eval(ctx, TOP, env)
 
         def op(p: list) -> list:
-            inner = dict(env)
-            inner[f.var] = p
-            return _eval(ctx, f.body, inner)
+            return _eval(ctx, f.body, {**env, f.var: p}, True)
 
-        return _run_fixpoint(ctx, op, start, direction, ctx.promote_bound).values
+        return kleene(semiring, op, start, direction, ctx.cfg, ctx.promote_bound,
+                      force_exact=nested, names=cm.states).values
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -465,17 +440,6 @@ def _check_valuation(model: Model, valuation: dict[str, Predicate] | None):
         if set(pred) != set(model.states):
             raise EvaluationError(
                 f"valuation for {name!r} is not a total map over the states")
-
-
-def _context_for(model: Model, formula: Formula, cfg: EvalConfig) -> _EvalContext:
-    if cfg.promote_bound is not None:
-        formula_bound = top_bound = cfg.promote_bound
-    elif model.descriptor.kind != "tropical":
-        formula_bound = top_bound = 0  # promotion never applies
-    else:
-        formula_bound = default_promote_bound(model, size(formula))
-        top_bound = default_promote_bound(model)
-    return _EvalContext(model.compiled, cfg, formula_bound, top_bound)
 
 
 def eval_formula(model: Model, formula: Formula,
@@ -496,9 +460,16 @@ def eval_with_certificate(model: Model, formula: Formula,
     embedded extent computation (None when T never had to be computed)."""
     cfg = cfg or EvalConfig()
     _check_valuation(model, valuation)
-    ctx = _context_for(model, formula, cfg)
-    env = {name: [pred[s] for s in ctx.cm.states] for name, pred in (valuation or {}).items()}
-    return dict(zip(ctx.cm.states, _eval(ctx, formula, env))), ctx.top_report
+    bound = None
+    if model.descriptor.kind == "tropical":
+        bound = cfg.promote_bound
+        if bound is None:
+            bound = default_promote_bound(model, size(formula))
+    ctx = _EvalContext(model, cfg, bound)
+    states = model.compiled.states
+    env = {name: [pred[s] for s in states] for name, pred in (valuation or {}).items()}
+    values = _eval(ctx, formula, env)
+    return dict(zip(states, values)), None if ctx.top is None else ctx.top.report
 
 
 def leq_pointwise(semiring: Semiring, p: Predicate, q: Predicate) -> bool:

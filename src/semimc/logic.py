@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._lex import TokenStream, tokenize
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .model import Signature
 from .semiring import Semiring, SemiringDescriptor, UNDEFINED, semiring_for
 
@@ -64,10 +64,6 @@ Formula = Top | Var | WeightedSum | Modal | Mu | Nu
 
 TOP = Top()
 BOT = WeightedSum(())
-
-
-def is_bottom(f: Formula) -> bool:
-    return isinstance(f, WeightedSum) and not f.terms
 
 
 @dataclass(frozen=True)
@@ -394,36 +390,6 @@ def parse_formula(text: str, signature: Signature, descriptor: SemiringDescripto
         if fv:
             raise ParseError(f"unbound variable {sorted(fv)[0]!r} in closed formula")
     return f
-
-
-def check_formula(f: Formula, signature: Signature, descriptor: SemiringDescriptor):
-    """Re-validate an AST built programmatically (arities, labels, sums)."""
-    semiring = semiring_for(descriptor)
-
-    def walk(g):
-        if isinstance(g, WeightedSum):
-            if g.terms and semiring.sum([c for c, _ in g.terms]) is UNDEFINED:
-                raise ValidationError("coefficient sum is undefined")
-            for c, op in g.terms:
-                if not semiring.contains(c):
-                    raise ValidationError("coefficient outside the carrier")
-                walk(op)
-        elif isinstance(g, Modal):
-            seen = set()
-            for lbl, args in g.disjuncts:
-                if lbl in seen:
-                    raise ValidationError(f"duplicate label {lbl!r} in disjunction")
-                seen.add(lbl)
-                if not signature.has(lbl):
-                    raise ValidationError(f"unknown label {lbl!r}")
-                if signature.arity(lbl) != len(args):
-                    raise ValidationError(f"arity mismatch on label {lbl!r}")
-                for a in args:
-                    walk(a)
-        elif isinstance(g, (Mu, Nu)):
-            walk(g.body)
-
-    walk(f)
 
 
 def render_formula(f: Formula, descriptor: SemiringDescriptor) -> str:

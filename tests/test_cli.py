@@ -149,6 +149,18 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     assert code == 0 and "usage: semimc" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", MODEL, "--epsilon", "1/3"),
+    ("check", MODEL, "--max-iters", "5"),
+    ("tr", MODEL, "[a](T)", "--state", "x", "--promote-bound", "9"),
+    ("ftr", MODEL, "[a](T)", "--state", "x", "--enum-cap", "9"),
+    ("eval", MODEL, FORMULA, "--enum-cap", "9"),
+])
+def test_commands_reject_options_they_do_not_read(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "unrecognized arguments" in err
+
+
 def test_json_error_payload(capsys):
     code, out, err = run(capsys, "eval", MODEL, "[q](T)", "--format", "json")
     assert code == 1

@@ -171,6 +171,14 @@ def test_kleene_promotes_divergent_tropical_chain():
     assert res.report.promoted == ("t",) and res.report.iterations == 52
 
 
+def test_kleene_without_bound_promotes_nothing():
+    # a gfp chain 0, 500000, ..., 2000000 that stabilises past 10^6; with
+    # no promote bound, kleene must not cut it off at infinity
+    sr = semiring_for(DESCRIPTORS["tropical"])
+    res = kleene(sr, lambda p: [min(p[0] + 500_000, 2_000_000)], [0], "gfp", EvalConfig())
+    assert res.values == [2_000_000] and res.report.promoted == ()
+
+
 def test_kleene_non_convergence():
     m = parse_model("semiring prob label go/1 label out/0 "
                     "state a { 11/12 go -> a; 1/12 out }")
@@ -182,20 +190,20 @@ def test_kleene_non_convergence():
 
 def test_kleene_rejects_non_monotone_direction():
     sr = semiring_for(DESCRIPTORS["boolean"])
-    flip = lambda p: {"s": 1 - p["s"]}
+    flip = lambda p: [1 - p[0]]
     with pytest.raises(NonMonotoneChain):
-        kleene(sr, flip, {"s": 0}, "gfp", EvalConfig())
+        kleene(sr, flip, [0], "gfp", EvalConfig())
 
 
 @pytest.mark.parametrize("direction, move", [("lfp", -1), ("gfp", 1)])
 def test_kleene_rejects_non_monotone_prob_chain(direction, move):
     # the second state steps against the direction on the first iteration
     sr = semiring_for(DESCRIPTORS["probabilistic"])
-    against = lambda p: {"ok": p["ok"], "bad": p["bad"] + move * Fraction(1, 8)}
-    start = {"ok": Fraction(1, 3), "bad": Fraction(1, 2)}
+    against = lambda p: [p[0], p[1] + move * Fraction(1, 8)]
+    start = [Fraction(1, 3), Fraction(1, 2)]
     with pytest.raises(NonMonotoneChain, match=f"left the {direction} direction "
                                                r"at state 'bad' \(step 1\)"):
-        kleene(sr, against, start, direction, EvalConfig())
+        kleene(sr, against, start, direction, EvalConfig(), names=("ok", "bad"))
 
 
 # Probabilistic chains pinned bit for bit: values and KleeneReport fields
@@ -209,20 +217,24 @@ THIRDS = ("semiring prob label a/1 label e/0 "
 GRID = 1 << 128
 
 
+def _named(res: KleeneResult, names=("s",)) -> KleeneResult:
+    return KleeneResult(dict(zip(names, res.values)), res.report)
+
+
 def _thirds(direction, force_exact):
     m = parse_model(THIRDS)
     s = Fraction(0) if direction == "lfp" else Fraction(1)
     res = kleene(m.semiring, m.compiled.extent_step, [s, s], direction, EvalConfig(),
                  force_exact=force_exact, names=m.compiled.states)
-    return KleeneResult(dict(zip(m.compiled.states, res.values)), res.report)
+    return _named(res, m.compiled.states)
 
 
 def _off_grid(direction):
     # from 1/3, off the grid, one tiny step towards the limit snaps past
     # the start and is clamped back to it
     step = Fraction(1, 3**100) * (1 if direction == "lfp" else -1)
-    return kleene(semiring_for(DESCRIPTORS["probabilistic"]),
-                  lambda p: {"s": p["s"] + step}, {"s": Fraction(1, 3)}, direction, EvalConfig())
+    return _named(kleene(semiring_for(DESCRIPTORS["probabilistic"]),
+                         lambda p: [p[0] + step], [Fraction(1, 3)], direction, EvalConfig()))
 
 
 def _erratic():
@@ -231,9 +243,9 @@ def _erratic():
     # the first step below epsilon^2
     chain = [Fraction(0), Fraction(1, 4), Fraction(3, 8), Fraction(39, 100), Fraction(81, 200),
              Fraction(41, 100), 1]
-    return kleene(semiring_for(DESCRIPTORS["probabilistic"]),
-                  lambda p: {"s": chain[chain.index(p["s"]) + 1]}, {"s": Fraction(0)}, "lfp",
-                  EvalConfig(epsilon=Fraction(1, 10)))
+    return _named(kleene(semiring_for(DESCRIPTORS["probabilistic"]),
+                         lambda p: [chain[chain.index(p[0]) + 1]], [Fraction(0)], "lfp",
+                         EvalConfig(epsilon=Fraction(1, 10))))
 
 
 PINNED_CHAINS = {
@@ -297,7 +309,8 @@ def test_prob_nested_chains_pinned(counterexample_prob, monkeypatch):
     def recording(*args, **kwargs):
         res = kleene(*args, **kwargs)
         r = res.report
-        chains.append((args[3], kwargs["force_exact"], r.iterations, r.last_delta, r.tail_bound))
+        chains.append((args[3], kwargs.get("force_exact", False),
+                       r.iterations, r.last_delta, r.tail_bound))
         return res
 
     monkeypatch.setattr(evaluator, "kleene", recording)
@@ -310,6 +323,27 @@ def test_prob_nested_chains_pinned(counterexample_prob, monkeypatch):
     assert chains == [("gfp", False, 1, 0, 0),
                       ("lfp", True, 943, 0, Fraction(1, 1 << 100)),
                       ("gfp", False, 1, Fraction(7, GRID), Fraction(7, GRID))]
+
+
+@pytest.mark.parametrize("formula", [
+    "nu X. 1 * (mu Y. ([a](X) | [b](Y) | [c](Y)))",
+    "nu X. [a](mu Y. ([a](X) | [b](Y) | [c](Y))) | [b](X) | [c](X)",
+])
+def test_binders_under_sums_and_modalities_are_nested(counterexample_prob, monkeypatch, formula):
+    # nesting is lexical: the mu sits in the nu's body below a sum or a
+    # modality, and only it runs force_exact (T and the outer nu do not)
+    from semimc import evaluator
+    flags = set()
+
+    def recording(*args, **kwargs):
+        flags.add((args[3], kwargs.get("force_exact", False)))
+        return kleene(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "kleene", recording)
+    m = counterexample_prob
+    eval_formula(m, parse_formula(formula, m.signature, m.descriptor),
+                 cfg=EvalConfig(max_iterations=1000))
+    assert flags == {("gfp", False), ("lfp", True)}
 
 
 def test_prob_non_convergence_pinned():
@@ -405,6 +439,15 @@ def test_top_equals_extent_two_paths(seed, kind):
         assert all(abs(via_formula[s] - via_extent[s]) < EPS for s in m.states)
     else:
         assert via_formula == via_extent
+
+
+def test_top_under_binder_is_the_extent(extent_prob):
+    # T inside a binder's body is the greatest extent itself, bit for bit,
+    # not a second chain run to a different stop
+    m = extent_prob
+    with_top = parse_formula("mu X. ([a](T) | [b](X) | [c](X))", m.signature, m.descriptor)
+    with_var = parse_formula("mu X. ([a](V) | [b](X) | [c](X))", m.signature, m.descriptor)
+    assert eval_formula(m, with_top) == eval_formula(m, with_var, {"V": nu_extent(m)})
 
 
 def test_full_signature_mu_formula_is_the_least_extent(extent_prob, extent_trop):
@@ -556,11 +599,14 @@ def test_approximants_reach_fixpoint_exactly(seed, kind):
 def test_nested_alternation_probabilistic(counterexample_prob):
     # infinitely-often a: every state returns to its a-emitting partner
     # with probability one and tries a afresh each visit, so the
-    # greatest-least alternation converges to one everywhere
+    # greatest-least alternation converges to one everywhere.  The inner
+    # mu is nested, so it runs to exact stabilisation on the grid (943
+    # steps); stopped on epsilon instead, its noise keeps the outer nu
+    # from converging within 1000 iterations
     m = counterexample_prob
     f = parse_formula("nu X. mu Y. ([a](X) | [b](Y) | [c](Y))",
                       m.signature, m.descriptor)
-    v = eval_formula(m, f)
+    v = eval_formula(m, f, cfg=EvalConfig(max_iterations=1000))
     for s in m.states:
         assert abs(v[s] - 1) < EPS
 
