@@ -55,11 +55,28 @@ def _inline_or_file(arg: str) -> str:
     return arg
 
 
-def _fraction(text: str) -> Fraction:
+def _positive_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer option with lower bound `low`, so an
+    out-of-range value is a usage error rather than a failure later on."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 _CONFIG_FIELDS = ("epsilon", "max_iterations", "promote_bound", "enum_cap")
@@ -266,10 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
         if state:
             sp.add_argument("--state", required=True, help="state to query")
         if solver:
-            sp.add_argument("--epsilon", type=_fraction, default=argparse.SUPPRESS,
-                            help="probabilistic convergence target (rational, default 1/10^9)")
-            sp.add_argument("--max-iters", type=int, default=argparse.SUPPRESS,
-                            dest="max_iterations")
+            sp.add_argument("--epsilon", type=_positive_rational, default=argparse.SUPPRESS,
+                            help="probabilistic convergence target (rational > 0, "
+                                 "default 1/10^9)")
+            sp.add_argument("--max-iters", type=_int_at_least(1), default=argparse.SUPPRESS,
+                            dest="max_iterations", help="iteration cap per fixpoint (>= 1)")
             sp.add_argument("--promote-bound", type=int, default=argparse.SUPPRESS,
                             help="tropical divergence cutoff (default: derived from the model)")
         if enum:
@@ -287,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
            fragment=True, state=True, solver=True)
     tr = common(sub.add_parser("tr", help="depth-n trace approximant"),
                 fragment=True, state=True)
-    tr.add_argument("--n", type=int, default=None,
-                    help="approximation depth (default: fragment depth)")
+    tr.add_argument("--n", type=_int_at_least(0), default=None,
+                    help="approximation depth (>= 0, default: fragment depth)")
     common(sub.add_parser("ftr", help="completed-trace behaviour"),
            fragment=True, state=True)
     eq = common(sub.add_parser("equiv", help="depth-bounded equivalence check"),
@@ -296,10 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("left", help="first state")
     eq.add_argument("right", help="second state")
     eq.add_argument("--kind", choices=("lt", "tr"), default="lt")
-    eq.add_argument("--depth", type=int, default=2)
+    eq.add_argument("--depth", type=_int_at_least(0), default=2,
+                    help="fragment depth bound (>= 0)")
     orc = common(sub.add_parser("oracle", help="cross-check step-wise vs path semantics"),
                  formula=True, solver=True, enum=True)
-    orc.add_argument("--unroll", type=int, default=2, help="fixpoint unrolling depth")
+    orc.add_argument("--unroll", type=_int_at_least(0), default=2,
+                     help="fixpoint unrolling depth (>= 0)")
     common(sub.add_parser("info", help="model statistics"))
     return p
 

@@ -15,6 +15,11 @@ Weights are scalars of the model's semiring and are mandatory on sums with
 more than one term.  Binder bodies extend maximally to the right.  Bound
 variables are renamed at parse time so that no variable is bound by more
 than one enclosing binder.
+
+Node shapes live in `_children` (immediate subformulas in source order),
+`_rebuild` (the same node over new subformulas) and `_shape` (coefficients,
+labels and arities).  Every structural walk goes through these; only the
+parser and `render_formula`, which need concrete syntax, read node fields.
 """
 
 from __future__ import annotations
@@ -74,20 +79,49 @@ class FormulaClass:
     modal_depth: int
 
 
+def _children(f: Formula) -> tuple[Formula, ...]:
+    """Immediate subformulas of `f` in source order."""
+    if isinstance(f, (Top, Var)):
+        return ()
+    if isinstance(f, (Mu, Nu)):
+        return (f.body,)
+    if isinstance(f, WeightedSum):
+        return tuple([op for _, op in f.terms])
+    if isinstance(f, Modal):
+        return tuple([a for _, args in f.disjuncts for a in args])
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _rebuild(f: Formula, children) -> Formula:
+    """`f` with its immediate subformulas replaced by `children`, given in
+    the order of `_children(f)`."""
+    it = iter(children)
+    if isinstance(f, WeightedSum):
+        return WeightedSum(tuple((c, next(it)) for c, _ in f.terms))
+    if isinstance(f, Modal):
+        return Modal(tuple((lbl, tuple(next(it) for _ in args)) for lbl, args in f.disjuncts))
+    if isinstance(f, (Mu, Nu)):
+        return type(f)(f.var, next(it))
+    return f
+
+
+def _shape(f: Formula) -> tuple:
+    """The non-formula data of a node that alpha-equality compares:
+    coefficients of a sum, labels and arities of a modality."""
+    if isinstance(f, WeightedSum):
+        return tuple(c for c, _ in f.terms)
+    if isinstance(f, Modal):
+        return tuple((lbl, len(args)) for lbl, args in f.disjuncts)
+    return ()
+
+
 def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, Var):
         return frozenset([f.name])
-    if isinstance(f, WeightedSum):
-        return frozenset().union(*(free_vars(op) for _, op in f.terms)) if f.terms else frozenset()
-    if isinstance(f, Modal):
-        out = frozenset()
-        for _, args in f.disjuncts:
-            for a in args:
-                out |= free_vars(a)
-        return out
-    if isinstance(f, (Mu, Nu)):
-        return free_vars(f.body) - {f.var}
-    return frozenset()
+    out = frozenset()
+    for c in _children(f):
+        out |= free_vars(c)
+    return out - {f.var} if isinstance(f, (Mu, Nu)) else out
 
 
 def classify(f: Formula) -> FormulaClass:
@@ -102,70 +136,35 @@ def classify(f: Formula) -> FormulaClass:
 
 
 def _qualitative(f: Formula) -> bool:
-    if isinstance(f, WeightedSum):
-        return not f.terms
-    if isinstance(f, Modal):
-        return all(_qualitative(a) for _, args in f.disjuncts for a in args)
-    if isinstance(f, (Mu, Nu)):
-        return _qualitative(f.body)
-    return True
+    if isinstance(f, WeightedSum) and f != BOT:
+        return False
+    return all(map(_qualitative, _children(f)))
 
 
 def _modal_only(f: Formula) -> bool:
-    if isinstance(f, (Mu, Nu, Var)):
-        return False
-    if isinstance(f, WeightedSum):
-        return all(_modal_only(op) for _, op in f.terms)
-    if isinstance(f, Modal):
-        return all(_modal_only(a) for _, args in f.disjuncts for a in args)
-    return True
+    return not isinstance(f, (Mu, Nu, Var)) and all(map(_modal_only, _children(f)))
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, WeightedSum):
-        return max((modal_depth(op) for _, op in f.terms), default=0)
-    if isinstance(f, Modal):
-        return 1 + max((modal_depth(a) for _, args in f.disjuncts for a in args), default=0)
-    if isinstance(f, (Mu, Nu)):
-        return modal_depth(f.body)
-    return 0
+    depth = max(map(modal_depth, _children(f)), default=0)
+    return depth + 1 if isinstance(f, Modal) else depth
 
 
 def fnd(f: Formula) -> int:
     """Fixpoint nesting depth: binders add one, everything else takes the
     maximum over its children."""
-    if isinstance(f, (Mu, Nu)):
-        return fnd(f.body) + 1
-    if isinstance(f, WeightedSum):
-        return max((fnd(op) for _, op in f.terms), default=0)
-    if isinstance(f, Modal):
-        return max((fnd(a) for _, args in f.disjuncts for a in args), default=0)
-    return 0
+    depth = max(map(fnd, _children(f)), default=0)
+    return depth + 1 if isinstance(f, (Mu, Nu)) else depth
 
 
 def size(f: Formula) -> int:
-    if isinstance(f, WeightedSum):
-        return 1 + sum(size(op) for _, op in f.terms)
-    if isinstance(f, Modal):
-        return 1 + sum(size(a) for _, args in f.disjuncts for a in args)
-    if isinstance(f, (Mu, Nu)):
-        return 1 + size(f.body)
-    return 1
+    return 1 + sum(map(size, _children(f)))
 
 
-def _used_names(f: Formula, acc: set[str]):
-    if isinstance(f, Var):
-        acc.add(f.name)
-    elif isinstance(f, WeightedSum):
-        for _, op in f.terms:
-            _used_names(op, acc)
-    elif isinstance(f, Modal):
-        for _, args in f.disjuncts:
-            for a in args:
-                _used_names(a, acc)
-    elif isinstance(f, (Mu, Nu)):
-        acc.add(f.var)
-        _used_names(f.body, acc)
+def _used_names(f: Formula) -> set[str]:
+    """Every variable name in `f`, free, bound or binding."""
+    own = {f.name} if isinstance(f, Var) else {f.var} if isinstance(f, (Mu, Nu)) else set()
+    return own.union(*map(_used_names, _children(f)))
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
@@ -177,56 +176,29 @@ def fresh_name(base: str, avoid: set[str]) -> str:
     return f"{base}_{i}"
 
 
-def rename_free(f: Formula, old: str, new: str) -> Formula:
-    return substitute(f, old, Var(new))
-
-
 def substitute(f: Formula, var: str, replacement: Formula) -> Formula:
     """Capture-avoiding substitution of `replacement` for free `var`."""
     if isinstance(f, Var):
         return replacement if f.name == var else f
-    if isinstance(f, (Top,)):
-        return f
-    if isinstance(f, WeightedSum):
-        if not f.terms:
-            return f
-        return WeightedSum(tuple((c, substitute(op, var, replacement)) for c, op in f.terms))
-    if isinstance(f, Modal):
-        return Modal(tuple(
-            (lbl, tuple(substitute(a, var, replacement) for a in args))
-            for lbl, args in f.disjuncts))
     if isinstance(f, (Mu, Nu)):
         if f.var == var:
             return f
         if f.var in free_vars(replacement) and var in free_vars(f.body):
-            used: set[str] = set()
-            _used_names(f.body, used)
-            _used_names(replacement, used)
-            used.add(var)
-            fresh = fresh_name(f.var, used)
-            body = rename_free(f.body, f.var, fresh)
-            return type(f)(fresh, substitute(body, var, replacement))
-        return type(f)(f.var, substitute(f.body, var, replacement))
-    raise TypeError(f"not a formula: {f!r}")
+            fresh = fresh_name(f.var, _used_names(f.body) | _used_names(replacement) | {var})
+            f = type(f)(fresh, substitute(f.body, f.var, Var(fresh)))
+    return _rebuild(f, [substitute(c, var, replacement) for c in _children(f)])
 
 
 def unroll(f: Formula, k: int) -> Formula:
     """Replace every fixpoint, innermost first, by its k-step approximant:
     mu from F, nu from T.  The result has no binders or variables."""
-    if isinstance(f, (Top, Var)):
+    f = _rebuild(f, [unroll(c, k) for c in _children(f)])
+    if not isinstance(f, (Mu, Nu)):
         return f
-    if isinstance(f, WeightedSum):
-        return WeightedSum(tuple((c, unroll(op, k)) for c, op in f.terms))
-    if isinstance(f, Modal):
-        return Modal(tuple(
-            (lbl, tuple(unroll(a, k) for a in args)) for lbl, args in f.disjuncts))
-    if isinstance(f, (Mu, Nu)):
-        body = unroll(f.body, k)
-        acc: Formula = BOT if isinstance(f, Mu) else TOP
-        for _ in range(k):
-            acc = substitute(body, f.var, acc)
-        return acc
-    raise TypeError(f"not a formula: {f!r}")
+    acc: Formula = BOT if isinstance(f, Mu) else TOP
+    for _ in range(k):
+        acc = substitute(f.body, f.var, acc)
+    return acc
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
@@ -237,25 +209,13 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
 def _alpha(f, g, env_f, env_g):
     if type(f) is not type(g):
         return False
-    if isinstance(f, Top):
-        return True
     if isinstance(f, Var):
         return env_f.get(f.name, f.name) == env_g.get(g.name, g.name)
-    if isinstance(f, WeightedSum):
-        return len(f.terms) == len(g.terms) and all(
-            cf == cg and _alpha(af, ag, env_f, env_g)
-            for (cf, af), (cg, ag) in zip(f.terms, g.terms))
-    if isinstance(f, Modal):
-        if len(f.disjuncts) != len(g.disjuncts):
-            return False
-        return all(
-            lf == lg and len(af) == len(ag)
-            and all(_alpha(x, y, env_f, env_g) for x, y in zip(af, ag))
-            for (lf, af), (lg, ag) in zip(f.disjuncts, g.disjuncts))
     if isinstance(f, (Mu, Nu)):
         mark = f"#{len(env_f)}"
-        return _alpha(f.body, g.body, {**env_f, f.var: mark}, {**env_g, g.var: mark})
-    return False
+        env_f, env_g = {**env_f, f.var: mark}, {**env_g, g.var: mark}
+    return _shape(f) == _shape(g) and all(
+        _alpha(x, y, env_f, env_g) for x, y in zip(_children(f), _children(g)))
 
 
 class _FormulaParser:

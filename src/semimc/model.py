@@ -58,10 +58,6 @@ class Signature:
     def has(self, name: str) -> bool:
         return any(l.name == name for l in self.labels)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(l.name for l in self.labels)
-
 
 @dataclass(frozen=True)
 class Transition:

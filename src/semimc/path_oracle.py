@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .errors import EvaluationError, SizingError, ValidationError
 from .evaluator import (EvalConfig, KleeneReport, Predicate, eval_formula,
@@ -74,21 +75,12 @@ def enum_fragments(model: Model, state: str, depth: int, cap: int | None = None)
                     out.append(PathNode(c, t.label, ()))
                     continue
                 pools = [pool(s, d - 1) for s in t.successors]
-                for combo in _product(pools):
+                for combo in product(*pools):
                     out.append(PathNode(c, t.label, combo))
         memo[key] = out
         return out
 
     yield from pool(state, depth)
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
 
 
 def count_fragments(model: Model, state: str, depth: int) -> int:

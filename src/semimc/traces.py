@@ -29,7 +29,7 @@ from typing import Iterator, Literal
 
 from ._lex import TokenStream, tokenize
 from .errors import OffsetUnsupported, ParseError, SizingError, ValidationError
-from .evaluator import EvalConfig, Predicate, nu_extent
+from .evaluator import EvalConfig, nu_extent
 from .logic import Formula, Modal, TOP
 from .model import Model, Signature
 
@@ -177,11 +177,12 @@ def _require_plain(model: Model, op: str):
         raise OffsetUnsupported(f"{op} requires a model without offsets")
 
 
-def _behaviour(model: Model, state: str, fragment: TraceFragment, leaf: list | None):
-    """Value of `state` on `fragment`: top leaves take `leaf` (a list by
-    state id) and each node is one kernel step over its label, with the
-    children's values as arguments.  Sub-fragment values are shared per
-    call, keyed by identity, as `enumerate_fragments` shares sub-trees."""
+def _behaviour(model: Model, fragment: TraceFragment, leaf: list | None) -> list:
+    """Values of every state on `fragment`, as a list by state id: top
+    leaves take `leaf` (a list by state id) and each node is one kernel
+    step over its label, with the children's values as arguments.
+    Sub-fragment values are shared per call, keyed by identity, as
+    `enumerate_fragments` shares sub-trees."""
     cm = model.compiled
     memo: dict = {}
 
@@ -197,15 +198,15 @@ def _behaviour(model: Model, state: str, fragment: TraceFragment, leaf: list | N
             memo[id(b)] = v
         return v
 
-    return go(fragment)[cm.states.index(state)]
+    return go(fragment)
 
 
-def lt(model: Model, state: str, fragment: TraceFragment,
-       cfg: EvalConfig | None = None, _extent: Predicate | None = None):
+def lt(model: Model, state: str, fragment: TraceFragment, cfg: EvalConfig | None = None):
     """Linear-time behaviour of `state` on `fragment`."""
     check_fragment(fragment, model.signature)
-    ext = _extent if _extent is not None else nu_extent(model, cfg)
-    return _behaviour(model, state, fragment, [ext[s] for s in model.states])
+    ext = nu_extent(model, cfg)
+    vec = _behaviour(model, fragment, [ext[s] for s in model.states])
+    return vec[model.compiled.states.index(state)]
 
 
 def finite_tr(model: Model, state: str, trace: TraceFragment):
@@ -215,10 +216,10 @@ def finite_tr(model: Model, state: str, trace: TraceFragment):
     check_fragment(trace, model.signature)
     if not is_completed(trace):
         raise ValidationError("finite_tr needs a completed trace (no T leaves)")
-    return _behaviour(model, state, trace, None)
+    return _behaviour(model, trace, None)[model.compiled.states.index(state)]
 
 
-def _check_truncation(b: TraceFragment, n: int, signature: Signature):
+def _check_truncation(b: TraceFragment, n: int):
     # top leaves under exactly n nodes; nodes only above the cut
     if isinstance(b, TopLeaf):
         if n != 0:
@@ -227,7 +228,7 @@ def _check_truncation(b: TraceFragment, n: int, signature: Signature):
     if n == 0:
         raise ValidationError("fragment deeper than the truncation depth")
     for c in b.children:
-        _check_truncation(c, n - 1, signature)
+        _check_truncation(c, n - 1)
 
 
 def tr_approx(model: Model, state: str, truncation: TraceFragment, n: int):
@@ -239,8 +240,9 @@ def tr_approx(model: Model, state: str, truncation: TraceFragment, n: int):
     """
     _require_plain(model, "tr_approx")
     check_fragment(truncation, model.signature)
-    _check_truncation(truncation, n, model.signature)
-    return _behaviour(model, state, truncation, [model.semiring.one] * len(model.states))
+    _check_truncation(truncation, n)
+    vec = _behaviour(model, truncation, [model.semiring.one] * len(model.states))
+    return vec[model.compiled.states.index(state)]
 
 
 @dataclass
@@ -273,22 +275,21 @@ def equiv_upto(model: Model, c: str, d: str, max_depth: int,
             return abs(a - b) >= cfg.epsilon
         return a != b
 
+    # each fragment is generated well-formed, so its state vector is built
+    # once, without the public entry points' checks, and read at c and d
     if kind == "lt":
         ext = nu_extent(model, cfg)
-        for frag in enumerate_fragments(model.signature, max_depth, cfg.enum_cap):
-            checked += 1
-            va = lt(model, c, frag, cfg, _extent=ext)
-            vb = lt(model, d, frag, cfg, _extent=ext)
-            if differ(va, vb):
-                return EquivResult(False, frag, va, vb, checked)
-        return EquivResult(True, None, None, None, checked)
-
-    _require_plain(model, "equiv_upto(kind='tr')")
-    for n in range(max_depth + 1):
-        for frag in truncations(model.signature, n, cfg.enum_cap):
-            checked += 1
-            va = tr_approx(model, c, frag, n)
-            vb = tr_approx(model, d, frag, n)
-            if differ(va, vb):
-                return EquivResult(False, frag, va, vb, checked)
+        leaf = [ext[s] for s in model.states]
+        frags = enumerate_fragments(model.signature, max_depth, cfg.enum_cap)
+    else:
+        _require_plain(model, "equiv_upto(kind='tr')")
+        leaf = [semiring.one] * len(model.states)
+        frags = (frag for n in range(max_depth + 1)
+                 for frag in truncations(model.signature, n, cfg.enum_cap))
+    i, j = model.compiled.states.index(c), model.compiled.states.index(d)
+    for frag in frags:
+        checked += 1
+        vec = _behaviour(model, frag, leaf)
+        if differ(vec[i], vec[j]):
+            return EquivResult(False, frag, vec[i], vec[j], checked)
     return EquivResult(True, None, None, None, checked)

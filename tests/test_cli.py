@@ -147,6 +147,17 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     assert code == 1 and "required: formula" in err
     code, out, err = run(capsys, "--help")
     assert code == 0 and "usage: semimc" in out
+    # numeric options out of range are usage errors, not tracebacks or reports
+    for argv, option in [
+        (("extent", "--max-iters", "0", MODEL), "--max-iters"),
+        (("eval", "--epsilon", "0", MODEL, "T"), "--epsilon"),
+        (("equiv", "--depth", "-1", MODEL, "x", "y"), "--depth"),
+        (("oracle", "--unroll", "-2", MODEL, "T"), "--unroll"),
+        (("tr", "--n", "-1", MODEL, "[a](T)", "--state", "x"), "--n"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out, argv
+        assert f"argument {option}: must be" in err and "Traceback" not in err, argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,7 @@ from semimc import (BOT, TOP, EvalConfig, Modal, Mu, Nu, ParseError, Var,
                     modal_depth, parse_formula, render_formula, substitute,
                     unroll)
 from semimc.evaluator import leq_pointwise
-from semimc.logic import free_vars
+from semimc.logic import free_vars, size
 from randgen import DESCRIPTORS, random_model, random_qualitative_formula
 
 
@@ -91,6 +91,44 @@ def test_substitute(sig, prob):
     assert substitute(muX, "X", TOP) == muX
 
 
+def test_walks_keep_argument_order():
+    # a binary label: rebuilding must put each argument back in its place
+    f = Modal((("p", (TOP, Var("X"))), ("q", (Var("X"), BOT))))
+    assert substitute(f, "X", BOT) == Modal((("p", (TOP, BOT)), ("q", (BOT, BOT))))
+    g = Nu("X", Modal((("p", (BOT, Var("X"))),)))
+    assert unroll(g, 1) == Modal((("p", (BOT, TOP)),))
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("T", 1),
+    ("F", 1),
+    ("[a](T)", 2),
+    ("[a](T) | [b](X) | [*]", 3),
+    ("1/2*[a](T) + 1/4*F", 4),
+    ("nu X. mu Y. ([a](X) | [b](Y))", 5),
+])
+def test_size(text, expected, sig, prob):
+    assert size(parse_formula(text, sig, prob)) == expected
+
+
+@pytest.mark.parametrize("left,right", [
+    ("1/2*[a](T) + 1/4*[b](T)", "1/4*[a](T) + 1/4*[b](T)"),  # coefficient
+    ("[a](T) | [b](T)", "[a](T) | [c](T)"),  # label
+    ("[a](T) | [b](T)", "[a](T) | [b](F)"),  # argument
+    ("mu X. [a](X)", "nu X. [a](X)"),  # binder kind
+    ("mu X. mu Y. X", "mu X. mu Y. Y"),  # which binder a variable refers to
+])
+def test_alpha_equal_rejects(left, right, sig, prob):
+    f, g = parse_formula(left, sig, prob), parse_formula(right, sig, prob)
+    assert not alpha_equal(f, g) and not alpha_equal(g, f)
+    assert alpha_equal(f, f) and alpha_equal(g, g)
+
+
+def test_alpha_equal_ignores_bound_names(sig, prob):
+    assert alpha_equal(parse_formula("mu X. nu Y. ([a](X) | [b](Y))", sig, prob),
+                       parse_formula("mu Z. nu W. ([a](Z) | [b](W))", sig, prob))
+
+
 def test_substitute_capture_avoiding(prob, sig):
     # replacement contains free Y; the binder on Y must be renamed
     body = Nu("Y", Modal((("a", (Var("X"),)), ("b", (Var("Y"),)))))
@@ -133,6 +171,22 @@ def test_unroll_preserves_qualitative_and_kills_fnd(seed):
     cls = classify(u)
     assert cls.modal_only and cls.qualitative and fnd(u) == 0
     assert modal_depth(u) <= (k + 1) ** fnd(f) * max(1, modal_depth(f))
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=60, deadline=None)
+def test_unroll_idempotent_and_substitute_of_non_free_is_identity(seed):
+    rng = random.Random(seed)
+    m = random_model(rng, DESCRIPTORS["boolean"])
+    f = random_qualitative_formula(rng, m.signature)
+    k, j = rng.randint(0, 3), rng.randint(0, 3)
+    u = unroll(f, k)
+    assert unroll(u, j) == u
+    # a binder's body may have its variable free; randgen names binders X<i>
+    for g in (f, f.body) if isinstance(f, (Mu, Nu)) else (f,):
+        for v in ("X0", "X1", "X2", "Z"):
+            if v not in free_vars(g):
+                assert substitute(g, v, TOP) == g
 
 
 @given(st.integers(min_value=0, max_value=10**9),
