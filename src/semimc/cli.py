@@ -220,15 +220,14 @@ def _cmd_equiv(args) -> tuple[int, _Output]:
         out.lines.append(f"equivalent up to depth {args.depth} "
                          f"({res.fragments_checked} fragments)")
     else:
-        semiring = model.semiring
         wit = render_fragment(res.witness)
+        left, right = (render_certified(v, model.descriptor, cfg.epsilon)
+                       for v in (res.left_value, res.right_value))
         out.extra("witness", wit)
-        out.extra("left_value", semiring.render(res.left_value))
-        out.extra("right_value", semiring.render(res.right_value))
-        out.lines.append(
-            f"not equivalent: witness {wit} "
-            f"({args.left}: {semiring.render(res.left_value)}, "
-            f"{args.right}: {semiring.render(res.right_value)})")
+        out.extra("left_value", left)
+        out.extra("right_value", right)
+        out.lines.append(f"not equivalent: witness {wit} "
+                         f"({args.left}: {left}, {args.right}: {right})")
     return EXIT_OK, out
 
 
@@ -291,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--promote-bound", type=int, default=argparse.SUPPRESS,
                             help="tropical divergence cutoff (default: derived from the model)")
         if enum:
-            sp.add_argument("--enum-cap", type=int, default=argparse.SUPPRESS)
+            sp.add_argument("--enum-cap", type=_int_at_least(1), default=argparse.SUPPRESS,
+                            help="fragment enumeration cap (>= 1)")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         return sp
 

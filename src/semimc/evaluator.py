@@ -16,13 +16,24 @@ with a per-semiring stop rule:
   Promotion only arises on chains that increase towards the numeric
   supremum; decreasing chains over the naturals stabilise on their own.
 
-Extents of offset-free tropical and bounded tropical models (the embedded
-extent behind T included) are not iterated: ``_trop_extent`` solves them
-exactly with Knuth's generalisation of Dijkstra's algorithm, so they
-never depend on ``promote_bound`` or ``max_iterations``.  Promotion
-remains for models with offsets (truncated subtraction is not a superior
-function) and for the fixpoints of formulas, and ``kleene`` stays the
-reference the solver is tested against.
+Two kinds of extent (the embedded extent behind T included) are not
+iterated, so they never depend on ``promote_bound``, ``max_iterations``
+or the epsilon stop:
+
+* offset-free tropical and bounded tropical models: ``_trop_extent``
+  solves them exactly with Knuth's generalisation of Dijkstra's
+  algorithm;
+* offset-free probabilistic models whose transitions have at most one
+  successor: the extent step is affine, and ``_prob_linear_extent``
+  solves the linear system exactly with ``_linear.least_solution`` (a
+  graph pre-pass, then fraction-free Bareiss elimination one strongly
+  connected component at a time).
+
+Kleene iteration remains for models with offsets (truncated subtraction
+is not a superior function, and the probabilistic offset divides), for
+probabilistic branching, and for the fixpoints of formulas; ``kleene``
+stays the reference both solvers are tested against.  No setting chooses
+between solver and chain: the model's shape does.
 
 The constant T denotes the greatest extent.  A query computes it at most
 once, on first use, by ``_extent``, the routine behind ``extent --nu``
@@ -46,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 from operator import ge, le
 from typing import Callable, Literal
 
@@ -146,7 +158,8 @@ def kleene(semiring: Semiring,
     it for fixpoints nested lexically inside another binder's body: their
     stopping noise would otherwise swamp the enclosing chain's progress
     and defeat its contraction estimate.  T is not such a fixpoint: it is
-    the greatest extent, computed once per query with the epsilon stop.
+    the greatest extent, computed once per query, exactly where `_extent`
+    can and otherwise with the epsilon stop.
     """
     names = names or tuple(range(len(start)))
     if semiring.kind == "probabilistic":
@@ -333,6 +346,56 @@ def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
     return KleeneResult(value, KleeneReport(settled, promoted=promoted))
 
 
+def _exact_linear(cm: CompiledModel) -> bool:
+    """True when `_prob_linear_extent` solves the extent of `cm` exactly."""
+    return (cm.semiring.kind == "probabilistic" and not cm.offset_ids
+            and all(len(succs) <= 1 for row in cm.rows for _, _, succs in row))
+
+
+def _prob_linear_extent(cm: CompiledModel, direction: str) -> KleeneResult:
+    """Exact extent of an offset-free probabilistic model in which every
+    transition has at most one successor.
+
+    The extent step is then affine, x = A x + b: A sums the weights of
+    the moves from i to j, b those of the nullary transitions.  The lfp
+    is the least solution of that system.  Writing lost = 1 - (row mass),
+    1 - x solves y = A y + lost, so the gfp is 1 minus its least
+    solution.  Each row is scaled by the common denominator of its
+    weights, so A and b are integers, and `_linear.least_solution` solves
+    the system exactly.  A row of mass above 1 is an error, as in the
+    step.  The report counts the states solved by elimination as
+    iterations, with zero delta and tail.
+    """
+    # imported on first use: with no bytecode cache, every process that
+    # imports semimc would otherwise compile the solver
+    from ._linear import least_solution
+
+    scale, moves, const = [], [], []
+    for i, row in enumerate(cm.rows):
+        lcd = lcm(*(w.denominator for w, _, _ in row))
+        out, b = {}, 0
+        for w, _, succs in row:
+            v = w.numerator * (lcd // w.denominator)
+            if not v:
+                continue
+            if succs:
+                j = succs[0][1]
+                out[j] = out.get(j, 0) + v
+            else:
+                b += v
+        mass = b + sum(out.values())
+        if mass > lcd:
+            raise EvaluationError(f"transition sum undefined at state {cm.states[i]!r}")
+        scale.append(lcd)
+        moves.append(out)
+        const.append(lcd - mass if direction == "gfp" else b)
+    value, solved = least_solution(scale, moves, const)
+    if direction == "gfp":
+        value = [1 - v for v in value]
+    zero = Fraction(0)
+    return KleeneResult(value, KleeneReport(solved, zero, zero))
+
+
 def default_promote_bound(model: Model, formula_size: int = 0) -> int:
     """Divergence cutoff for tropical Kleene chains: a state still
     strictly growing past it is promoted to infinity.
@@ -357,6 +420,8 @@ def _extent(model: Model, cfg: EvalConfig, direction: str) -> KleeneResult:
     cm = model.compiled
     if _exact_tropical(cm):
         return _trop_extent(cm, direction)
+    if _exact_linear(cm):
+        return _prob_linear_extent(cm, direction)
     semiring = model.semiring
     start = [semiring.one if direction == "gfp" else semiring.zero] * len(cm.states)
     bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)

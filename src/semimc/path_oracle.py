@@ -24,8 +24,8 @@ from itertools import product
 from .errors import EvaluationError, SizingError, ValidationError
 from .evaluator import (EvalConfig, KleeneReport, Predicate, eval_formula,
                         nu_extent_result)
-from .logic import (Formula, Modal, Top, WeightedSum, classify,
-                    modal_depth, unroll)
+from .logic import (Formula, FormulaClass, Modal, Top, WeightedSum, classify,
+                    unroll)
 from .model import Model
 from .semiring import INF, UNDEFINED, render_scalar
 
@@ -158,11 +158,16 @@ def frag_sat(q: PathFragment, psi: Formula) -> bool:
 
 
 def oracle_eval(model: Model, psi: Formula, state: str, depth: int,
-                cfg: EvalConfig | None = None, _extent: Predicate | None = None):
+                cfg: EvalConfig | None = None, _extent: Predicate | None = None,
+                _cls: FormulaClass | None = None):
     """Path-based value of a fixpoint-free qualitative formula at a state:
-    the total measure of the depth-`depth` fragments satisfying it."""
+    the total measure of the depth-`depth` fragments satisfying it.
+
+    `_cls` is `classify(psi)` when the caller has it, so a caller that
+    queries every state classifies the formula once.
+    """
     cfg = cfg or EvalConfig()
-    cls = classify(psi)
+    cls = _cls if _cls is not None else classify(psi)
     if not (cls.modal_only and cls.qualitative):
         raise EvaluationError("oracle_eval needs a fixpoint-free qualitative formula")
     if depth < cls.modal_depth:
@@ -275,7 +280,8 @@ def compare_semantics(model: Model, phi: Formula, k: int,
         raise EvaluationError("compare_semantics needs a closed qualitative formula")
     semiring = model.semiring
     psi = unroll(phi, k)
-    depth = modal_depth(psi)
+    psi_cls = classify(psi)
+    depth = psi_cls.modal_depth
 
     ext_res = nu_extent_result(model, cfg)
     stepwise = eval_formula(model, psi, cfg=cfg)
@@ -288,7 +294,7 @@ def compare_semantics(model: Model, phi: Formula, k: int,
         tolerance=tolerance, certificate=ext_res.report)
     worst = 0
     for state in model.states:
-        o = oracle_eval(model, psi, state, depth, cfg, _extent=ext_res.values)
+        o = oracle_eval(model, psi, state, depth, cfg, _extent=ext_res.values, _cls=psi_cls)
         d = semiring.distance(stepwise[state], o)
         verdict = "ok" if (d == 0 or (semiring.kind == "probabilistic" and d <= tolerance)) \
             else "mismatch"

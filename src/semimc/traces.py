@@ -125,27 +125,32 @@ def fragment_to_formula(b: TraceFragment) -> Formula:
 def enumerate_fragments(signature: Signature, max_depth: int,
                         cap: int | None = None) -> Iterator[TraceFragment]:
     """All trace fragments of depth at most max_depth, breadth-first
-    (shallow fragments first, stable label order within each depth)."""
+    (shallow fragments first, stable label order within each depth).
+    Every fragment, the top leaf included, counts against `cap` before it
+    is yielded."""
     count = 0
+    for d, frag in _fragments(signature, max_depth):
+        count += 1
+        if cap is not None and count > cap:
+            raise SizingError(f"fragment enumeration exceeds cap {cap} at depth {d}")
+        yield frag
+
+
+def _fragments(signature: Signature, max_depth: int) -> Iterator[tuple[int, TraceFragment]]:
     by_depth: list[list[TraceFragment]] = [[TOP_LEAF]]
-    yield TOP_LEAF
-    count += 1
+    yield 0, TOP_LEAF
     for d in range(1, max_depth + 1):
         pool = [f for level in by_depth for f in level]  # depth < d
         level: list[TraceFragment] = []
         for label in signature.labels:
+            if label.arity == 0 and d > 1:
+                continue  # nullary nodes exist only at depth 1
             for combo in product(pool, repeat=label.arity):
                 if label.arity and max(depth(c) for c in combo) != d - 1:
                     continue  # at least one child must reach depth d-1
                 frag = TraceNode(label.name, combo)
-                if label.arity == 0 and d > 1:
-                    continue  # nullary nodes exist only at depth 1
-                count += 1
-                if cap is not None and count > cap:
-                    raise SizingError(
-                        f"fragment enumeration exceeds cap {cap} at depth {d}")
                 level.append(frag)
-                yield frag
+                yield d, frag
         by_depth.append(level)
 
 

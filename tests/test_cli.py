@@ -108,6 +108,18 @@ def test_equiv_witness(capsys):
     assert payload["left_value"] == "1/2" and payload["right_value"] == "1/4"
 
 
+def test_equiv_witness_values_are_certified(capsys):
+    # the branching extents are Kleene limits; equiv prints them as extent
+    # does, the simplest rational within epsilon, not the raw iterate
+    branching = str(corpus_path("branching.prob.model"))
+    code, out, _ = run(capsys, "extent", branching)
+    assert (code, out) == (0, "p = 18480/38081\nq = 19601/33461\n")
+    code, out, _ = run(capsys, "equiv", branching, "p", "q")
+    assert (code, out) == (0, "not equivalent: witness T (p: 18480/38081, q: 19601/33461)\n")
+    code, payload = run_json(capsys, "equiv", branching, "p", "q", "--epsilon", "1/100")
+    assert (payload["left_value"], payload["right_value"]) == ("10/21", "7/12")
+
+
 def test_oracle_report(capsys):
     code, payload = run_json(capsys, "oracle", TROP, FORMULA, "--unroll", "3")
     assert code == 0
@@ -133,8 +145,10 @@ def test_exit_codes(tmp_path, capsys):
     slow = tmp_path / "slow.model"
     slow.write_text("semiring prob label go/1 label out/0 "
                     "state a { 11/12 go -> a; 1/12 out }")
-    code, _, err = run(capsys, "extent", "--mu", str(slow), "--max-iters", "4")
-    assert code == 2
+    # the extent of this model is solved exactly; a formula fixpoint
+    # still iterates and hits the cap
+    code, _, err = run(capsys, "eval", str(slow), "mu X. ([go](X) | [out])", "--max-iters", "4")
+    assert code == 2 and "no fixpoint after 4 iterations" in err
     code, _, err = run(capsys, "oracle", MODEL, FORMULA, "--unroll", "3",
                        "--enum-cap", "3")
     assert code == 2
@@ -154,6 +168,8 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
         (("equiv", "--depth", "-1", MODEL, "x", "y"), "--depth"),
         (("oracle", "--unroll", "-2", MODEL, "T"), "--unroll"),
         (("tr", "--n", "-1", MODEL, "[a](T)", "--state", "x"), "--n"),
+        (("oracle", "--enum-cap", "-5", MODEL, "T"), "--enum-cap"),
+        (("equiv", "--enum-cap", "0", MODEL, "x", "y"), "--enum-cap"),
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out, argv
@@ -276,9 +292,10 @@ def test_shared_parser_matches_fresh_parser(capsys, monkeypatch, clear_shared_pa
 
 
 # ---------------------------------------------------------------------------
-# known certificate defects: the stop rule cuts off a slow chain and
-# prints u = 0 where the least fixpoint is 1; a bracketing certificate
-# must turn these into passes
+# slow chains: the stop rule cuts them off and prints u = 0 where the
+# least fixpoint is 1.  Extents are solved exactly and print 1; formula
+# fixpoints still iterate, and a bracketing certificate must turn those
+# known defects into passes
 
 TWO_RATE = """semiring prob
 label a/1
@@ -293,10 +310,11 @@ label e/0
 state u { 99999999999999999999/100000000000000000000 a -> u; 1/100000000000000000000 e }"""
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="unsound stop rule: prints u = 0, true value 1")
-@pytest.mark.parametrize("command", [("extent", "--mu"), ("eval", "mu X. ([a](X) | [e])")],
-                         ids=["extent-mu", "eval-mu"])
+@pytest.mark.parametrize("command", [
+    pytest.param(("extent", "--mu"), id="extent-mu"),
+    pytest.param(("eval", "mu X. ([a](X) | [e])"), id="eval-mu", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="unsound stop rule: prints u = 0, true value 1")),
+])
 @pytest.mark.parametrize("text", [TWO_RATE, FIRST_STEP_FALLBACK],
                          ids=["two-rate", "first-step-fallback"])
 def test_slow_chain_certifies_one(tmp_path, capsys, text, command):
@@ -306,6 +324,13 @@ def test_slow_chain_certifies_one(tmp_path, capsys, text, command):
     code, payload = run_json(capsys, name, str(path), arg)
     assert code == 0
     assert payload["values"]["u"] == "1"
+
+
+@pytest.mark.parametrize("kind", ["--mu", "--nu"])
+def test_two_rate_corpus_extents_are_one(capsys, kind):
+    # corpus/two-rate.prob.model is TWO_RATE; both extents are exactly 1
+    code, out, err = run(capsys, "extent", kind, str(corpus_path("two-rate.prob.model")))
+    assert (code, out, err) == (0, "u = 1\nv = 1\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,26 @@ def test_trop_extent_matches_kleene(m):
     assert all(nu.values[s] <= mu.values[s] for s in cm.states)
 
 
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300, deadline=None)
+def test_prob_linear_extent_matches_kleene(seed):
+    # offset-free prob models with arity <= 1 are solved exactly: each
+    # extent is a fixpoint of the step, and the Kleene chain towards it
+    # stays on its own side (below the lfp, above the gfp) within 2 epsilon
+    m = random_model(random.Random(seed), DESCRIPTORS["probabilistic"], max_states=6,
+                     max_arity=1)
+    cm, sr, cfg = m.compiled, m.semiring, EvalConfig()
+    for direction, res, start in (("lfp", mu_extent_result(m), sr.zero),
+                                  ("gfp", nu_extent_result(m), sr.one)):
+        x = [res.values[s] for s in cm.states]
+        assert cm.extent_step(x) == x
+        ref = kleene(sr, cm.extent_step, [start] * len(x), direction, cfg, names=cm.states)
+        for r, v in zip(ref.values, x):
+            assert (r <= v) if direction == "lfp" else (r >= v)
+            assert abs(r - v) <= 2 * cfg.epsilon
+        assert (res.report.last_delta, res.report.tail_bound) == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # kleene engine behaviour
 
@@ -180,10 +200,9 @@ def test_kleene_without_bound_promotes_nothing():
 
 
 def test_kleene_non_convergence():
-    m = parse_model("semiring prob label go/1 label out/0 "
-                    "state a { 11/12 go -> a; 1/12 out }")
     with pytest.raises(NonConvergence) as info:
-        mu_extent(m, EvalConfig(max_iterations=5))
+        _kleene_extent("semiring prob label go/1 label out/0 "
+                       "state a { 11/12 go -> a; 1/12 out }", "lfp", EvalConfig(max_iterations=5))
     assert info.value.iterations == 5
     assert info.value.last is not None
 
@@ -221,11 +240,13 @@ def _named(res: KleeneResult, names=("s",)) -> KleeneResult:
     return KleeneResult(dict(zip(names, res.values)), res.report)
 
 
-def _thirds(direction, force_exact):
-    m = parse_model(THIRDS)
+def _kleene_extent(text, direction, cfg=None, force_exact=False):
+    # the extent chain itself: the extent functions solve these models
+    # exactly, so the pinned chains call kleene on the extent step
+    m = parse_model(text)
     s = Fraction(0) if direction == "lfp" else Fraction(1)
-    res = kleene(m.semiring, m.compiled.extent_step, [s, s], direction, EvalConfig(),
-                 force_exact=force_exact, names=m.compiled.states)
+    res = kleene(m.semiring, m.compiled.extent_step, [s] * len(m.states), direction,
+                 cfg or EvalConfig(), force_exact=force_exact, names=m.compiled.states)
     return _named(res, m.compiled.states)
 
 
@@ -250,31 +271,31 @@ def _erratic():
 
 PINNED_CHAINS = {
     # ratio stop on the grid, rounding down (lfp) and up (gfp)
-    "ring-mu": (lambda: mu_extent_result(parse_model(RING % "1/10")),
+    "ring-mu": (lambda: _kleene_extent(RING % "1/10", "lfp"),
                 {"u": Fraction(340282366916070871312624326139985964579, GRID)}, 237,
                 Fraction(2704217861527934050990137151, 1701411834604692317316873037158841057280),
                 Fraction(7312794242606712701513941599342564755346154677790396801,
                          511220919217002231238131570963235284335720490470664818782990499840)),
-    "ring-nu": (lambda: nu_extent_result(parse_model(RING % "1/20")),
+    "ring-nu": (lambda: _kleene_extent(RING % "1/20", "gfp"),
                 {"u": Fraction(85070591732778847362404826147270630405, GRID // 2)}, 230,
                 Fraction(565384777013594286517461675, GRID),
                 Fraction(319659946078711734302483156077761790275744685093805625,
                          21376718904805873976525106836857220947422678196497265513675620352)),
     # ratio stop before the denominators reach the grid
-    "thirds-mu": (lambda: _thirds("lfp", False),
+    "thirds-mu": (lambda: _kleene_extent(THIRDS, "lfp"),
                   {"u": Fraction(141214768240, 282429536481),
                    "w": Fraction(753145430611, 1412147682405)}, 24,
                   Fraction(2, 282429536481), Fraction(1, 282429536481)),
-    "thirds-nu": (lambda: _thirds("gfp", False),
+    "thirds-nu": (lambda: _kleene_extent(THIRDS, "gfp"),
                   {"u": Fraction(141214768241, 282429536481),
                    "w": Fraction(753145430621, 1412147682405)}, 24,
                   Fraction(2, 282429536481), Fraction(1, 282429536481)),
     # force_exact: exact stabilisation on the grid, both rounding directions
-    "thirds-mu-exact": (lambda: _thirds("lfp", True),
+    "thirds-mu-exact": (lambda: _kleene_extent(THIRDS, "lfp", force_exact=True),
                         {"u": Fraction(GRID // 2 - 1, GRID),
                          "w": Fraction(181483929024500513847133123963609712775, GRID)}, 82,
                         Fraction(0), Fraction(1, 1 << 100)),
-    "thirds-nu-exact": (lambda: _thirds("gfp", True),
+    "thirds-nu-exact": (lambda: _kleene_extent(THIRDS, "gfp", force_exact=True),
                         {"u": Fraction(GRID // 2 + 1, GRID),
                          "w": Fraction(90741964512250256923566561981804856389, GRID // 2)}, 82,
                         Fraction(0), Fraction(1, 1 << 100)),
@@ -284,8 +305,8 @@ PINNED_CHAINS = {
     "clamp-gfp": (lambda: _off_grid("gfp"), {"s": Fraction(1, 3)}, 1,
                   Fraction(0), Fraction(1, 1 << 100)),
     # the epsilon^2 fallback: on the first step, and after erratic ratios
-    "tiny-mu": (lambda: mu_extent_result(
-                    parse_model("semiring prob label e/0 state u { 1/100000000000000000000 e }")),
+    "tiny-mu": (lambda: _kleene_extent(
+                    "semiring prob label e/0 state u { 1/100000000000000000000 e }", "lfp"),
                 {"u": Fraction(1, 10**20)}, 1, Fraction(1, 10**20), Fraction(1, 10**20)),
     "erratic": (_erratic, {"s": Fraction(41, 100)}, 5, Fraction(1, 200), Fraction(1, 200)),
 }
@@ -301,8 +322,10 @@ def test_prob_chain_pinned(name):
 
 
 def test_prob_nested_chains_pinned(counterexample_prob, monkeypatch):
-    # the outer nu stops on the fallback after one step; the inner mu runs
-    # force_exact to stabilisation on the grid
+    # T is solved exactly (every state keeps its mass, so the pre-pass
+    # sets all four to 1 and no state is left to eliminate); the outer nu
+    # stops on the fallback after one step; the inner mu runs force_exact
+    # to stabilisation on the grid
     from semimc import evaluator
     chains = []
 
@@ -319,9 +342,8 @@ def test_prob_nested_chains_pinned(counterexample_prob, monkeypatch):
     values, top = eval_with_certificate(m, f)
     assert values == {"x": Fraction(GRID // 2 - 1, GRID // 2), "y": Fraction(GRID - 3, GRID),
                       "u": Fraction(GRID // 2 - 3, GRID // 2), "v": Fraction(GRID - 7, GRID)}
-    assert (top.iterations, top.last_delta, top.tail_bound) == (1, 0, 0)
-    assert chains == [("gfp", False, 1, 0, 0),
-                      ("lfp", True, 943, 0, Fraction(1, 1 << 100)),
+    assert (top.iterations, top.last_delta, top.tail_bound) == (0, 0, 0)
+    assert chains == [("lfp", True, 943, 0, Fraction(1, 1 << 100)),
                       ("gfp", False, 1, Fraction(7, GRID), Fraction(7, GRID))]
 
 
@@ -348,7 +370,7 @@ def test_binders_under_sums_and_modalities_are_nested(counterexample_prob, monke
 
 def test_prob_non_convergence_pinned():
     with pytest.raises(NonConvergence) as info:
-        mu_extent(parse_model(RING % "1/10"), EvalConfig(max_iterations=60))
+        _kleene_extent(RING % "1/10", "lfp", EvalConfig(max_iterations=60))
     assert info.value.iterations == 60
     assert info.value.last == {
         "u": Fraction(42458859500337784413639989063636046173, 42535295865117307932921825928971026432)}

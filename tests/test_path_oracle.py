@@ -220,6 +220,24 @@ def test_compare_formula_probabilistic(extent_prob):
         assert abs(row.stepwise - expect[row.state]) < Fraction(1, 100)
 
 
+def test_compare_classifies_each_formula_once(extent_prob, monkeypatch):
+    # phi and its unrolling are classified once each, not once per state;
+    # the extent is solved exactly, so both semantics agree exactly
+    from semimc import logic, path_oracle
+    seen = []
+
+    def counting(f):
+        seen.append(f)
+        return logic.classify(f)
+
+    monkeypatch.setattr(path_oracle, "classify", counting)
+    phi = parse_formula("mu X. ([a](T) | [b](X) | [c](X))",
+                        extent_prob.signature, extent_prob.descriptor)
+    rep = compare_semantics(extent_prob, phi, 3)
+    assert seen == [phi, unroll(phi, 3)]
+    assert rep.ok and rep.tolerance == 0 and rep.max_discrepancy == 0
+
+
 def test_compare_rejects_quantitative(extent_prob):
     phi = parse_formula("1/2*T + 1/2*T", extent_prob.signature, extent_prob.descriptor)
     with pytest.raises(EvaluationError, match="qualitative"):

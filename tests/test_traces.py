@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimc import (EvalConfig, OffsetUnsupported, TOP_LEAF, TraceNode,
+from semimc import (EvalConfig, OffsetUnsupported, SizingError, TOP_LEAF, TraceNode,
                     ValidationError, enumerate_fragments, equiv_upto,
                     eval_formula, finite_tr, fragment_to_formula, lt,
                     nu_extent, parse_fragment, parse_formula, render_fragment,
@@ -73,6 +73,18 @@ def test_lt_counterexample_values(counterexample_prob):
     aT = parse_fragment("a(T)", counterexample_prob.signature)
     assert lt(counterexample_prob, "x", aT) == Fraction(1, 2)
     assert lt(counterexample_prob, "u", aT) == Fraction(1, 4)
+
+
+def test_enumeration_cap_counts_every_fragment(counterexample_prob):
+    sig = counterexample_prob.signature
+    assert list(enumerate_fragments(sig, 1, cap=4)) == [
+        TOP_LEAF, *(TraceNode(l, (TOP_LEAF,)) for l in ("a", "b", "c"))]
+    # the top leaf counts too: a cap of 0 admits no fragment
+    for cap, depth in ((0, 0), (3, 1)):
+        with pytest.raises(SizingError, match=f"exceeds cap {cap} at depth {depth}"):
+            list(enumerate_fragments(sig, 1, cap=cap))
+    with pytest.raises(SizingError, match="exceeds cap 0"):
+        equiv_upto(counterexample_prob, "x", "u", 1, "lt", EvalConfig(enum_cap=0))
 
 
 def test_lt_cross_path_identity_corpus(corpus_models):
