@@ -1,153 +1,136 @@
-"""Tokenizer shared by the model, formula and fragment parsers."""
+"""Tokenizer shared by the model, formula and fragment parsers.
+
+A token is a plain ``(kind, text, offset)`` tuple: kind is 'ident',
+'number', 'symbol' or 'eof', and offset indexes the source text.  Line and
+column are worked out from the offset only when a `ParseError` is raised;
+columns count characters, so a tab and a carriage return are one column
+each.  Identifiers and digits are ASCII only.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import ParseError
 
-# single- and two-character symbols; '->' must be matched before '-'
-_SYMBOLS = ("->", "{", "}", ";", "=", "/", "[", "]", "(", ")", ",", ".", "|", "+", "*")
+# most levels a parser keeps open at once: each formula (the whole one,
+# parenthesised ones, modal arguments and binder bodies) or list of fragment
+# children is one level.  The formula parser takes up to five Python frames
+# per level, so this stays inside the default recursion limit of 1000.
+MAX_DEPTH = 160
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
+# one match per token, skipping the whitespace and comments before it (the
+# last match may hold no token).  Explicit ASCII classes: \d and \w would
+# accept non-ASCII digits and letters.  Numbers are digit runs with at most
+# one decimal point ("0.25"); '->' must be tried before the other symbols.
+# '*' is a symbol; parsers take it as a name where a nullary label is expected.
+_TOKEN = re.compile(r"""(?:[ \t\r\n]+|\#[^\n]*)*(?:
+    (?P<number>[0-9]+(?:\.[0-9]+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<symbol>->|[{};=/\[\](),.|+*])
+  | (?P<bad>.)
+  | \Z)
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'ident' | 'number' | 'symbol' | 'eof'
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str) -> list[tuple[str, str, int]]:
     """Whitespace-insensitive tokenization; '#' starts a line comment.
-
-    Numbers are digit runs, optionally with one decimal point ("0.25").
-    '*' is emitted as a symbol token; parsers treat it as an identifier
-    where a nullary label name is expected.
-    """
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and source[i] in _DIGITS:
-                i += 1
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1] in _DIGITS:
-                i += 1
-                while i < n and source[i] in _DIGITS:
-                    i += 1
-            text = source[start:i]
-            tokens.append(Token("number", text, line, col))
-            col += len(text)
-            continue
-        if ch in _IDENT_START:
-            start = i
-            while i < n and source[i] in _IDENT_CONT:
-                i += 1
-            text = source[start:i]
-            tokens.append(Token("ident", text, line, col))
-            col += len(text)
-            continue
-        matched = None
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                matched = sym
-                break
-        if matched is None:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append(Token("symbol", matched, line, col))
-        i += len(matched)
-        col += len(matched)
-    tokens.append(Token("eof", "", line, col))
+    The list ends with an 'eof' token; the first character no token can
+    start raises `ParseError`."""
+    tokens = [(kind, m[kind], m.start(kind))
+              for m in _TOKEN.finditer(source) for kind in (m.lastgroup,) if kind]
+    for kind, text, offset in tokens:
+        if kind == "bad":
+            raise error(source, offset, f"unexpected character {text!r}")
+    # a trailing comment does not advance the end-of-input column
+    comment = source.find("#", source.rfind("\n") + 1)
+    tokens.append(("eof", "", len(source) if comment < 0 else comment))
     return tokens
 
 
+def error(source: str, offset: int, message: str) -> ParseError:
+    """A `ParseError` at `offset`, with its 1-based line and column."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return ParseError(message, source.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
 class TokenStream:
-    """Cursor over a token list with the usual peek/expect helpers."""
+    """Cursor over the tokens of `source` with the usual peek/expect
+    helpers, and the nesting guard of the recursive parsers.  A token's
+    text fixes its kind (identifiers, numbers and symbols share no text),
+    so most checks compare the text alone."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
 
-    def peek(self) -> Token:
+    def error(self, message: str, tok) -> ParseError:
+        return error(self.source, tok[2], message)
+
+    def peek(self):
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self):
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def at_symbol(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "symbol" and tok.text == text
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos][1] == text
 
-    def at_ident(self, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and (text is None or tok.text == text)
-
-    def expect_symbol(self, text: str) -> Token:
-        tok = self.next()
-        if tok.kind != "symbol" or tok.text != text:
-            raise ParseError(f"expected {text!r}, got {tok.text!r}", tok.line, tok.col)
+    def expect(self, kind: str):
+        """The next token, which must be an 'ident' or a 'number'."""
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            what = "identifier" if kind == "ident" else "number"
+            raise self.error(f"expected {what}, got {tok[1]!r}", tok)
+        self.pos += 1
         return tok
 
-    def expect_ident(self) -> Token:
-        tok = self.next()
-        if tok.kind != "ident":
-            raise ParseError(f"expected identifier, got {tok.text!r}", tok.line, tok.col)
+    def expect_symbol(self, text: str):
+        tok = self.tokens[self.pos]
+        if tok[1] != text:
+            raise self.error(f"expected {text!r}, got {tok[1]!r}", tok)
+        self.pos += 1
         return tok
 
-    def expect_label_name(self) -> Token:
+    def expect_label_name(self):
         """Identifier or bare '*', the conventional nullary label."""
-        tok = self.next()
-        if tok.kind == "ident" or (tok.kind == "symbol" and tok.text == "*"):
-            return tok
-        raise ParseError(f"expected label name, got {tok.text!r}", tok.line, tok.col)
-
-    def expect_number(self) -> Token:
-        tok = self.next()
-        if tok.kind != "number":
-            raise ParseError(f"expected number, got {tok.text!r}", tok.line, tok.col)
+        tok = self.tokens[self.pos]
+        if tok[0] != "ident" and tok[1] != "*":
+            raise self.error(f"expected label name, got {tok[1]!r}", tok)
+        self.pos += 1
         return tok
 
     def expect_weight(self, semiring):
         """WEIGHT := NUMBER ["/" NUMBER] | "inf", parsed by `semiring`;
         errors carry the position of the weight's first token."""
         tok = self.peek()
-        if self.at_ident("inf"):
-            self.next()
+        if tok[1] == "inf":
+            self.pos += 1
             text = "inf"
         else:
-            text = self.expect_number().text
-            if self.at_symbol("/"):
-                self.next()
-                text = f"{text}/{self.expect_number().text}"
+            text = self.expect("number")[1]
+            if self.at("/"):
+                self.pos += 1
+                text = f"{text}/{self.expect('number')[1]}"
         try:
             return semiring.parse(text)
         except ParseError as e:
-            raise ParseError(str(e), tok.line, tok.col) from None
+            raise self.error(str(e), tok) from None
 
     def expect_eof(self):
         tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
+        if tok[0] != "eof":
+            raise self.error(f"trailing input starting at {tok[1]!r}", tok)
+
+    def enter(self):
+        """Open one nesting level at the next token; past MAX_DEPTH levels
+        this raises `ParseError` instead of exhausting the Python stack.
+        The parser closes the level with ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.error(f"input nested deeper than {MAX_DEPTH} levels", self.peek())

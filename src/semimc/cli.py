@@ -377,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_payload(args.command, fmt, str(e), EXIT_IO), file=sys.stderr)
         return EXIT_IO
     except RecursionError:
-        # the parser and evaluator recurse once per nesting level
+        # the parsers stop at _lex.MAX_DEPTH; formula walks still recurse
         print(_error_payload(args.command, fmt, "input nested too deeply", EXIT_USER),
               file=sys.stderr)
         return EXIT_USER

@@ -83,6 +83,8 @@ class EvalConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.enum_cap < 1:
+            raise ValueError("enum_cap must be at least 1")
 
 
 @dataclass

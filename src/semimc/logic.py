@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._lex import TokenStream, tokenize
+from ._lex import TokenStream
 from .errors import ParseError
 from .model import Signature
 from .semiring import Semiring, SemiringDescriptor, UNDEFINED, semiring_for
@@ -220,14 +220,13 @@ def _alpha(f, g, env_f, env_g):
 
 class _FormulaParser:
     def __init__(self, text: str, signature: Signature, semiring: Semiring):
-        tokens = tokenize(text)
-        self.ts = TokenStream(tokens)
+        self.ts = TokenStream(text)
         self.signature = signature
         self.semiring = semiring
         self.binders_seen: set[str] = set()
         # every identifier in the source; fresh binder names must miss all
         # of them or renaming could capture a free variable
-        self.all_names = {t.text for t in tokens if t.kind == "ident"}
+        self.all_names = {text for kind, text, _ in self.ts.tokens if kind == "ident"}
 
     def parse(self) -> Formula:
         f = self.formula({})
@@ -237,27 +236,27 @@ class _FormulaParser:
     def formula(self, scope: dict[str, str]) -> Formula:
         ts = self.ts
         first_tok = ts.peek()
+        ts.enter()
         terms = [self.summand(scope)]
-        while ts.at_symbol("+"):
+        while ts.at("+"):
             ts.next()
             terms.append(self.summand(scope))
+        ts.depth -= 1
         if len(terms) == 1:
             c, f = terms[0]
             if c is None:
                 return f
             return WeightedSum(((c, f),))
         if any(c is None for c, _ in terms):
-            raise ParseError("multi-term sums need a weight on every term",
-                             first_tok.line, first_tok.col)
+            raise ts.error("multi-term sums need a weight on every term", first_tok)
         coeffs = [c for c, _ in terms]
         if self.semiring.sum(coeffs) is UNDEFINED:
-            raise ParseError("coefficient sum is undefined in the semiring",
-                             first_tok.line, first_tok.col)
+            raise ts.error("coefficient sum is undefined in the semiring", first_tok)
         return WeightedSum(tuple((c, f) for c, f in terms))
 
     def summand(self, scope) -> tuple[object | None, Formula]:
         ts = self.ts
-        if ts.peek().kind == "number" or ts.at_ident("inf"):
+        if ts.peek()[0] == "number" or ts.at("inf"):
             w = ts.expect_weight(self.semiring)
             ts.expect_symbol("*")
             return w, self.atom(scope)
@@ -266,49 +265,50 @@ class _FormulaParser:
     def atom(self, scope) -> Formula:
         ts = self.ts
         tok = ts.peek()
-        if ts.at_symbol("("):
+        if ts.at("("):
             ts.next()
             f = self.formula(scope)
             ts.expect_symbol(")")
             return f
-        if ts.at_symbol("["):
+        if ts.at("["):
             return self.modal_chain(scope)
-        if tok.kind == "ident":
-            if tok.text == "T":
+        kind, text, _ = tok
+        if kind == "ident":
+            if text == "T":
                 ts.next()
                 return TOP
-            if tok.text == "F":
+            if text == "F":
                 ts.next()
                 return BOT
-            if tok.text in ("mu", "nu"):
+            if text in ("mu", "nu"):
                 ts.next()
-                name_tok = ts.expect_ident()
-                if name_tok.text in ("T", "F", "mu", "nu"):
-                    raise ParseError(f"reserved word {name_tok.text!r} cannot be a variable",
-                                     name_tok.line, name_tok.col)
+                name_tok = ts.expect("ident")
+                name = name_tok[1]
+                if name in ("T", "F", "mu", "nu"):
+                    raise ts.error(f"reserved word {name!r} cannot be a variable", name_tok)
                 ts.expect_symbol(".")
                 # rename on collision with any other binder to rule out shadowing
-                bound = name_tok.text
+                bound = name
                 if bound in self.binders_seen or bound in scope:
                     bound = fresh_name(bound, self.all_names | self.binders_seen)
                 self.binders_seen.add(bound)
                 inner = dict(scope)
-                inner[name_tok.text] = bound
+                inner[name] = bound
                 body = self.formula(inner)
-                cls = Mu if tok.text == "mu" else Nu
+                cls = Mu if text == "mu" else Nu
                 return cls(bound, body)
             ts.next()
-            return Var(scope.get(tok.text, tok.text))
-        raise ParseError(f"expected a formula, got {tok.text!r}", tok.line, tok.col)
+            return Var(scope.get(text, text))
+        raise ts.error(f"expected a formula, got {text!r}", tok)
 
     def modal_chain(self, scope) -> Formula:
         disjuncts = [self.modal(scope)]
         labels = {disjuncts[0][0]}
-        while self.ts.at_symbol("|"):
+        while self.ts.at("|"):
             tok = self.ts.next()
             lbl, args = self.modal(scope)
             if lbl in labels:
-                raise ParseError(f"duplicate label {lbl!r} in disjunction", tok.line, tok.col)
+                raise self.ts.error(f"duplicate label {lbl!r} in disjunction", tok)
             labels.add(lbl)
             disjuncts.append((lbl, args))
         return Modal(tuple(disjuncts))
@@ -317,23 +317,23 @@ class _FormulaParser:
         ts = self.ts
         ts.expect_symbol("[")
         lbl_tok = ts.expect_label_name()
+        label = lbl_tok[1]
         ts.expect_symbol("]")
-        if not self.signature.has(lbl_tok.text):
-            raise ParseError(f"unknown label {lbl_tok.text!r}", lbl_tok.line, lbl_tok.col)
-        arity = self.signature.arity(lbl_tok.text)
+        if not self.signature.has(label):
+            raise ts.error(f"unknown label {label!r}", lbl_tok)
+        arity = self.signature.arity(label)
         args: list[Formula] = []
-        if ts.at_symbol("("):
+        if ts.at("("):
             ts.next()
             args.append(self.formula(scope))
-            while ts.at_symbol(","):
+            while ts.at(","):
                 ts.next()
                 args.append(self.formula(scope))
             ts.expect_symbol(")")
         if len(args) != arity:
-            raise ParseError(
-                f"label {lbl_tok.text!r} has arity {arity}, got {len(args)} argument(s)",
-                lbl_tok.line, lbl_tok.col)
-        return lbl_tok.text, tuple(args)
+            raise ts.error(f"label {label!r} has arity {arity}, got {len(args)} argument(s)",
+                           lbl_tok)
+        return label, tuple(args)
 
 
 def parse_formula(text: str, signature: Signature, descriptor: SemiringDescriptor,

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ._lex import TokenStream, tokenize
-from .errors import ParseError, ValidationError
+from ._lex import TokenStream
+from .errors import ValidationError
 from .semiring import Semiring, SemiringDescriptor, UNDEFINED, semiring_for
 
 
@@ -183,97 +183,119 @@ _STYPES = {"bool": "boolean", "prob": "probabilistic", "trop": "tropical"}
 
 
 def _parse_descriptor(ts: TokenStream) -> SemiringDescriptor:
-    tok = ts.expect_ident()
-    if tok.text not in _STYPES:
-        raise ParseError(f"unknown semiring {tok.text!r}", tok.line, tok.col)
-    kind = _STYPES[tok.text]
-    if kind == "tropical" and ts.at_symbol("["):
+    tok = ts.expect("ident")
+    kind = _STYPES.get(tok[1])
+    if kind is None:
+        raise ts.error(f"unknown semiring {tok[1]!r}", tok)
+    if kind == "tropical" and ts.at("["):
         ts.next()
-        btok = ts.expect_number()
+        btok = ts.expect("number")
         ts.expect_symbol("]")
         try:
-            bound = int(btok.text)
+            bound = int(btok[1])
         except ValueError:
-            raise ParseError(f"bad bound {btok.text!r}", btok.line, btok.col) from None
+            raise ts.error(f"bad bound {btok[1]!r}", btok) from None
         if bound < 1:
-            raise ParseError("bound must be at least 1", btok.line, btok.col)
+            raise ts.error("bound must be at least 1", btok)
         return SemiringDescriptor("bounded_tropical", bound)
     return SemiringDescriptor(kind)
 
 
 def parse_model(text: str) -> Model:
-    """Parse and validate a model; raises ParseError or ValidationError.
+    """Parse a model in one pass over its tokens; raises ParseError or
+    ValidationError.
 
-    Duplicate (label, successors) transitions from the same state are merged
-    with the semiring plus; a merge with undefined sum is a validation error.
+    The parser enforces every invariant `validate` checks (carrier, zero
+    weight, label, arity, successors), so it does not call it.  Duplicate
+    (label, successors) transitions from the same state are merged with the
+    semiring plus; a merge with undefined sum is an error at the end of its
+    state block.  Probabilistic rows of mass above 1 are errors raised once
+    the whole text has parsed, so a syntax error anywhere is reported first.
     """
-    ts = TokenStream(tokenize(text))
-    kw = ts.expect_ident()
-    if kw.text != "semiring":
-        raise ParseError("model must start with 'semiring'", kw.line, kw.col)
+    ts = TokenStream(text)
+    kw = ts.expect("ident")
+    if kw[1] != "semiring":
+        raise ts.error("model must start with 'semiring'", kw)
     descriptor = _parse_descriptor(ts)
     semiring = semiring_for(descriptor)
+    prob = descriptor.kind == "probabilistic"
 
-    labels: list[Label] = []
-    label_names: set[str] = set()
-    states: list[str] = []
+    arities: dict[str, int] = {}
     transitions: dict[str, list[Transition]] = {}
-    offsets: dict[str, object] = {}
-    referenced: dict[str, tuple[int, int]] = {}
-    diagnostics: list[Diagnostic] = []
+    offsets: dict[str, tuple] = {}  # state -> (weight, name token)
+    referenced: dict[str, tuple] = {}  # state -> first token naming it
+    overfull: list[Diagnostic] = []
 
-    while not ts.peek().kind == "eof":
-        tok = ts.expect_ident()
-        if tok.text == "label":
+    while ts.peek()[0] != "eof":
+        tok = ts.expect("ident")
+        if tok[1] == "state":
+            name_tok = ts.expect("ident")
+            name = name_tok[1]
+            if name in transitions:
+                raise ts.error(f"duplicate state {name!r}", name_tok)
+            ts.expect_symbol("{")
+            row: dict[tuple, object] = {}  # (label, successors) -> merged weight
+            undefined = None  # first merge whose sum is undefined
+            more = not ts.at("}")
+            while more:
+                w, key = _parse_transition(ts, semiring, arities, referenced)
+                old = row.get(key)
+                if old is None:
+                    row[key] = w
+                elif undefined is None:
+                    w = semiring.plus(old, w)
+                    if w is UNDEFINED:
+                        undefined = key
+                    row[key] = w
+                more = ts.at(";")
+                ts.pos += more  # past the ';'
+            ts.expect_symbol("}")
+            if undefined is not None:
+                label, succs = undefined
+                raise ValidationError(f"state {name!r}: merged weight for {label} -> "
+                                      f"{' '.join(succs) or '()'} is undefined")
+            if prob:
+                num, den = 0, 1
+                for w in row.values():
+                    num, den = num * w.denominator + w.numerator * den, den * w.denominator
+                if num > den:
+                    overfull.append(Diagnostic(
+                        "error", f"state {name!r}: outgoing weight sum is undefined"))
+            transitions[name] = [Transition(w, label, succs) for (label, succs), w in row.items()]
+        elif tok[1] == "label":
             name_tok = ts.expect_label_name()
             ts.expect_symbol("/")
-            ar_tok = ts.expect_number()
-            if name_tok.text in label_names:
-                raise ParseError(f"duplicate label {name_tok.text!r}", name_tok.line, name_tok.col)
-            if "." in ar_tok.text:
-                raise ParseError("arity must be a natural number", ar_tok.line, ar_tok.col)
-            labels.append(Label(name_tok.text, int(ar_tok.text)))
-            label_names.add(name_tok.text)
-        elif tok.text == "state":
-            name_tok = ts.expect_ident()
-            name = name_tok.text
-            if name in transitions:
-                raise ParseError(f"duplicate state {name!r}", name_tok.line, name_tok.col)
-            states.append(name)
-            trans: list[Transition] = []
-            ts.expect_symbol("{")
-            if not ts.at_symbol("}"):
-                while True:
-                    trans.append(_parse_transition(ts, semiring, labels, referenced))
-                    if ts.at_symbol(";"):
-                        ts.next()
-                        continue
-                    break
-            ts.expect_symbol("}")
-            transitions[name] = _merge_duplicates(name, trans, semiring)
-        elif tok.text == "offset":
-            name_tok = ts.expect_ident()
+            ar_tok = ts.expect("number")
+            if name_tok[1] in arities:
+                raise ts.error(f"duplicate label {name_tok[1]!r}", name_tok)
+            if "." in ar_tok[1]:
+                raise ts.error("arity must be a natural number", ar_tok)
+            arities[name_tok[1]] = int(ar_tok[1])
+        elif tok[1] == "offset":
+            name_tok = ts.expect("ident")
             ts.expect_symbol("=")
             w = ts.expect_weight(semiring)
-            if name_tok.text in offsets:
-                raise ParseError(f"duplicate offset for {name_tok.text!r}", name_tok.line, name_tok.col)
-            offsets[name_tok.text] = (w, name_tok.line, name_tok.col)
+            if name_tok[1] in offsets:
+                raise ts.error(f"duplicate offset for {name_tok[1]!r}", name_tok)
+            offsets[name_tok[1]] = (w, name_tok)
         else:
-            raise ParseError(f"expected 'label', 'state' or 'offset', got {tok.text!r}",
-                             tok.line, tok.col)
+            raise ts.error(f"expected 'label', 'state' or 'offset', got {tok[1]!r}", tok)
 
-    if not labels:
+    if not arities:
         raise ValidationError("model declares no labels")
-    for name, (line, col) in referenced.items():
+    for name, tok in referenced.items():
         if name not in transitions:
-            raise ParseError(f"undeclared successor state {name!r}", line, col)
-    for name, (w, line, col) in offsets.items():
+            raise ts.error(f"undeclared successor state {name!r}", tok)
+    for name, (_, tok) in offsets.items():
         if name not in transitions:
-            raise ParseError(f"offset for unknown state {name!r}", line, col)
+            raise ts.error(f"offset for unknown state {name!r}", tok)
+    if overfull:
+        raise ValidationError(overfull[0].message, overfull)
 
-    model = Model(descriptor, Signature(tuple(labels)), tuple(states),
-                  transitions, {k: v for k, (v, _, _) in offsets.items()})
-    _raise_if_invalid(model)
+    model = object.__new__(Model)
+    model.__dict__["semiring"] = semiring  # fills the cached property: one semiring_for
+    model.__init__(descriptor, Signature(tuple(Label(n, a) for n, a in arities.items())),
+                   tuple(transitions), transitions, {k: w for k, (w, _) in offsets.items()})
     return model
 
 
@@ -283,61 +305,42 @@ def _raise_if_invalid(model: Model):
         raise ValidationError(errors[0].message, errors)
 
 
-def _parse_transition(ts, semiring, labels, referenced) -> Transition:
+def _parse_transition(ts, semiring, arities, referenced) -> tuple:
+    """``WEIGHT LABEL ["->" IDENT+]`` as the weight and its (label, successors)."""
     w = ts.expect_weight(semiring)
     lbl_tok = ts.expect_label_name()
-    arity = None
-    for l in labels:
-        if l.name == lbl_tok.text:
-            arity = l.arity
-            break
+    label = lbl_tok[1]
+    arity = arities.get(label)
     if arity is None:
-        raise ParseError(f"unknown label {lbl_tok.text!r}", lbl_tok.line, lbl_tok.col)
+        raise ts.error(f"unknown label {label!r}", lbl_tok)
     succs: list[str] = []
-    if ts.at_symbol("->"):
-        ts.next()
-        while ts.at_ident():
-            tok = ts.next()
-            succs.append(tok.text)
-            referenced.setdefault(tok.text, (tok.line, tok.col))
+    toks, i = ts.tokens, ts.pos
+    if toks[i][1] == "->":
+        i += 1
+        while toks[i][0] == "ident":
+            succs.append(toks[i][1])
+            referenced.setdefault(toks[i][1], toks[i])
+            i += 1
         if not succs:
-            tok = ts.peek()
-            raise ParseError("expected successor state after '->'", tok.line, tok.col)
+            raise ts.error("expected successor state after '->'", toks[i])
+        ts.pos = i
     if len(succs) != arity:
-        raise ParseError(
-            f"label {lbl_tok.text!r} has arity {arity}, got {len(succs)} successor(s)",
-            lbl_tok.line, lbl_tok.col)
+        raise ts.error(f"label {label!r} has arity {arity}, got {len(succs)} successor(s)",
+                       lbl_tok)
     if w == semiring.zero:
-        raise ParseError("transition weight is the semiring zero", lbl_tok.line, lbl_tok.col)
-    return Transition(w, lbl_tok.text, tuple(succs))
-
-
-def _merge_duplicates(state, trans, semiring):
-    merged: list[Transition] = []
-    index: dict[tuple, int] = {}
-    for t in trans:
-        key = (t.label, t.successors)
-        if key in index:
-            old = merged[index[key]]
-            w = semiring.plus(old.weight, t.weight)
-            if w is UNDEFINED:
-                raise ValidationError(
-                    f"state {state!r}: merged weight for {t.label} -> "
-                    f"{' '.join(t.successors) or '()'} is undefined")
-            merged[index[key]] = Transition(w, t.label, t.successors)
-        else:
-            index[key] = len(merged)
-            merged.append(t)
-    return merged
+        raise ts.error("transition weight is the semiring zero", lbl_tok)
+    return w, (label, tuple(succs))
 
 
 def validate(model: Model) -> list[Diagnostic]:
-    """Re-check every model invariant; warnings for deadlocks and, on
-    probabilistic models, for substochastic states."""
+    """Re-check every model invariant, one pass per state; warnings for
+    deadlocks and, on probabilistic models, for substochastic states."""
     out: list[Diagnostic] = []
+    substochastic: list[Diagnostic] = []
     semiring = model.semiring
+    prob = model.descriptor.kind == "probabilistic"
+    arities = {l.name: l.arity for l in model.signature.labels}
     err = lambda m: out.append(Diagnostic("error", m))
-    warn = lambda m: out.append(Diagnostic("warning", m))
 
     names = set(model.states)
     if len(names) != len(model.states):
@@ -350,11 +353,13 @@ def validate(model: Model) -> list[Diagnostic]:
     for state in model.states:
         seen = set()
         weights = []
-        for t in model.transitions.get(state, []):
-            if not model.signature.has(t.label):
+        row = model.transitions.get(state, [])
+        for t in row:
+            arity = arities.get(t.label)
+            if arity is None:
                 err(f"state {state!r}: unknown label {t.label!r}")
                 continue
-            if len(t.successors) != model.signature.arity(t.label):
+            if len(t.successors) != arity:
                 err(f"state {state!r}: arity mismatch on label {t.label!r}")
             for s in t.successors:
                 if s not in names:
@@ -368,20 +373,21 @@ def validate(model: Model) -> list[Diagnostic]:
                 err(f"state {state!r}: duplicate transition {t.label} -> {t.successors}")
             seen.add(key)
             weights.append(t.weight)
-        if semiring.sum(weights) is UNDEFINED:
+        total = semiring.sum(weights)
+        if total is UNDEFINED:
             err(f"state {state!r}: outgoing weight sum is undefined")
         off = model.offsets.get(state)
         if off is not None and not semiring.contains(off):
             err(f"state {state!r}: offset outside the carrier")
-
-    for state in model.deadlock_states():
-        warn(f"deadlock: {state}")
-    if model.descriptor.kind == "probabilistic":
-        for state in model.states:
-            total = semiring.sum([t.weight for t in model.transitions[state]])
+        if prob:
+            if len(weights) < len(row):  # the mass counts unknown labels too
+                total = semiring.sum([t.weight for t in row])
             if total is not UNDEFINED and total < 1:
-                warn(f"substochastic: {state} (outgoing mass {semiring.render(total)})")
-    return out
+                substochastic.append(Diagnostic(
+                    "warning", f"substochastic: {state} (outgoing mass {semiring.render(total)})"))
+
+    out.extend(Diagnostic("warning", f"deadlock: {s}") for s in model.deadlock_states())
+    return out + substochastic
 
 
 def render_model(model: Model) -> str:

@@ -247,7 +247,12 @@ class ProbabilisticSemiring(Semiring):
         return self._offset(cm, out)
 
     def parse(self, text):
+        num, slash, den = text.partition("/")
         try:
+            if num.isdecimal() and (den.isdecimal() or not slash):  # "n" or "n/d"
+                n, d = int(num), int(den or 1)
+                if n <= d:  # in the carrier: built from integers, no Fraction(text)
+                    return Fraction(n, d)
             v = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad probabilistic scalar {text!r}") from None

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Literal
 
-from ._lex import TokenStream, tokenize
-from .errors import OffsetUnsupported, ParseError, SizingError, ValidationError
+from ._lex import TokenStream
+from .errors import OffsetUnsupported, SizingError, ValidationError
 from .evaluator import EvalConfig, nu_extent
 from .logic import Formula, Modal, TOP
 from .model import Model, Signature
@@ -77,33 +77,35 @@ def check_fragment(b: TraceFragment, signature: Signature):
 
 def parse_fragment(text: str, signature: Signature) -> TraceFragment:
     """Parse ``a(b(T), *)``-style fragment text against a signature."""
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     frag = _parse_frag(ts, signature)
     ts.expect_eof()
     return frag
 
 
 def _parse_frag(ts: TokenStream, signature: Signature) -> TraceFragment:
-    if ts.at_ident("T"):
+    if ts.at("T"):
         ts.next()
         return TOP_LEAF
     name_tok = ts.expect_label_name()
-    if not signature.has(name_tok.text):
-        raise ParseError(f"unknown label {name_tok.text!r}", name_tok.line, name_tok.col)
-    arity = signature.arity(name_tok.text)
+    label = name_tok[1]
+    if not signature.has(label):
+        raise ts.error(f"unknown label {label!r}", name_tok)
+    arity = signature.arity(label)
     children: list[TraceFragment] = []
-    if ts.at_symbol("("):
+    if ts.at("("):
         ts.next()
+        ts.enter()
         children.append(_parse_frag(ts, signature))
-        while ts.at_symbol(","):
+        while ts.at(","):
             ts.next()
             children.append(_parse_frag(ts, signature))
         ts.expect_symbol(")")
+        ts.depth -= 1
     if len(children) != arity:
-        raise ParseError(
-            f"label {name_tok.text!r} has arity {arity}, got {len(children)} child(ren)",
-            name_tok.line, name_tok.col)
-    return TraceNode(name_tok.text, tuple(children))
+        raise ts.error(f"label {label!r} has arity {arity}, got {len(children)} child(ren)",
+                       name_tok)
+    return TraceNode(label, tuple(children))
 
 
 def render_fragment(b: TraceFragment) -> str:

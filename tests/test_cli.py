@@ -201,11 +201,12 @@ def test_deeply_nested_formula_exits_1(capsys, fmt):
     code, out, err = run(capsys, "eval", MODEL, deep, "--format", fmt)
     assert code == 1 and not out
     assert "Traceback" not in err
+    # the parser's depth guard reports the first formula past the limit
+    message = "1:641: input nested deeper than 160 levels"
     if fmt == "json":
-        assert json.loads(err) == {"command": "eval", "error": "input nested too deeply",
-                                   "exit": 1}
+        assert json.loads(err) == {"command": "eval", "error": message, "exit": 1}
     else:
-        assert err == "error: input nested too deeply\n"
+        assert err == f"error: {message}\n"
 
 
 def test_deterministic_output(capsys):

@@ -207,6 +207,18 @@ def test_kleene_non_convergence():
     assert info.value.last is not None
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("epsilon", Fraction(0), "epsilon must be positive"),
+    ("max_iterations", 0, "max_iterations must be at least 1"),
+    ("enum_cap", 0, "enum_cap must be at least 1"),
+    ("enum_cap", -5, "enum_cap must be at least 1"),
+])
+def test_eval_config_rejects_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        EvalConfig(**{field: value})
+    assert getattr(EvalConfig(**{field: 1}), field) == 1
+
+
 def test_kleene_rejects_non_monotone_direction():
     sr = semiring_for(DESCRIPTORS["boolean"])
     flip = lambda p: [1 - p[0]]

@@ -61,6 +61,20 @@ def test_parse_errors(text, message, sig, prob):
         parse_formula(text, sig, prob)
 
 
+@pytest.mark.parametrize("opening,closing,width", [
+    ("[a](", ")", 4), ("(", ")", 1), ("mu X. ", "", 6), ("1/2*(\n", ")", 0)])
+def test_deep_nesting_is_a_parse_error(sig, prob, opening, closing, width):
+    f = parse_formula(opening * 150 + "T" + closing * 150, sig, prob)
+    assert modal_depth(f) == (150 if "[a]" in opening else 0)
+    with pytest.raises(ParseError, match="nested deeper than 160 levels") as info:
+        parse_formula(opening * 10_000 + "T" + closing * 10_000, sig, prob)
+    # the position of the first formula past the limit
+    if width:
+        assert (info.value.line, info.value.col) == (1, 160 * width + 1)
+    else:
+        assert (info.value.line, info.value.col) == (161, 1)
+
+
 def test_closed_formula_required(sig, prob):
     with pytest.raises(ParseError, match="unbound"):
         parse_formula("[a](X)", sig, prob, require_closed=True)

@@ -293,3 +293,33 @@ def test_simplest_in_interval_long_continued_fraction():
         p, q = p + q, p
     v = Fraction(p, q)
     assert simplest_in_interval(v, v) == v
+
+
+def _fraction_text_parse(text):
+    """Reference: the probabilistic scalar parser as `Fraction(text)`."""
+    try:
+        v = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad probabilistic scalar {text!r}") from None
+    if not 0 <= v <= 1:
+        raise CarrierError(f"probability {text!r} outside [0, 1]")
+    return v
+
+
+def _outcome(parse, text):
+    try:
+        v = parse(text)
+    except ParseError as e:
+        return type(e), str(e)
+    return type(v), v
+
+
+@given(st.text(alphabet="0123456789/.", max_size=8)
+       | st.text(alphabet="0123456789/. -_e١²", max_size=8))
+@example("0/0")
+@example("1" * 5000)
+def test_prob_parse_matches_fraction_text(text):
+    # integer fast path for "n" and "n/d"; every text parses (or fails) as
+    # Fraction(text) does
+    sr = semiring_for(DESCRIPTORS["probabilistic"])
+    assert _outcome(sr.parse, text) == _outcome(_fraction_text_parse, text)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimc import (EvalConfig, OffsetUnsupported, SizingError, TOP_LEAF, TraceNode,
+from semimc import (EvalConfig, OffsetUnsupported, ParseError, SizingError, TOP_LEAF, TraceNode,
                     ValidationError, enumerate_fragments, equiv_upto,
                     eval_formula, finite_tr, fragment_to_formula, lt,
                     nu_extent, parse_fragment, parse_formula, render_fragment,
@@ -38,6 +38,16 @@ def test_fragment_errors(extent_prob):
         parse_fragment("q(T)", sig)
     with pytest.raises(Exception, match="arity"):
         parse_fragment("a(T, T)", sig)
+
+
+def test_deep_fragment_is_a_parse_error(extent_prob):
+    sig = extent_prob.signature
+    frag = parse_fragment("a(" * 150 + "T" + ")" * 150, sig)
+    assert render_fragment(frag) == "a(" * 150 + "T" + ")" * 150
+    with pytest.raises(ParseError, match="nested deeper than 160 levels") as info:
+        parse_fragment("a(" * 10_000 + "T" + ")" * 10_000, sig)
+    # the first child past the limit
+    assert (info.value.line, info.value.col) == (1, 2 * 161 + 1)
 
 
 def test_fragment_to_formula(extent_prob):
@@ -83,8 +93,9 @@ def test_enumeration_cap_counts_every_fragment(counterexample_prob):
     for cap, depth in ((0, 0), (3, 1)):
         with pytest.raises(SizingError, match=f"exceeds cap {cap} at depth {depth}"):
             list(enumerate_fragments(sig, 1, cap=cap))
-    with pytest.raises(SizingError, match="exceeds cap 0"):
-        equiv_upto(counterexample_prob, "x", "u", 1, "lt", EvalConfig(enum_cap=0))
+    # so does equiv_upto: a cap of 1 admits the top leaf and nothing more
+    with pytest.raises(SizingError, match="exceeds cap 1 at depth 1"):
+        equiv_upto(counterexample_prob, "x", "u", 1, "lt", EvalConfig(enum_cap=1))
 
 
 def test_lt_cross_path_identity_corpus(corpus_models):
