@@ -8,9 +8,9 @@ with a per-semiring stop rule:
 * probabilistic: stop once the estimated distance to the limit (per-step
   change scaled by the measured contraction ratio) certifies epsilon
   accuracy, recording a convergence certificate (iteration count, last
-  delta, tail bound).  The operator maps lists of Fractions; the grid
-  snapping, monotonicity check and stop rule around it run on their
-  integer numerators and denominators;
+  delta, tail bound).  Iterates are lists of ``(numerator,
+  denominator)`` integer pairs, and the operator, the grid snapping, the
+  monotonicity check and the stop rule all run on them;
 * tropical: exact stabilisation, with any state that grows past
   ``promote_bound`` while still strictly changing promoted to infinity.
   Promotion only arises on chains that increase towards the numeric
@@ -46,8 +46,9 @@ fixpoints inside them run with ``force_exact`` (see ``kleene``).
 The extent operator, the Modal clause and T all run through one
 transition-step kernel per semiring (``Semiring.step``) on the model's
 compiled form; the path oracle is the separate view that cross-checks
-it.  Inside, predicates are lists indexed by state id; name-keyed dicts
-appear only at the public functions.
+it.  Inside, predicates are lists by state id in the kernel form
+(``Semiring.pack``); name-keyed dicts of scalars appear only at the
+public functions.
 
 Everything here is pure; a shared Model can serve concurrent evaluations.
 """
@@ -64,7 +65,7 @@ from typing import Callable, Literal
 from .errors import EvaluationError, NonConvergence, NonMonotoneChain
 from .logic import TOP, Formula, Modal, Mu, Nu, Top, Var, WeightedSum, size
 from .model import CompiledModel, Model
-from .semiring import INF, Semiring, UNDEFINED
+from .semiring import INF, Semiring
 
 Predicate = dict
 
@@ -79,6 +80,13 @@ class EvalConfig:
     enum_cap: int = 200_000
 
     def __post_init__(self):
+        if not isinstance(self.epsilon, (int, Fraction)):  # a float makes the stop rule inexact
+            raise TypeError(f"epsilon must be an int or a Fraction, got {self.epsilon!r}")
+        self.epsilon = Fraction(self.epsilon)
+        for name in ("max_iterations", "enum_cap", "promote_bound"):
+            v = getattr(self, name)
+            if not isinstance(v, int) and not (v is None and name == "promote_bound"):
+                raise TypeError(f"{name} must be an int, got {v!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.max_iterations < 1:
@@ -135,8 +143,9 @@ def kleene(semiring: Semiring,
            names: tuple[str, ...] | None = None) -> KleeneResult:
     """Iterate a monotone operator from `start` until the stop rule fires.
 
-    Iterates are lists indexed by state id, named by `names` (default:
-    the ids) in reports and errors.
+    Iterates are lists by state id in the kernel form (`Semiring.pack`:
+    integer pairs (n, d) on prob), named by `names` (default: the ids) in
+    reports and errors; `NonConvergence` reports scalars.
 
     Chains are checked to stay monotone in the induced order (increasing
     for lfp, decreasing for gfp); a violation raises NonMonotoneChain.
@@ -152,8 +161,8 @@ def kleene(semiring: Semiring,
     measured contraction ratio, the estimated distance to the limit is
     the geometric tail d*r/(1-r) = d^2/(p-d), and the chain stops when
     both d and that tail fall below epsilon/64, or when d falls below
-    epsilon^2.  This bookkeeping runs on the iterates' integer numerators
-    and denominators (see `_prob_kleene`).
+    epsilon^2.  It compares the iterates' integer pairs by
+    cross-multiplication (see `_prob_kleene`).
 
     With `force_exact`, probabilistic chains run to exact stabilisation on
     the denominator grid instead of the epsilon stop.  The evaluator sets
@@ -165,7 +174,7 @@ def kleene(semiring: Semiring,
     """
     names = names or tuple(range(len(start)))
     if semiring.kind == "probabilistic":
-        return _prob_kleene(operator, start, direction, cfg, force_exact, names)
+        return _prob_kleene(semiring, operator, start, direction, cfg, force_exact, names)
     promoting = promote_bound is not None and semiring.kind == "tropical" and direction == "gfp"
     # the induced order is numeric <= for bool, >= for the tropical
     # family; consecutive iterates must be `in_order`
@@ -191,35 +200,32 @@ def kleene(semiring: Semiring,
     raise _no_fixpoint(cfg, names, cur, prev)
 
 
-def _prob_kleene(operator: Callable, start: list, direction: str, cfg: EvalConfig,
-                 force_exact: bool, names) -> KleeneResult:
+def _prob_kleene(semiring: Semiring, operator: Callable, start: list, direction: str,
+                 cfg: EvalConfig, force_exact: bool, names) -> KleeneResult:
     """`kleene` on the probabilistic semiring.
 
-    The operator consumes and returns lists of Fractions; everything
-    between two steps works on their integer numerators and denominators,
-    in one pass per iteration: snap to the grid (with the clamp to the
-    previous iterate), check monotonicity, detect stabilisation and find
-    the largest step.  The stop rule compares by cross-multiplication, so
-    Fractions are built only for snapped iterates and for the report.
+    Iterates are integer pairs (n, d), each in lowest terms or a grid
+    point (d = 2^128), so the grid test d > 2^128 is decided as on the
+    normalised value.  One pass per iteration snaps to the grid (with the
+    clamp to the previous iterate), checks monotonicity, detects
+    stabilisation and finds the largest step.  The stop rule compares by
+    cross-multiplication, so Fractions are built only for the report.
     """
     lfp = direction == "lfp"
-    # the epsilon stop targets the distance to the limit, estimated from
-    # the measured contraction ratio
-    margin, fallback = cfg.epsilon / 64, cfg.epsilon ** 2
-    mp, mq = margin.numerator, margin.denominator
-    fp, fq = fallback.numerator, fallback.denominator
+    # the epsilon stop: margin mp/mq for the distance to the limit,
+    # estimated from the measured contraction ratio, and fallback fp/fq
+    mp, mq = (cfg.epsilon / 64).as_integer_ratio()
+    fp, fq = (cfg.epsilon ** 2).as_integer_ratio()
 
     cur = list(start)
-    pairs = [v.as_integer_ratio() for v in cur]
     prev: list | None = None
     pn, pd = 0, 0  # the previous iteration's largest step pn/pd; pd = 0 until one
     gridded = False
     for i in range(1, cfg.max_iterations + 1):
         nxt = operator(cur)
-        nxt_pairs = []
         dn, dd = 0, 1  # the largest step, as the integer fraction dn/dd
-        for s, (cn, cd) in enumerate(pairs):
-            n, d = nxt[s].as_integer_ratio()
+        for s, (cn, cd) in enumerate(cur):
+            n, d = nxt[s]
             if d > _DENOM_CAP:
                 gridded = True
                 # directional rounding: down for lfp, up for gfp (stay on
@@ -232,10 +238,9 @@ def _prob_kleene(operator: Callable, start: list, direction: str, cfg: EvalConfi
                 # the chain monotone
                 if (n * cd < cn << _GRID_BITS) if lfp else (n * cd > cn << _GRID_BITS):
                     nxt[s] = cur[s]
-                    nxt_pairs.append((cn, cd))
                     continue
-                nxt[s], d = Fraction(n, _DENOM_CAP), _DENOM_CAP
-            nxt_pairs.append((n, d))
+                d = _DENOM_CAP
+                nxt[s] = n, d
             # the chain rises for lfp and falls for gfp: the step is
             # step/(d*cd), negative when the chain turned back
             step = n * cd - cn * d if lfp else cn * d - n * cd
@@ -259,8 +264,8 @@ def _prob_kleene(operator: Callable, start: list, direction: str, cfg: EvalConfi
                 last = Fraction(dn, dd)
                 return KleeneResult(nxt, KleeneReport(i, last, last))
             pn, pd = dn, dd
-        prev, cur, pairs = cur, nxt, nxt_pairs
-    raise _no_fixpoint(cfg, names, cur, prev)
+        prev, cur = cur, nxt
+    raise _no_fixpoint(cfg, names, semiring.unpack(cur), prev and semiring.unpack(prev))
 
 
 def _exact_tropical(cm: CompiledModel) -> bool:
@@ -374,10 +379,10 @@ def _prob_linear_extent(cm: CompiledModel, direction: str) -> KleeneResult:
 
     scale, moves, const = [], [], []
     for i, row in enumerate(cm.rows):
-        lcd = lcm(*(w.denominator for w, _, _ in row))
+        lcd = lcm(*(d for (_, d), _, _ in row))
         out, b = {}, 0
-        for w, _, succs in row:
-            v = w.numerator * (lcd // w.denominator)
+        for (n, d), _, succs in row:
+            v = n * (lcd // d)
             if not v:
                 continue
             if succs:
@@ -395,7 +400,8 @@ def _prob_linear_extent(cm: CompiledModel, direction: str) -> KleeneResult:
     if direction == "gfp":
         value = [1 - v for v in value]
     zero = Fraction(0)
-    return KleeneResult(value, KleeneReport(solved, zero, zero))
+    # pairs of Fractions are in lowest terms, as the grid test needs
+    return KleeneResult(cm.semiring.pack(value), KleeneReport(solved, zero, zero))
 
 
 def default_promote_bound(model: Model, formula_size: int = 0) -> int:
@@ -425,14 +431,15 @@ def _extent(model: Model, cfg: EvalConfig, direction: str) -> KleeneResult:
     if _exact_linear(cm):
         return _prob_linear_extent(cm, direction)
     semiring = model.semiring
-    start = [semiring.one if direction == "gfp" else semiring.zero] * len(cm.states)
+    start = semiring.pack([semiring.one if direction == "gfp" else semiring.zero] * len(cm.states))
     bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)
     return kleene(semiring, cm.extent_step, start, direction, cfg, bound, names=cm.states)
 
 
 def _extent_result(model: Model, cfg: EvalConfig | None, direction: str) -> KleeneResult:
     res = _extent(model, cfg or EvalConfig(), direction)
-    return KleeneResult(dict(zip(model.compiled.states, res.values)), res.report)
+    return KleeneResult(dict(zip(model.compiled.states, model.semiring.unpack(res.values))),
+                        res.report)
 
 
 def nu_extent_result(model: Model, cfg: EvalConfig | None = None) -> KleeneResult:
@@ -462,7 +469,7 @@ class _EvalContext:
 
 
 def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> list:
-    """Denotation of `f` as a list; `nested` is set inside binder bodies."""
+    """Denotation of `f` as a kernel-form list; `nested` is set inside binder bodies."""
     cm, semiring = ctx.model.compiled, ctx.model.semiring
     if isinstance(f, Top):
         if ctx.top is None:
@@ -473,14 +480,7 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
             raise EvaluationError(f"unbound variable {f.name!r}")
         return env[f.name]
     if isinstance(f, WeightedSum):
-        parts = [(c, _eval(ctx, op, env, nested)) for c, op in f.terms]
-        out = []
-        for i, state in enumerate(cm.states):
-            total = semiring.sum([semiring.times(c, p[i]) for c, p in parts])
-            if total is UNDEFINED:
-                raise EvaluationError(f"weighted sum undefined at state {state!r}")
-            out.append(total)
-        return out
+        return semiring.weighted_sum(cm, [(c, _eval(ctx, op, env, nested)) for c, op in f.terms])
     if isinstance(f, Modal):
         args = [None] * len(cm.label_ids)
         for lbl, arglist in f.disjuncts:
@@ -490,7 +490,7 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
         return cm.step(args)
     if isinstance(f, (Mu, Nu)):
         if isinstance(f, Mu):
-            direction, start = "lfp", [semiring.zero] * len(cm.states)
+            direction, start = "lfp", semiring.pack([semiring.zero] * len(cm.states))
         else:
             direction, start = "gfp", _eval(ctx, TOP, env)
 
@@ -533,9 +533,10 @@ def eval_with_certificate(model: Model, formula: Formula,
         if bound is None:
             bound = default_promote_bound(model, size(formula))
     ctx = _EvalContext(model, cfg, bound)
-    states = model.compiled.states
-    env = {name: [pred[s] for s in states] for name, pred in (valuation or {}).items()}
-    values = _eval(ctx, formula, env)
+    states, semiring = model.compiled.states, model.semiring
+    env = {name: semiring.pack([pred[s] for s in states])
+           for name, pred in (valuation or {}).items()}
+    values = semiring.unpack(_eval(ctx, formula, env))
     return dict(zip(states, values)), None if ctx.top is None else ctx.top.report
 
 

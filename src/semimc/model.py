@@ -102,6 +102,7 @@ class Model:
         index = {s: i for i, s in enumerate(self.states)}
         label_ids = {l.name: j for j, l in enumerate(self.signature.labels)}
         arities = [l.arity for l in self.signature.labels]
+        pack = self.semiring.pack
         rows = []
         for c in self.states:
             row = []
@@ -110,12 +111,12 @@ class Model:
                 succs = tuple(index.get(s) for s in t.successors)
                 if lid is None or None in succs or arities[lid] != len(succs):
                     _raise_if_invalid(self)
-                row.append((t.weight, lid, tuple(enumerate(succs))))
+                row.append((pack([t.weight])[0], lid, tuple(enumerate(succs))))
             rows.append(tuple(row))
-        offsets = tuple(self.offsets[c] for c in self.states)
+        offsets = [self.offsets[c] for c in self.states]
         offset_ids = tuple(i for i, v in enumerate(offsets) if v != self.semiring.one)
         return CompiledModel(self.semiring, self.states, label_ids, max(arities),
-                             tuple(rows), offsets, offset_ids)
+                             tuple(rows), tuple(pack(offsets)), offset_ids)
 
     @property
     def is_plain(self) -> bool:
@@ -158,7 +159,7 @@ class CompiledModel:
     ``rows[i]`` holds one ``(weight, label id, successors)`` triple per
     transition of ``states[i]``, the successors as ``(argument position,
     state id)`` pairs; ``offset_ids`` lists the states whose offset is not
-    the semiring unit.
+    the semiring unit.  Values are in the kernel form (``Semiring.pack``).
     """
 
     semiring: Semiring
@@ -270,7 +271,10 @@ def parse_model(text: str) -> Model:
                 raise ts.error(f"duplicate label {name_tok[1]!r}", name_tok)
             if "." in ar_tok[1]:
                 raise ts.error("arity must be a natural number", ar_tok)
-            arities[name_tok[1]] = int(ar_tok[1])
+            try:
+                arities[name_tok[1]] = int(ar_tok[1])
+            except ValueError:  # more digits than int() converts
+                raise ts.error("arity is too large", ar_tok) from None
         elif tok[1] == "offset":
             name_tok = ts.expect("ident")
             ts.expect_symbol("=")

@@ -21,6 +21,8 @@ tropical family, and the first projection for booleans.
 
 ``step`` is the transition-step kernel of every fixpoint, written per
 instance with native operators instead of one method call per scalar.
+It runs on the kernel form (``pack``, ``unpack``): integer pairs
+``(numerator, denominator)`` on prob, the scalars themselves elsewhere.
 
 All values are immutable and all operations are pure, so semirings can be
 shared freely across concurrent evaluations.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import CarrierError, EvaluationError, ParseError
 
@@ -122,18 +125,32 @@ class Semiring:
         """Offset s by t: the order-infimum of {u | u * t above s}."""
         raise NotImplementedError
 
+    def pack(self, values) -> list:
+        """Scalars in the kernel form that `step`, `weighted_sum` and the
+        evaluator's fixpoints run on; `unpack` inverts it."""
+        return values
+
+    def unpack(self, values) -> list:
+        return values
+
     def step(self, cm, args) -> list:
         """One transition step on compiled model `cm`: per state, the sum
         over its transitions of the weight times each successor's value in
         its argument, offset by the state's scalar.  `args[label id]` holds
         one predicate (a list by state id) per argument position, or None
         to drop that label.  oslash(s, one) == s in every instance, so only
-        non-unit offsets are applied."""
+        non-unit offsets are applied.  Values, weights and offsets are in
+        the kernel form (`pack`): on prob, integer pairs, output reduced."""
         raise NotImplementedError
 
-    def _offset(self, cm, out: list) -> list:
-        for i in cm.offset_ids:
-            out[i] = self.oslash(out[i], cm.offsets[i])
+    def weighted_sum(self, cm, terms) -> list:
+        """Per state, the sum of c * p[state] over (scalar c, kernel-form p)."""
+        out = []
+        for i, state in enumerate(cm.states):
+            total = self.sum([self.times(c, p[i]) for c, p in terms])
+            if total is UNDEFINED:
+                raise EvaluationError(f"weighted sum undefined at state {state!r}")
+            out.append(total)
         return out
 
     def parse(self, text: str):
@@ -225,26 +242,54 @@ class ProbabilisticSemiring(Semiring):
             return Fraction(1)
         return min(Fraction(1), Fraction(s, 1) / t)
 
+    def pack(self, values):
+        """Integer pairs (n, d) for n/d, in lowest terms."""
+        return [v.as_integer_ratio() for v in values]
+
+    def unpack(self, values):
+        return [Fraction(n, d) for n, d in values]
+
     def step(self, cm, args):
-        # exact: each state's sum is kept as an integer fraction num/den
-        # and normalised once; terms are non-negative, so checking the
-        # total catches every partial sum above 1
+        # exact on integer pairs: each state's sum is kept as num/den and
+        # reduced once; terms are non-negative, so checking the total
+        # catches every partial sum above 1
         out = []
         for c, row in enumerate(cm.rows):
             num, den = 0, 1
-            for w, lid, succs in row:
+            for (n, d), lid, succs in row:
                 preds = args[lid]
                 if preds is not None:
-                    n, d = w.numerator, w.denominator
                     for k, s in succs:
-                        v = preds[k][s]
-                        n *= v.numerator
-                        d *= v.denominator
+                        vn, vd = preds[k][s]
+                        n *= vn
+                        d *= vd
                     num, den = num * d + n * den, den * d
             if num > den:
                 raise EvaluationError(f"transition sum undefined at state {cm.states[c]!r}")
-            out.append(Fraction(num, den))
-        return self._offset(cm, out)
+            g = gcd(num, den)
+            out.append((num // g, den // g))
+        for i in cm.offset_ids:
+            # oslash(s, t) = min(1, s/t), with 0 for s = 0 and 1 for t = 0
+            (sn, sd), (tn, td) = out[i], cm.offsets[i]
+            num, den = sn * td, sd * tn
+            g = gcd(num, den)
+            out[i] = (num // g, den // g) if num < den else ((1, 1) if num else (0, 1))
+        return out
+
+    def weighted_sum(self, cm, terms):
+        out = []
+        for i, state in enumerate(cm.states):
+            num, den = 0, 1
+            for c, p in terms:
+                n, d = p[i]
+                n *= c.numerator
+                d *= c.denominator
+                num, den = num * d + n * den, den * d
+            if num > den:
+                raise EvaluationError(f"weighted sum undefined at state {state!r}")
+            g = gcd(num, den)
+            out.append((num // g, den // g))
+        return out
 
     def parse(self, text):
         num, slash, den = text.partition("/")
@@ -308,7 +353,9 @@ class TropicalSemiring(Semiring):
                     if w < total:
                         total = w
             out.append(total)
-        return self._offset(cm, out)
+        for i in cm.offset_ids:
+            out[i] = self.oslash(out[i], cm.offsets[i])
+        return out
 
     def parse(self, text):
         if text == "inf":
@@ -372,14 +419,18 @@ def render_certified(value, descriptor: SemiringDescriptor, epsilon: Fraction) -
     Probabilistic values produced by converging iterations are printed as
     the simplest rational in [value - epsilon, value + epsilon] (clipped
     to [0, 1]), which recovers the exact value whenever the limit is a
-    small fraction; `simplest_in_interval` finds it with one iterative
-    integer descent.  Other semirings render exactly.
+    small fraction; the descent of `simplest_in_interval` finds it on
+    integers.  Other semirings render exactly.
     """
     if descriptor.kind != "probabilistic":
         return render_scalar(value, descriptor)
-    v = Fraction(value)
-    return str(simplest_in_interval(max(Fraction(0), v - epsilon),
-                                    min(Fraction(1), v + epsilon)))
+    vn, vd = value.as_integer_ratio()
+    en, ed = epsilon.as_integer_ratio()
+    lo, hi, den = vn * ed - en * vd, vn * ed + en * vd, vd * ed
+    if lo <= 0:
+        return "0"
+    p, q = _simplest(lo, den, min(hi, den), den)
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
 def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
@@ -403,8 +454,12 @@ def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
         return Fraction(0)
     if hi < 0:
         return -simplest_in_interval(-hi, -lo)
-    ln, ld = lo.as_integer_ratio()
-    hn, hd = hi.as_integer_ratio()
+    return Fraction(*_simplest(*lo.as_integer_ratio(), *hi.as_integer_ratio()))
+
+
+def _simplest(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:
+    """`simplest_in_interval` on 0 < ln/ld <= hn/hd, as a coprime pair;
+    the ends need not be in lowest terms."""
     p0, q0, p1, q1 = 0, 1, 1, 0
     while True:
         a, r = divmod(ln, ld)
@@ -415,4 +470,4 @@ def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
             break
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
         ln, ld, hn, hd = hd, hn - a * hd, ld, r
-    return Fraction(a * p1 + p0, a * q1 + q0)
+    return a * p1 + p0, a * q1 + q0

@@ -189,7 +189,7 @@ def _behaviour(model: Model, fragment: TraceFragment, leaf: list | None) -> list
     leaves take `leaf` (a list by state id) and each node is one kernel
     step over its label, with the children's values as arguments.
     Sub-fragment values are shared per call, keyed by identity, as
-    `enumerate_fragments` shares sub-trees."""
+    `enumerate_fragments` shares sub-trees; the steps run on the kernel form."""
     cm = model.compiled
     memo: dict = {}
 
@@ -197,7 +197,7 @@ def _behaviour(model: Model, fragment: TraceFragment, leaf: list | None) -> list
         v = memo.get(id(b))
         if v is None:
             if isinstance(b, TopLeaf):
-                v = leaf
+                v = model.semiring.pack(leaf)
             else:
                 args = [None] * len(cm.label_ids)
                 args[cm.label_ids[b.label]] = tuple(go(c) for c in b.children)
@@ -205,7 +205,7 @@ def _behaviour(model: Model, fragment: TraceFragment, leaf: list | None) -> list
             memo[id(b)] = v
         return v
 
-    return go(fragment)
+    return model.semiring.unpack(go(fragment))
 
 
 def lt(model: Model, state: str, fragment: TraceFragment, cfg: EvalConfig | None = None):

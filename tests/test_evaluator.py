@@ -18,6 +18,13 @@ from semimc.evaluator import leq_pointwise
 from randgen import DESCRIPTORS, random_model, random_qualitative_formula
 
 EPS = Fraction(1, 10**9)
+PROB = semiring_for(DESCRIPTORS["probabilistic"])
+
+
+def _on_pairs(fn):
+    """A kleene operator on integer pairs (the prob kernel form) from
+    `fn` on Fractions."""
+    return lambda p: PROB.pack(fn(PROB.unpack(p)))
 
 
 def close(pred, expected, tol=EPS):
@@ -140,12 +147,29 @@ def test_prob_linear_extent_matches_kleene(seed):
     for direction, res, start in (("lfp", mu_extent_result(m), sr.zero),
                                   ("gfp", nu_extent_result(m), sr.one)):
         x = [res.values[s] for s in cm.states]
-        assert cm.extent_step(x) == x
-        ref = kleene(sr, cm.extent_step, [start] * len(x), direction, cfg, names=cm.states)
-        for r, v in zip(ref.values, x):
+        assert cm.extent_step(sr.pack(x)) == sr.pack(x)
+        ref = kleene(sr, cm.extent_step, sr.pack([start] * len(x)), direction, cfg,
+                     names=cm.states)
+        for r, v in zip(sr.unpack(ref.values), x):
             assert (r <= v) if direction == "lfp" else (r >= v)
             assert abs(r - v) <= 2 * cfg.epsilon
         assert (res.report.last_delta, res.report.tail_bound) == (0, 0)
+
+
+def test_grid_test_sees_solver_values_in_lowest_terms():
+    # a 60-state ring, each state 1/2 a -> next and 1/6 e: the extent is
+    # exactly 1/3 in both directions, but the Bareiss determinant
+    # 6^60 - 3^60 exceeds the 2^128 grid.  T reaches the fixpoints below
+    # unchanged, so an unreduced solver pair would be snapped to the grid
+    # (mu X. T would then stop below 1/3)
+    n = 60
+    assert 6**n - 3**n > GRID
+    m = parse_model("semiring prob label a/1 label e/0 " + " ".join(
+        f"state s{i} {{ 1/2 a -> s{(i + 1) % n}; 1/6 e }}" for i in range(n)))
+    third = dict.fromkeys(m.states, Fraction(1, 3))
+    assert nu_extent(m) == third and mu_extent(m) == third
+    for text in ("nu X. T", "mu X. T", "nu X. 1 * T"):
+        assert eval_formula(m, parse_formula(text, m.signature, m.descriptor)) == third, text
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +236,32 @@ def test_kleene_non_convergence():
     ("max_iterations", 0, "max_iterations must be at least 1"),
     ("enum_cap", 0, "enum_cap must be at least 1"),
     ("enum_cap", -5, "enum_cap must be at least 1"),
+    # wrong types fail here, not later inside a chain or a range
+    ("epsilon", 0.001, "epsilon must be an int or a Fraction"),
+    ("epsilon", 1 / 64, "epsilon must be an int or a Fraction"),
+    ("epsilon", "1/64", "epsilon must be an int or a Fraction"),
+    ("max_iterations", 2.5, "max_iterations must be an int"),
+    ("max_iterations", "10", "max_iterations must be an int"),
+    ("enum_cap", 1e3, "enum_cap must be an int"),
+    ("promote_bound", 10.0, "promote_bound must be an int"),
 ])
 def test_eval_config_rejects_out_of_range(field, value, message):
-    with pytest.raises(ValueError, match=message):
+    # a value of the wrong type is a TypeError, one out of range a ValueError
+    error = TypeError if "must be an int" in message else ValueError
+    with pytest.raises(error, match=message):
         EvalConfig(**{field: value})
     assert getattr(EvalConfig(**{field: 1}), field) == 1
+
+
+def test_eval_config_int_epsilon_is_a_fraction(extent_prob):
+    # an int epsilon is stored as a Fraction, so the exact stop rule can
+    # divide it; epsilon = 1 certifies any value in [0, 1]
+    cfg = EvalConfig(epsilon=1)
+    assert type(cfg.epsilon) is Fraction and cfg.epsilon == 1
+    assert EvalConfig(promote_bound=None).promote_bound is None
+    f = parse_formula("mu X. ([a](T) | [b](X) | [c](X))",
+                      extent_prob.signature, extent_prob.descriptor)
+    assert set(eval_formula(extent_prob, f, cfg=cfg)) == set(extent_prob.states)
 
 
 def test_kleene_rejects_non_monotone_direction():
@@ -229,18 +274,19 @@ def test_kleene_rejects_non_monotone_direction():
 @pytest.mark.parametrize("direction, move", [("lfp", -1), ("gfp", 1)])
 def test_kleene_rejects_non_monotone_prob_chain(direction, move):
     # the second state steps against the direction on the first iteration
-    sr = semiring_for(DESCRIPTORS["probabilistic"])
     against = lambda p: [p[0], p[1] + move * Fraction(1, 8)]
-    start = [Fraction(1, 3), Fraction(1, 2)]
+    start = PROB.pack([Fraction(1, 3), Fraction(1, 2)])
     with pytest.raises(NonMonotoneChain, match=f"left the {direction} direction "
                                                r"at state 'bad' \(step 1\)"):
-        kleene(sr, against, start, direction, EvalConfig(), names=("ok", "bad"))
+        kleene(PROB, _on_pairs(against), start, direction, EvalConfig(), names=("ok", "bad"))
 
 
 # Probabilistic chains pinned bit for bit: values and KleeneReport fields
 # (iterations, last_delta, tail_bound) as recorded from the Fraction-based
 # bookkeeping that the integer one replaced.  Each chain ends on a
-# different exit of the probabilistic pass.
+# different exit of the probabilistic pass.  kleene iterates integer
+# pairs on prob, so the calls convert their start, operator and values;
+# the pinned numbers are Fractions as before.
 
 RING = "semiring prob label a/1 label e/0 state u { 9/10 a -> u; %s e }"
 THIRDS = ("semiring prob label a/1 label e/0 "
@@ -249,7 +295,7 @@ GRID = 1 << 128
 
 
 def _named(res: KleeneResult, names=("s",)) -> KleeneResult:
-    return KleeneResult(dict(zip(names, res.values)), res.report)
+    return KleeneResult(dict(zip(names, PROB.unpack(res.values))), res.report)
 
 
 def _kleene_extent(text, direction, cfg=None, force_exact=False):
@@ -257,7 +303,7 @@ def _kleene_extent(text, direction, cfg=None, force_exact=False):
     # exactly, so the pinned chains call kleene on the extent step
     m = parse_model(text)
     s = Fraction(0) if direction == "lfp" else Fraction(1)
-    res = kleene(m.semiring, m.compiled.extent_step, [s] * len(m.states), direction,
+    res = kleene(m.semiring, m.compiled.extent_step, PROB.pack([s] * len(m.states)), direction,
                  cfg or EvalConfig(), force_exact=force_exact, names=m.compiled.states)
     return _named(res, m.compiled.states)
 
@@ -266,8 +312,8 @@ def _off_grid(direction):
     # from 1/3, off the grid, one tiny step towards the limit snaps past
     # the start and is clamped back to it
     step = Fraction(1, 3**100) * (1 if direction == "lfp" else -1)
-    return _named(kleene(semiring_for(DESCRIPTORS["probabilistic"]),
-                         lambda p: [p[0] + step], [Fraction(1, 3)], direction, EvalConfig()))
+    return _named(kleene(PROB, _on_pairs(lambda p: [p[0] + step]), PROB.pack([Fraction(1, 3)]),
+                         direction, EvalConfig()))
 
 
 def _erratic():
@@ -276,9 +322,8 @@ def _erratic():
     # the first step below epsilon^2
     chain = [Fraction(0), Fraction(1, 4), Fraction(3, 8), Fraction(39, 100), Fraction(81, 200),
              Fraction(41, 100), 1]
-    return _named(kleene(semiring_for(DESCRIPTORS["probabilistic"]),
-                         lambda p: [chain[chain.index(p[0]) + 1]], [Fraction(0)], "lfp",
-                         EvalConfig(epsilon=Fraction(1, 10))))
+    return _named(kleene(PROB, _on_pairs(lambda p: [chain[chain.index(p[0]) + 1]]),
+                         PROB.pack([Fraction(0)]), "lfp", EvalConfig(epsilon=Fraction(1, 10))))
 
 
 PINNED_CHAINS = {

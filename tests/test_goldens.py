@@ -45,6 +45,9 @@ MODEL_ERRORS = [
      ParseError, "1:15: expected number, got ''", 1, 15),
     ('decimal-arity', 'semiring bool label a/1.5',
      ParseError, '1:23: arity must be a natural number', 1, 23),
+    # more digits than int() converts (4300 by default)
+    ('huge-arity', 'semiring bool label a/' + '9' * 5000,
+     ParseError, '1:23: arity is too large', 1, 23),
     ('empty', '',
      ParseError, "1:1: expected identifier, got ''", 1, 1),
     ('comment-only', '# only a comment\n   # and another',

@@ -1,9 +1,14 @@
-"""The compiled model form and the per-semiring transition-step kernel."""
+"""The compiled model form and the per-semiring transition-step kernel.
+
+The kernel runs on the semiring's kernel form (`Semiring.pack`): integer
+pairs on the probabilistic semiring, the scalars themselves elsewhere.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -46,6 +51,15 @@ def random_offsets(rng, model):
     return model.with_offsets(offsets)
 
 
+def check_kernel_form(kind, out):
+    # prob values are pairs (n, d) in lowest terms with 0 <= n <= d, so
+    # the evaluator's grid test sees the normalised denominator
+    if kind == "probabilistic":
+        for v in out:
+            n, d = v
+            assert type(n) is int and type(d) is int and 0 <= n <= d and gcd(n, d) == 1, v
+
+
 @pytest.mark.parametrize("kind", sorted(DESCRIPTORS))
 def test_step_matches_naive_fold_on_random_models(kind):
     rng = random.Random(f"kernel:{kind}")
@@ -65,17 +79,49 @@ def test_step_matches_naive_fold_on_random_models(kind):
         want = naive_step(m, args)
         kernel_args = [None] * len(cm.label_ids)
         for name, preds in args.items():
-            kernel_args[cm.label_ids[name]] = tuple([p[s] for s in m.states] for p in preds)
-        got = dict(zip(m.states, cm.step(kernel_args)))
+            kernel_args[cm.label_ids[name]] = tuple(m.semiring.pack([p[s] for s in m.states])
+                                                    for p in preds)
+        out = cm.step(kernel_args)
+        check_kernel_form(kind, out)
+        got = dict(zip(m.states, m.semiring.unpack(out)))
         assert got == want, (m, args)
         infinite += INF in got.values()
         # the extent operator is the step with every label, all arguments p
         p = dict(zip(m.states, carrier_values(d, rng, len(m.states))))
         everything = {l.name: (p,) * l.arity for l in m.signature.labels}
-        assert cm.extent_step([p[s] for s in m.states]) == list(naive_step(m, everything).values())
+        x = m.semiring.pack([p[s] for s in m.states])
+        if kind == "probabilistic":  # inputs need not be in lowest terms
+            x = [(3 * n, 3 * d) for n, d in x]
+        out = cm.extent_step(x)
+        check_kernel_form(kind, out)
+        assert m.semiring.unpack(out) == list(naive_step(m, everything).values())
     assert deadlocks and unit_offsets
     if kind in ("tropical", "bounded_tropical"):
         assert infinite
+
+
+def test_prob_weighted_sum_on_pairs():
+    # the WeightedSum clause on the prob kernel form: per state the exact
+    # sum of c * p, as a pair in lowest terms, or an error above 1
+    rng = random.Random("kernel:weighted-sum")
+    d = DESCRIPTORS["probabilistic"]
+    undefined = 0
+    for _ in range(100):
+        m = random_model(rng, d, max_states=5, max_arity=1)
+        cm, sr, n = m.compiled, m.semiring, len(m.states)
+        terms = [(c, carrier_values(d, rng, n)) for c in carrier_values(d, rng, rng.randint(1, 3))]
+        want = [sum(c * p[i] for c, p in terms) for i in range(n)]
+        # inputs need not be in lowest terms
+        packed = [(c, [(2 * a, 2 * b) for a, b in sr.pack(p)]) for c, p in terms]
+        if max(want) > 1:
+            undefined += 1
+            with pytest.raises(EvaluationError, match="weighted sum undefined at state"):
+                sr.weighted_sum(cm, packed)
+            continue
+        out = sr.weighted_sum(cm, packed)
+        check_kernel_form("probabilistic", out)
+        assert sr.unpack(out) == want
+    assert undefined
 
 
 SIG = Signature((Label("a", 1), Label("b", 1)))
