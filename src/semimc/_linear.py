@@ -1,17 +1,18 @@
 """Exact least solutions of nonnegative linear systems.
 
 The system is scale[i] * x_i = sum_j moves[i][j] * x_j + const[i] over
-naturals, with sum_j moves[i][j] + const[i] <= scale[i] in every row:
-x = A x + b for a substochastic A, as the extent step of a probabilistic
-model whose transitions have at most one successor (see
-``evaluator._prob_linear_extent``).  Its least solution is the limit of
-the Kleene chain from 0, and this module computes it exactly (Baier &
-Katoen, Principles of Model Checking, 10.1.1):
+naturals, x = A x + b with A, b >= 0, whose Kleene chain from 0 is
+bounded: the extent step of a probabilistic model whose transitions have
+at most one successor, or a fixpoint formula affine in its variable (see
+``evaluator._affine_fixpoint``).  Its least solution is the limit of that
+chain, and this module computes it exactly (Baier & Katoen, Principles
+of Model Checking, 10.1.1):
 
 * states that reach no positive constant are 0 (a reverse graph search);
-* on the rest I - A is a nonsingular M-matrix, solved one strongly
-  connected component at a time (Tarjan), components reached first, so
-  solved successors are constants;
+* on the rest I - A is a nonsingular M-matrix (a bounded chain leaves no
+  component of spectral radius at least 1 that reaches a positive constant),
+  solved one strongly connected component at a time (Tarjan),
+  components reached first, so solved successors are constants;
 * each component is solved by fraction-free Bareiss elimination on sparse
   integer rows.
 

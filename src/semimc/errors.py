@@ -3,6 +3,13 @@
 from __future__ import annotations
 
 
+def quote(token: str) -> str:
+    """`token` as error messages show it: repr, clipped past 32 characters."""
+    if len(token) <= 32:
+        return repr(token)
+    return f"{token[:32]!r}... ({len(token)} characters)"
+
+
 class SemimcError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -16,24 +16,26 @@ with a per-semiring stop rule:
   Promotion only arises on chains that increase towards the numeric
   supremum; decreasing chains over the naturals stabilise on their own.
 
-Two kinds of extent (the embedded extent behind T included) are not
-iterated, so they never depend on ``promote_bound``, ``max_iterations``
-or the epsilon stop:
+Two kinds of fixpoint block are not iterated, so they never depend on
+``promote_bound``, ``max_iterations`` or the epsilon stop:
 
-* offset-free tropical and bounded tropical models: ``_trop_extent``
-  solves them exactly with Knuth's generalisation of Dijkstra's
-  algorithm;
-* offset-free probabilistic models whose transitions have at most one
-  successor: the extent step is affine, and ``_prob_linear_extent``
-  solves the linear system exactly with ``_linear.least_solution`` (a
-  graph pre-pass, then fraction-free Bareiss elimination one strongly
-  connected component at a time).
+* extents (the embedded extent behind T included) of offset-free
+  tropical and bounded tropical models: ``_trop_extent`` solves them
+  exactly with Knuth's generalisation of Dijkstra's algorithm;
+* probabilistic blocks affine in their variable on offset-free models:
+  ``_affine_fixpoint`` solves x = A x + c exactly with
+  ``_linear.least_solution`` (a graph pre-pass, then fraction-free
+  Bareiss elimination one strongly connected component at a time).  The
+  extent is one when every transition has at most one successor; a
+  formula binder is one when its variable occurs only as a summand or as
+  a whole modal argument, at most one per disjunct (``_affine_nodes``).
 
 Kleene iteration remains for models with offsets (truncated subtraction
 is not a superior function, and the probabilistic offset divides), for
-probabilistic branching, and for the fixpoints of formulas; ``kleene``
-stays the reference both solvers are tested against.  No setting chooses
-between solver and chain: the model's shape does.
+the other probabilistic blocks and the other semirings' formula
+fixpoints; ``kleene`` stays the reference both solvers are tested
+against.  No setting chooses between solver and chain: the shape of the
+model and of the formula does.
 
 The constant T denotes the greatest extent.  A query computes it at most
 once, on first use, by ``_extent``, the routine behind ``extent --nu``
@@ -41,7 +43,8 @@ once, on first use, by ``_extent``, the routine behind ``extent --nu``
 bit.  Greatest fixpoints of formulas are seeded at T, while the extent
 computation itself is seeded at the constant-one predicate (the lattice
 top).  Nesting is lexical: ``_eval`` marks binder bodies as nested, and
-fixpoints inside them run with ``force_exact`` (see ``kleene``).
+fixpoints inside them that still iterate run with ``force_exact`` (see
+``kleene``).
 
 The extent operator, the Modal clause and T all run through one
 transition-step kernel per semiring (``Semiring.step``) on the model's
@@ -58,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import gcd, lcm
 from operator import ge, le
 from typing import Callable, Literal
 
@@ -168,7 +171,8 @@ def kleene(semiring: Semiring,
     the denominator grid instead of the epsilon stop.  The evaluator sets
     it for fixpoints nested lexically inside another binder's body: their
     stopping noise would otherwise swamp the enclosing chain's progress
-    and defeat its contraction estimate.  T is not such a fixpoint: it is
+    and defeat its contraction estimate (affine blocks are solved exactly
+    instead, see `_affine_fixpoint`).  T is not such a fixpoint: it is
     the greatest extent, computed once per query, exactly where `_extent`
     can and otherwise with the epsilon stop.
     """
@@ -230,16 +234,18 @@ def _prob_kleene(semiring: Semiring, operator: Callable, start: list, direction:
                 gridded = True
                 # directional rounding: down for lfp, up for gfp (stay on
                 # the start's side of the limit)
-                n, r = divmod(n << _GRID_BITS, d)
+                g, r = divmod(n << _GRID_BITS, d)
                 if r and not lfp:
-                    n += 1
+                    g += 1
                 # rounding can overshoot the previous iterate by one grid
                 # step when that iterate sits off the grid; clamp to keep
-                # the chain monotone
-                if (n * cd < cn << _GRID_BITS) if lfp else (n * cd > cn << _GRID_BITS):
+                # the chain monotone, unless the value itself turned back
+                if (g * cd < cn << _GRID_BITS) if lfp else (g * cd > cn << _GRID_BITS):
+                    if (n * cd < cn * d) if lfp else (n * cd > cn * d):
+                        raise _left_direction(direction, names[s], i)
                     nxt[s] = cur[s]
                     continue
-                d = _DENOM_CAP
+                n, d = g, _DENOM_CAP
                 nxt[s] = n, d
             # the chain rises for lfp and falls for gfp: the step is
             # step/(d*cd), negative when the chain turned back
@@ -353,55 +359,108 @@ def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
     return KleeneResult(value, KleeneReport(settled, promoted=promoted))
 
 
-def _exact_linear(cm: CompiledModel) -> bool:
-    """True when `_prob_linear_extent` solves the extent of `cm` exactly."""
-    return (cm.semiring.kind == "probabilistic" and not cm.offset_ids
-            and all(len(succs) <= 1 for row in cm.rows for _, _, succs in row))
+def _step_terms(cm: CompiledModel, args: list) -> list | None:
+    """`cm.step(args)` as an affine map of a variable x, where a None
+    argument position stands for x: per state, terms (n, d, j) for
+    n/d * x_j, with j = -1 for the constant n/d.  None when a transition
+    has x at two successors, which makes the map quadratic."""
+    out = []
+    for row in cm.rows:
+        terms = []
+        for (n, d), lid, succs in row:
+            preds = args[lid]
+            if preds is None:
+                continue
+            j = -1
+            for k, s in succs:
+                if preds[k] is None:
+                    if j >= 0:
+                        return None
+                    j = s
+                else:
+                    vn, vd = preds[k][s]
+                    n *= vn
+                    d *= vd
+            if n:
+                terms.append((n, d, j))
+        out.append(terms)
+    return out
 
 
-def _prob_linear_extent(cm: CompiledModel, direction: str) -> KleeneResult:
-    """Exact extent of an offset-free probabilistic model in which every
-    transition has at most one successor.
+def _affine_fixpoint(terms: list, top: list | None) -> tuple[list, int] | None:
+    """The fixpoint of the prob affine map f(x) = A x + c in `terms`
+    (see `_step_terms`), exactly: the least when `top` is None, else the
+    greatest below `top`.  Returns pairs and the states solved by
+    elimination, or None when the check fails and the chain must run.
 
-    The extent step is then affine, x = A x + b: A sums the weights of
-    the moves from i to j, b those of the nullary transitions.  The lfp
-    is the least solution of that system.  Writing lost = 1 - (row mass),
-    1 - x solves y = A y + lost, so the gfp is 1 minus its least
-    solution.  Each row is scaled by the common denominator of its
-    weights, so A and b are integers, and `_linear.least_solution` solves
-    the system exactly.  A row of mass above 1 is an error, as in the
-    step.  The report counts the states solved by elimination as
-    iterations, with zero delta and tail.
+    The lfp solves x = A x + c, if A 1 + c <= 1 (the chain from 0 stays
+    in [0, 1]).  The gfp is top - y, y the lfp of y = A y + top - f(top),
+    if top - f(top) >= 0 (else the chain from `top` rises); its chain
+    stays below `top`.  Both chains are bounded, as `least_solution`
+    needs.  Sums inside f are checked by `_block_terms`.
     """
     # imported on first use: with no bytecode cache, every process that
     # imports semimc would otherwise compile the solver
     from ._linear import least_solution
 
     scale, moves, const = [], [], []
-    for i, row in enumerate(cm.rows):
-        lcd = lcm(*(d for (_, d), _, _ in row))
-        out, b = {}, 0
-        for (n, d), _, succs in row:
+    for i, row in enumerate(terms):
+        if top is None:
+            lcd, b = lcm(*(d for _, d, _ in row)), 0
+        else:  # the y system: the same moves, constant top - f(top)
+            tn, td = top[i]
+            lcd = lcm(td, *(d * top[j][1] if j >= 0 else d for _, d, j in row))
+            b = tn * (lcd // td)
+        out = {}
+        for n, d, j in row:
             v = n * (lcd // d)
-            if not v:
-                continue
-            if succs:
-                j = succs[0][1]
-                out[j] = out.get(j, 0) + v
+            if j < 0:
+                b += v if top is None else -v
             else:
-                b += v
-        mass = b + sum(out.values())
-        if mass > lcd:
-            raise EvaluationError(f"transition sum undefined at state {cm.states[i]!r}")
+                out[j] = out.get(j, 0) + v
+                if top is not None:  # d * top[j][1] divides lcd
+                    tn, td = top[j]
+                    b -= v * tn // td
+        if b < 0 or (top is None and b + sum(out.values()) > lcd):
+            return None
         scale.append(lcd)
         moves.append(out)
-        const.append(lcd - mass if direction == "gfp" else b)
+        const.append(b)
     value, solved = least_solution(scale, moves, const)
-    if direction == "gfp":
-        value = [1 - v for v in value]
-    zero = Fraction(0)
-    # pairs of Fractions are in lowest terms, as the grid test needs
-    return KleeneResult(cm.semiring.pack(value), KleeneReport(solved, zero, zero))
+    # pairs in lowest terms, as the grid test needs
+    pairs = [v.as_integer_ratio() for v in value]
+    if top is not None:  # x = top - y
+        for i, ((tn, td), (p, q)) in enumerate(zip(top, pairs)):
+            n, d = tn * q - p * td, td * q
+            g = gcd(n, d)
+            pairs[i] = n // g, d // g
+    return pairs, solved
+
+
+def _affine_nodes(body: Formula, var: str) -> set[int] | None:
+    """The ids of the subformulas of `body` that mention `var` if `body`
+    is affine in it, else None: `var` occurs only as a summand, possibly
+    under sums, or as a whole modal argument, at most one per disjunct."""
+    dependent = set()
+
+    def walk(f) -> int:  # 0: no var, 1: affine in it, 2: not affine
+        r = 0
+        if isinstance(f, Var):
+            r = int(f.name == var)
+        elif isinstance(f, WeightedSum):
+            r = max([walk(g) for _, g in f.terms], default=0)
+        elif isinstance(f, Modal):
+            for _, args in f.disjuncts:
+                deps = [a for a in args if walk(a)]
+                if deps:
+                    r = max(r, 1 if len(deps) == 1 and isinstance(deps[0], Var) else 2)
+        elif isinstance(f, (Mu, Nu)):
+            r = 2 if walk(f.body) else 0
+        if r:
+            dependent.add(id(f))
+        return r
+
+    return dependent if walk(body) < 2 else None
 
 
 def default_promote_bound(model: Model, formula_size: int = 0) -> int:
@@ -428,9 +487,14 @@ def _extent(model: Model, cfg: EvalConfig, direction: str) -> KleeneResult:
     cm = model.compiled
     if _exact_tropical(cm):
         return _trop_extent(cm, direction)
-    if _exact_linear(cm):
-        return _prob_linear_extent(cm, direction)
     semiring = model.semiring
+    if semiring.kind == "probabilistic" and not cm.offset_ids:
+        # the block whose body is every label with the variable in every position
+        terms = _step_terms(cm, [(None,) * cm.max_arity] * len(cm.label_ids))
+        top = [(1, 1)] * len(cm.states) if direction == "gfp" else None
+        res = terms is not None and _affine_fixpoint(terms, top)
+        if res:
+            return KleeneResult(res[0], KleeneReport(res[1], Fraction(0), Fraction(0)))
     start = semiring.pack([semiring.one if direction == "gfp" else semiring.zero] * len(cm.states))
     bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)
     return kleene(semiring, cm.extent_step, start, direction, cfg, bound, names=cm.states)
@@ -493,6 +557,12 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
             direction, start = "lfp", semiring.pack([semiring.zero] * len(cm.states))
         else:
             direction, start = "gfp", _eval(ctx, TOP, env)
+        if semiring.kind == "probabilistic" and not cm.offset_ids:
+            dependent = _affine_nodes(f.body, f.var)
+            terms = None if dependent is None else _block_terms(ctx, f.body, dependent, env)
+            res = terms is not None and _affine_fixpoint(terms, start if direction == "gfp" else None)
+            if res:
+                return res[0]
 
         def op(p: list) -> list:
             return _eval(ctx, f.body, {**env, f.var: p}, True)
@@ -500,6 +570,41 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
         return kleene(semiring, op, start, direction, ctx.cfg, ctx.promote_bound,
                       force_exact=nested, names=cm.states).values
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _block_terms(ctx: _EvalContext, f: Formula, dependent: set[int], env: dict) -> list | None:
+    """`f`, in a binder body affine in its variable, as `_step_terms`
+    terms; subformulas not in `dependent` (`_affine_nodes`) are evaluated
+    once, as nested, and become constants.  None when a sum or modality
+    in `f` exceeds 1 at x = 1 (only on a model or formula that validation
+    rejects), so that the chain runs and raises where its sum does."""
+    cm = ctx.model.compiled
+    if id(f) not in dependent:
+        return [[(n, d, -1)] if n else [] for n, d in _eval(ctx, f, env, True)]
+    if isinstance(f, Var):  # the variable itself
+        return [[(1, 1, i)] for i in range(len(cm.states))]
+    if isinstance(f, WeightedSum):
+        out = [[] for _ in cm.states]
+        for c, g in f.terms:
+            p, q = c.as_integer_ratio()
+            subs = _block_terms(ctx, g, dependent, env)
+            if subs is None:
+                return None
+            for terms, sub in zip(out, subs):
+                terms += [(p * n, q * d, j) for n, d, j in sub if p]
+    else:  # a Modal whose dependent arguments are the variable itself
+        args = [None] * len(cm.label_ids)
+        for lbl, arglist in f.disjuncts:
+            preds = tuple(None if id(a) in dependent else _eval(ctx, a, env, True)
+                          for a in arglist)
+            if lbl in cm.label_ids:
+                args[cm.label_ids[lbl]] = preds
+        out = _step_terms(cm, args)
+    for row in out or ():
+        lcd = lcm(*(d for _, d, _ in row))
+        if sum(n * (lcd // d) for n, d, _ in row) > lcd:
+            return None
+    return out
 
 
 def _check_valuation(model: Model, valuation: dict[str, Predicate] | None):

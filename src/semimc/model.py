@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._lex import TokenStream
-from .errors import ValidationError
+from .errors import ValidationError, quote
 from .semiring import Semiring, SemiringDescriptor, UNDEFINED, semiring_for
 
 
@@ -195,7 +195,7 @@ def _parse_descriptor(ts: TokenStream) -> SemiringDescriptor:
         try:
             bound = int(btok[1])
         except ValueError:
-            raise ts.error(f"bad bound {btok[1]!r}", btok) from None
+            raise ts.error(f"bad bound {quote(btok[1])}", btok) from None
         if bound < 1:
             raise ts.error("bound must be at least 1", btok)
         return SemiringDescriptor("bounded_tropical", bound)

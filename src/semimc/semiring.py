@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import CarrierError, EvaluationError, ParseError
+from .errors import CarrierError, EvaluationError, ParseError, quote
 
 INF = float("inf")
 
@@ -211,7 +211,7 @@ class BooleanSemiring(Semiring):
             return 0
         if text == "1":
             return 1
-        raise ParseError(f"boolean scalar must be 0 or 1, got {text!r}")
+        raise ParseError(f"boolean scalar must be 0 or 1, got {quote(text)}")
 
     def render(self, v):
         return str(v)
@@ -300,9 +300,9 @@ class ProbabilisticSemiring(Semiring):
                     return Fraction(n, d)
             v = Fraction(text)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad probabilistic scalar {text!r}") from None
+            raise ParseError(f"bad probabilistic scalar {quote(text)}") from None
         if not 0 <= v <= 1:
-            raise CarrierError(f"probability {text!r} outside [0, 1]")
+            raise CarrierError(f"probability {quote(text)} outside [0, 1]")
         return v
 
     def render(self, v):
@@ -363,11 +363,11 @@ class TropicalSemiring(Semiring):
         try:
             v = int(text)
         except ValueError:
-            raise ParseError(f"bad tropical scalar {text!r}") from None
+            raise ParseError(f"bad tropical scalar {quote(text)}") from None
         if v < 0:
-            raise CarrierError(f"tropical scalar {text!r} is negative")
+            raise CarrierError(f"tropical scalar {quote(text)} is negative")
         if v > self.bound:
-            raise CarrierError(f"scalar {text!r} exceeds bound {self.bound}")
+            raise CarrierError(f"scalar {quote(text)} exceeds bound {self.bound}")
         return v
 
     def render(self, v):

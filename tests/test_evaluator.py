@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semimc import (INF, EvalConfig, KleeneResult, Label, Model, NonConvergence,
-                    NonMonotoneChain, EvaluationError, Modal, SemiringDescriptor, Signature,
-                    Transition, Var, eval_formula, eval_with_certificate, kleene,
+from semimc import (BOT, INF, TOP, EvalConfig, KleeneResult, Label, Model, Mu, Nu,
+                    NonConvergence, NonMonotoneChain, EvaluationError, Modal,
+                    SemiringDescriptor, Signature, Transition, Var, WeightedSum,
+                    eval_formula, eval_with_certificate, kleene,
                     mu_extent, mu_extent_result, nu_extent, nu_extent_result,
                     parse_formula, parse_model, semiring_for)
+from semimc import evaluator
 from semimc.evaluator import leq_pointwise
-from randgen import DESCRIPTORS, random_model, random_qualitative_formula
+from randgen import (DESCRIPTORS, _prob_weights, carrier_values, random_model,
+                     random_qualitative_formula)
 
 EPS = Fraction(1, 10**9)
 PROB = semiring_for(DESCRIPTORS["probabilistic"])
@@ -156,6 +160,73 @@ def test_prob_linear_extent_matches_kleene(seed):
         assert (res.report.last_delta, res.report.tail_bound) == (0, 0)
 
 
+def _affine_body(rng: random.Random, signature: Signature, free: list[str]):
+    """A random body affine in X: X as a summand or as a whole modal
+    argument, at most one per disjunct.  The other leaves are T, F, the
+    free variables and one-step modalities of T."""
+    def const():
+        label = rng.choice(signature.labels)
+        return rng.choice([TOP, BOT, *map(Var, free),
+                           Modal(((label.name, (TOP,) * label.arity),))])
+
+    def modal():
+        disjuncts = []
+        for label in rng.sample(signature.labels, rng.randint(1, min(2, len(signature.labels)))):
+            x = rng.randrange(label.arity) if label.arity and rng.random() < 0.8 else -1
+            disjuncts.append((label.name, tuple(Var("X") if k == x else const()
+                                                for k in range(label.arity))))
+        return Modal(tuple(disjuncts))
+
+    if rng.random() < 0.4:
+        return modal()
+    parts = [Var("X"), modal(), const()]
+    rng.shuffle(parts)
+    parts = parts[:rng.randint(1, 3)]
+    return WeightedSum(tuple(zip(_prob_weights(rng, len(parts)), parts)))
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_affine_binders_match_kleene(seed):
+    # mu and nu binders whose body is affine in their variable are solved
+    # exactly on offset-free prob models: the value is a fixpoint of the
+    # body, within 2 epsilon of the Kleene chain, and the force_exact
+    # chain stays on its own side of it (below the lfp, above the gfp)
+    rng = random.Random(seed)
+    m = random_model(rng, DESCRIPTORS["probabilistic"], max_states=5, max_arity=2)
+    cm, sr, cfg = m.compiled, m.semiring, EvalConfig()
+    free = ["Z"] if rng.random() < 0.5 else []
+    valuation = {z: dict(zip(cm.states, carrier_values(m.descriptor, rng, len(cm.states))))
+                 for z in free}
+    body = _affine_body(rng, m.signature, free)
+    assert evaluator._affine_nodes(body, "X") is not None
+    ctx = evaluator._EvalContext(m, cfg, None)
+    env = {z: sr.pack([p[s] for s in cm.states]) for z, p in valuation.items()}
+
+    def op(p):
+        return evaluator._eval(ctx, body, {**env, "X": p})
+
+    for binder, direction in ((Mu, "lfp"), (Nu, "gfp")):
+        start = (sr.pack([sr.zero] * len(cm.states)) if binder is Mu
+                 else evaluator._eval(ctx, TOP, env))
+        try:
+            x = eval_formula(m, binder("X", body), valuation, cfg)
+        except NonMonotoneChain:
+            # body(T) > T somewhere: the chain from T rises there
+            assert binder is Nu
+            with pytest.raises(NonMonotoneChain):
+                kleene(sr, op, start, direction, cfg, names=cm.states)
+            continue
+        assert eval_formula(m, body, {**valuation, "X": x}, cfg) == x
+        # pairs in lowest terms, as the grid test of an enclosing chain needs
+        assert all(gcd(n, d) == 1 for n, d in evaluator._eval(ctx, binder("X", body), env))
+        ref = kleene(sr, op, start, direction, cfg, names=cm.states)
+        grid = kleene(sr, op, start, direction, cfg, force_exact=True, names=cm.states)
+        for s, r, g in zip(cm.states, sr.unpack(ref.values), sr.unpack(grid.values)):
+            assert abs(r - x[s]) <= 2 * cfg.epsilon
+            assert (g <= x[s]) if binder is Mu else (g >= x[s])
+
+
 def test_grid_test_sees_solver_values_in_lowest_terms():
     # a 60-state ring, each state 1/2 a -> next and 1/6 e: the extent is
     # exactly 1/3 in both directions, but the Bareiss determinant
@@ -271,10 +342,16 @@ def test_kleene_rejects_non_monotone_direction():
         kleene(sr, flip, [0], "gfp", EvalConfig())
 
 
-@pytest.mark.parametrize("direction, move", [("lfp", -1), ("gfp", 1)])
-def test_kleene_rejects_non_monotone_prob_chain(direction, move):
-    # the second state steps against the direction on the first iteration
-    against = lambda p: [p[0], p[1] + move * Fraction(1, 8)]
+@pytest.mark.parametrize("direction, move, size", [
+    ("lfp", -1, Fraction(1, 8)), ("gfp", 1, Fraction(1, 8)),
+    ("lfp", -1, Fraction(1, 8) + Fraction(1, 3**100)),
+    ("gfp", 1, Fraction(1, 8) + Fraction(1, 3**100)),
+], ids=["lfp--1", "gfp-1", "lfp--1-off-grid", "gfp-1-off-grid"])
+def test_kleene_rejects_non_monotone_prob_chain(direction, move, size):
+    # the second state steps against the direction on the first iteration;
+    # off the grid (denominator past 2^128), rounding must not clamp the
+    # step back to the previous iterate
+    against = lambda p: [p[0], p[1] + move * size]
     start = PROB.pack([Fraction(1, 3), Fraction(1, 2)])
     with pytest.raises(NonMonotoneChain, match=f"left the {direction} direction "
                                                r"at state 'bad' \(step 1\)"):
@@ -380,10 +457,10 @@ def test_prob_chain_pinned(name):
 
 def test_prob_nested_chains_pinned(counterexample_prob, monkeypatch):
     # T is solved exactly (every state keeps its mass, so the pre-pass
-    # sets all four to 1 and no state is left to eliminate); the outer nu
-    # stops on the fallback after one step; the inner mu runs force_exact
-    # to stabilisation on the grid
-    from semimc import evaluator
+    # sets all four to 1 and no state is left to eliminate).  The inner mu
+    # is affine in Y with [a](X) a constant, so it is solved exactly and
+    # runs no chain; the outer nu, whose body is a binder mentioning X,
+    # still iterates and stabilises on its first step at the exact value
     chains = []
 
     def recording(*args, **kwargs):
@@ -397,21 +474,19 @@ def test_prob_nested_chains_pinned(counterexample_prob, monkeypatch):
     m = counterexample_prob
     f = parse_formula("nu X. mu Y. ([a](X) | [b](Y) | [c](Y))", m.signature, m.descriptor)
     values, top = eval_with_certificate(m, f)
-    assert values == {"x": Fraction(GRID // 2 - 1, GRID // 2), "y": Fraction(GRID - 3, GRID),
-                      "u": Fraction(GRID // 2 - 3, GRID // 2), "v": Fraction(GRID - 7, GRID)}
+    assert values == dict.fromkeys(("x", "y", "u", "v"), Fraction(1))
     assert (top.iterations, top.last_delta, top.tail_bound) == (0, 0, 0)
-    assert chains == [("lfp", True, 943, 0, Fraction(1, 1 << 100)),
-                      ("gfp", False, 1, Fraction(7, GRID), Fraction(7, GRID))]
+    assert chains == [("gfp", False, 1, 0, 0)]
 
 
 @pytest.mark.parametrize("formula", [
-    "nu X. 1 * (mu Y. ([a](X) | [b](Y) | [c](Y)))",
-    "nu X. [a](mu Y. ([a](X) | [b](Y) | [c](Y))) | [b](X) | [c](X)",
+    "nu X. 1 * (mu Y. ([a](X) | [b](Y) | [c](1 * Y)))",
+    "nu X. [a](mu Y. ([a](X) | [b](Y) | [c](1 * Y))) | [b](X) | [c](X)",
 ])
 def test_binders_under_sums_and_modalities_are_nested(counterexample_prob, monkeypatch, formula):
     # nesting is lexical: the mu sits in the nu's body below a sum or a
-    # modality, and only it runs force_exact (T and the outer nu do not)
-    from semimc import evaluator
+    # modality, and only it runs force_exact (T and the outer nu do not).
+    # Y inside the modal argument 1 * Y keeps the mu off the exact solver
     flags = set()
 
     def recording(*args, **kwargs):

@@ -48,6 +48,23 @@ MODEL_ERRORS = [
     # more digits than int() converts (4300 by default)
     ('huge-arity', 'semiring bool label a/' + '9' * 5000,
      ParseError, '1:23: arity is too large', 1, 23),
+    # a long token is echoed clipped to 32 characters, with its length
+    ('huge-bound', 'semiring trop[' + '9' * 5000 + '] label a/0',
+     ParseError, "1:15: bad bound '" + '9' * 32 + "'... (5000 characters)", 1, 15),
+    ('huge-prob-weight', 'semiring prob label a/0 state x { ' + '9' * 5000 + ' a }',
+     ParseError, "1:35: bad probabilistic scalar '" + '9' * 32 + "'... (5000 characters)",
+     1, 35),
+    ('huge-trop-weight', 'semiring trop label a/0 state x { ' + '9' * 5000 + ' a }',
+     ParseError, "1:35: bad tropical scalar '" + '9' * 32 + "'... (5000 characters)", 1, 35),
+    ('long-probability', 'semiring prob label a/0 state x { ' + '9' * 4000 + '/1 a }',
+     ParseError, "1:35: probability '" + '9' * 32 + "'... (4002 characters) outside [0, 1]",
+     1, 35),
+    ('long-weight-over-bound', 'semiring trop[5] label a/0 state x { ' + '9' * 4000 + ' a }',
+     ParseError, "1:38: scalar '" + '9' * 32 + "'... (4000 characters) exceeds bound 5", 1, 38),
+    ('bound-of-32-characters', 'semiring trop[' + '1' * 30 + '.5] label a/0',
+     ParseError, "1:15: bad bound '" + '1' * 30 + ".5'", 1, 15),
+    ('bound-of-33-characters', 'semiring trop[' + '1' * 31 + '.5] label a/0',
+     ParseError, "1:15: bad bound '" + '1' * 31 + ".'... (33 characters)", 1, 15),
     ('empty', '',
      ParseError, "1:1: expected identifier, got ''", 1, 1),
     ('comment-only', '# only a comment\n   # and another',

@@ -15,6 +15,7 @@ import pytest
 from semimc import (INF, UNDEFINED, EvaluationError, Label, Model, Signature,
                     Transition, ValidationError, eval_formula, nu_extent,
                     parse_formula)
+from semimc.logic import Mu, Var, WeightedSum
 from randgen import DESCRIPTORS, carrier_values, random_model
 
 
@@ -142,6 +143,33 @@ def test_prob_sum_above_one_raises():
     modal = parse_formula("[a](X) | [b](X)", SIG, bad.descriptor)
     with pytest.raises(EvaluationError, match="transition sum undefined at state 'x'"):
         eval_formula(bad, modal, {"X": {"x": Fraction(1)}})
+
+
+_HALF_MODAL = "mu X. 1/2 * ([a](X) | [b](X)) + 1/2 * Z"
+# mu X. 1/2 * (3/4 * X + 3/4 * Z), built past the parser's coefficient check
+_HALF_SUM = Mu("X", WeightedSum(((Fraction(1, 2), WeightedSum(
+    ((Fraction(3, 4), Var("X")), (Fraction(3, 4), Var("Z"))))),)))
+
+
+@pytest.mark.parametrize("formula, z, message", [
+    # A 1 + c = 5/4 > 1: the system's solution, x = 2, is outside the carrier
+    (_HALF_MODAL, Fraction(1), "transition sum"),
+    # A 1 + c = 1, solution x = 1, where the modality sums to 3/2
+    (_HALF_MODAL, Fraction(1, 2), "transition sum"),
+    # A 1 + c = 3/4, solution x = 3/5, where the inner sum is 6/5
+    (_HALF_SUM, Fraction(1), "weighted sum"),
+], ids=["modal-z1", "modal-z1/2", "inner-sum"])
+def test_prob_binder_with_row_mass_above_one_iterates(formula, z, message):
+    # the bodies are affine in X, but on this invalid model (row mass 3/2)
+    # or formula a sum inside them passes 1 at X = 1: the chain runs
+    # instead of the exact solver, and raises once that sum passes 1
+    bad = Model(DESCRIPTORS["probabilistic"], SIG, ("x",),
+                {"x": [Transition(Fraction(3, 4), "a", ("x",)),
+                       Transition(Fraction(3, 4), "b", ("x",))]})
+    if isinstance(formula, str):
+        formula = parse_formula(formula, SIG, bad.descriptor)
+    with pytest.raises(EvaluationError, match=f"{message} undefined at state 'x'"):
+        eval_formula(bad, formula, {"Z": {"x": z}})
 
 
 def test_evaluating_programmatic_breakage_is_a_validation_error(extent_prob):

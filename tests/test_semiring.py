@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from semimc import (INF, UNDEFINED, CarrierError, ParseError,
                     SemiringDescriptor, parse_scalar, render_scalar,
                     semiring_for, simplest_in_interval)
+from semimc.errors import quote
 from randgen import DESCRIPTORS, carrier_values
 
 ALL = list(DESCRIPTORS.values())
@@ -300,9 +301,9 @@ def _fraction_text_parse(text):
     try:
         v = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad probabilistic scalar {text!r}") from None
+        raise ParseError(f"bad probabilistic scalar {quote(text)}") from None
     if not 0 <= v <= 1:
-        raise CarrierError(f"probability {text!r} outside [0, 1]")
+        raise CarrierError(f"probability {quote(text)} outside [0, 1]")
     return v
 
 
