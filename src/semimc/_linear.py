@@ -3,10 +3,10 @@
 The system is scale[i] * x_i = sum_j moves[i][j] * x_j + const[i] over
 naturals, x = A x + b with A, b >= 0, whose Kleene chain from 0 is
 bounded: the extent step of a probabilistic model whose transitions have
-at most one successor, or a fixpoint formula affine in its variable (see
-``evaluator._affine_fixpoint``).  Its least solution is the limit of that
-chain, and this module computes it exactly (Baier & Katoen, Principles
-of Model Checking, 10.1.1):
+at most one successor, or a fixpoint binder whose body the evaluator
+finds affine in its variable (see ``evaluator._eval``).  Its least
+solution is the limit of that chain, and this module computes it exactly
+(Baier & Katoen, Principles of Model Checking, 10.1.1):
 
 * states that reach no positive constant are 0 (a reverse graph search);
 * on the rest I - A is a nonsingular M-matrix (a bounded chain leaves no

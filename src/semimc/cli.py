@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "default 1/10^9)")
             sp.add_argument("--max-iters", type=_int_at_least(1), default=argparse.SUPPRESS,
                             dest="max_iterations", help="iteration cap per fixpoint (>= 1)")
-            sp.add_argument("--promote-bound", type=int, default=argparse.SUPPRESS,
-                            help="tropical divergence cutoff (default: derived from the model)")
+            sp.add_argument("--promote-bound", type=_int_at_least(0), default=argparse.SUPPRESS,
+                            help="tropical divergence cutoff (>= 0, default: from the model)")
         if enum:
             sp.add_argument("--enum-cap", type=_int_at_least(1), default=argparse.SUPPRESS,
                             help="fragment enumeration cap (>= 1)")

@@ -26,9 +26,10 @@ Two kinds of fixpoint block are not iterated, so they never depend on
   ``_affine_fixpoint`` solves x = A x + c exactly with
   ``_linear.least_solution`` (a graph pre-pass, then fraction-free
   Bareiss elimination one strongly connected component at a time).  The
-  extent is one when every transition has at most one successor; a
-  formula binder is one when its variable occurs only as a summand or as
-  a whole modal argument, at most one per disjunct (``_affine_nodes``).
+  extent's block has the variable in every argument position; a binder's
+  is built by ``_eval``, with the variable bound to an ``_Affine``
+  identity, and is affine unless a transition has two successors that
+  depend on the variable or an inner binder mentions it.
 
 Kleene iteration remains for models with offsets (truncated subtraction
 is not a superior function, and the probabilistic offset divides), for
@@ -96,6 +97,8 @@ class EvalConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.enum_cap < 1:
             raise ValueError("enum_cap must be at least 1")
+        if self.promote_bound is not None and self.promote_bound < 0:
+            raise ValueError("promote_bound must be at least 0")
 
 
 @dataclass
@@ -359,11 +362,38 @@ def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
     return KleeneResult(value, KleeneReport(settled, promoted=promoted))
 
 
-def _step_terms(cm: CompiledModel, args: list) -> list | None:
-    """`cm.step(args)` as an affine map of a variable x, where a None
-    argument position stands for x: per state, terms (n, d, j) for
-    n/d * x_j, with j = -1 for the constant n/d.  None when a transition
-    has x at two successors, which makes the map quadratic."""
+class _Affine(list):
+    """A prob value affine in the variable x of the binder being solved:
+    per state, terms (n, d, j) for n/d * x_j (j = -1: the constant n/d)."""
+
+
+class _NotAffine(Exception):
+    """Ends the attempt to solve a binder exactly; its chain runs instead.
+    The args name the variable when an inner binder mentions it."""
+
+
+_ENCLOSING = object()  # an enclosing binder's variable, inside an inner binder
+
+
+def _affine(rows: list) -> _Affine:
+    """`rows` as an affine value, with one nonzero term per j in a row.
+    Ends the attempt when a row exceeds 1 at x = 1 (only on a model or
+    formula validation rejects): the chain runs and raises at its sum."""
+    out = _Affine()
+    for row in rows:
+        lcd, merged = lcm(*(d for _, d, _ in row)), {}
+        for n, d, j in row:
+            merged[j] = merged.get(j, 0) + n * (lcd // d)
+        if sum(merged.values()) > lcd:
+            raise _NotAffine
+        out.append([(n, lcd, j) for j, n in merged.items() if n])
+    return out
+
+
+def _step_terms(cm: CompiledModel, args: list) -> list:
+    """`cm.step(args)` where some arguments are affine values (`_Affine`),
+    as rows of terms (see `_affine`).  Ends the attempt when a transition
+    has two affine successors, which makes the map quadratic."""
     out = []
     for row in cm.rows:
         terms = []
@@ -371,33 +401,44 @@ def _step_terms(cm: CompiledModel, args: list) -> list | None:
             preds = args[lid]
             if preds is None:
                 continue
-            j = -1
+            sub = None  # the affine successor's terms
             for k, s in succs:
-                if preds[k] is None:
-                    if j >= 0:
-                        return None
-                    j = s
+                if type(preds[k]) is _Affine:
+                    if sub is not None:
+                        raise _NotAffine
+                    sub = preds[k][s]
                 else:
                     vn, vd = preds[k][s]
                     n *= vn
                     d *= vd
             if n:
-                terms.append((n, d, j))
+                terms += [(n, d, -1)] if sub is None else [(n * m, d * e, j) for m, e, j in sub]
         out.append(terms)
     return out
 
 
+def _sum_terms(terms: list) -> _Affine:
+    """`Semiring.weighted_sum` on prob where some operands are affine values."""
+    out = [[] for _ in terms[0][1]]
+    for c, p in terms:
+        a, b = c.as_integer_ratio()
+        for row, v in zip(out, p if type(p) is _Affine else ([(n, d, -1)] for n, d in p)):
+            row += [(a * n, b * d, j) for n, d, j in v]
+    return _affine(out)
+
+
 def _affine_fixpoint(terms: list, top: list | None) -> tuple[list, int] | None:
     """The fixpoint of the prob affine map f(x) = A x + c in `terms`
-    (see `_step_terms`), exactly: the least when `top` is None, else the
-    greatest below `top`.  Returns pairs and the states solved by
-    elimination, or None when the check fails and the chain must run.
+    (rows of nonzero terms, see `_affine`), exactly: the least when `top`
+    is None, else the greatest below `top`.  Returns pairs and the states
+    solved by elimination, or None when the check fails and the chain
+    must run.
 
     The lfp solves x = A x + c, if A 1 + c <= 1 (the chain from 0 stays
     in [0, 1]).  The gfp is top - y, y the lfp of y = A y + top - f(top),
     if top - f(top) >= 0 (else the chain from `top` rises); its chain
     stays below `top`.  Both chains are bounded, as `least_solution`
-    needs.  Sums inside f are checked by `_block_terms`.
+    needs.  Sums inside f are checked as `_affine` builds them.
     """
     # imported on first use: with no bytecode cache, every process that
     # imports semimc would otherwise compile the solver
@@ -437,32 +478,6 @@ def _affine_fixpoint(terms: list, top: list | None) -> tuple[list, int] | None:
     return pairs, solved
 
 
-def _affine_nodes(body: Formula, var: str) -> set[int] | None:
-    """The ids of the subformulas of `body` that mention `var` if `body`
-    is affine in it, else None: `var` occurs only as a summand, possibly
-    under sums, or as a whole modal argument, at most one per disjunct."""
-    dependent = set()
-
-    def walk(f) -> int:  # 0: no var, 1: affine in it, 2: not affine
-        r = 0
-        if isinstance(f, Var):
-            r = int(f.name == var)
-        elif isinstance(f, WeightedSum):
-            r = max([walk(g) for _, g in f.terms], default=0)
-        elif isinstance(f, Modal):
-            for _, args in f.disjuncts:
-                deps = [a for a in args if walk(a)]
-                if deps:
-                    r = max(r, 1 if len(deps) == 1 and isinstance(deps[0], Var) else 2)
-        elif isinstance(f, (Mu, Nu)):
-            r = 2 if walk(f.body) else 0
-        if r:
-            dependent.add(id(f))
-        return r
-
-    return dependent if walk(body) < 2 else None
-
-
 def default_promote_bound(model: Model, formula_size: int = 0) -> int:
     """Divergence cutoff for tropical Kleene chains: a state still
     strictly growing past it is promoted to infinity.
@@ -490,8 +505,12 @@ def _extent(model: Model, cfg: EvalConfig, direction: str) -> KleeneResult:
     semiring = model.semiring
     if semiring.kind == "probabilistic" and not cm.offset_ids:
         # the block whose body is every label with the variable in every position
-        terms = _step_terms(cm, [(None,) * cm.max_arity] * len(cm.label_ids))
+        x = _Affine([(1, 1, i)] for i in range(len(cm.states)))
         top = [(1, 1)] * len(cm.states) if direction == "gfp" else None
+        try:
+            terms = _step_terms(cm, [(x,) * cm.max_arity] * len(cm.label_ids))
+        except _NotAffine:
+            terms = None
         res = terms is not None and _affine_fixpoint(terms, top)
         if res:
             return KleeneResult(res[0], KleeneReport(res[1], Fraction(0), Fraction(0)))
@@ -540,29 +559,43 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
             ctx.top = _extent(ctx.model, ctx.cfg, "gfp")
         return ctx.top.values
     if isinstance(f, Var):
-        if f.name not in env:
+        v = env.get(f.name)
+        if v is None:
             raise EvaluationError(f"unbound variable {f.name!r}")
-        return env[f.name]
+        if v is _ENCLOSING:
+            raise _NotAffine(f.name)
+        return v
     if isinstance(f, WeightedSum):
-        return semiring.weighted_sum(cm, [(c, _eval(ctx, op, env, nested)) for c, op in f.terms])
+        terms = [(c, _eval(ctx, op, env, nested)) for c, op in f.terms]
+        affine = any(type(p) is _Affine for _, p in terms)
+        return _sum_terms(terms) if affine else semiring.weighted_sum(cm, terms)
     if isinstance(f, Modal):
-        args = [None] * len(cm.label_ids)
+        args, affine = [None] * len(cm.label_ids), False
         for lbl, arglist in f.disjuncts:
             preds = tuple(_eval(ctx, a, env, nested) for a in arglist)
+            affine = affine or _Affine in map(type, preds)
             if lbl in cm.label_ids:  # other labels have no transitions
                 args[cm.label_ids[lbl]] = preds
-        return cm.step(args)
+        return _affine(_step_terms(cm, args)) if affine else cm.step(args)
     if isinstance(f, (Mu, Nu)):
         if isinstance(f, Mu):
             direction, start = "lfp", semiring.pack([semiring.zero] * len(cm.states))
         else:
             direction, start = "gfp", _eval(ctx, TOP, env)
         if semiring.kind == "probabilistic" and not cm.offset_ids:
-            dependent = _affine_nodes(f.body, f.var)
-            terms = None if dependent is None else _block_terms(ctx, f.body, dependent, env)
-            res = terms is not None and _affine_fixpoint(terms, start if direction == "gfp" else None)
-            if res:
-                return res[0]
+            # the body at the identity, as terms (_sum_terms) even without f.var;
+            # an enclosing binder's variable used here ends that binder's attempt
+            env = {k: _ENCLOSING if type(v) is _Affine else v for k, v in env.items()}
+            x = _Affine([(1, 1, i)] for i in range(len(cm.states)))
+            try:
+                body = _sum_terms([(1, _eval(ctx, f.body, {**env, f.var: x}, True))])
+            except _NotAffine as e:
+                if e.args and e.args[0] != f.var:
+                    raise
+            else:
+                res = _affine_fixpoint(body, start if direction == "gfp" else None)
+                if res:
+                    return res[0]
 
         def op(p: list) -> list:
             return _eval(ctx, f.body, {**env, f.var: p}, True)
@@ -570,41 +603,6 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
         return kleene(semiring, op, start, direction, ctx.cfg, ctx.promote_bound,
                       force_exact=nested, names=cm.states).values
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _block_terms(ctx: _EvalContext, f: Formula, dependent: set[int], env: dict) -> list | None:
-    """`f`, in a binder body affine in its variable, as `_step_terms`
-    terms; subformulas not in `dependent` (`_affine_nodes`) are evaluated
-    once, as nested, and become constants.  None when a sum or modality
-    in `f` exceeds 1 at x = 1 (only on a model or formula that validation
-    rejects), so that the chain runs and raises where its sum does."""
-    cm = ctx.model.compiled
-    if id(f) not in dependent:
-        return [[(n, d, -1)] if n else [] for n, d in _eval(ctx, f, env, True)]
-    if isinstance(f, Var):  # the variable itself
-        return [[(1, 1, i)] for i in range(len(cm.states))]
-    if isinstance(f, WeightedSum):
-        out = [[] for _ in cm.states]
-        for c, g in f.terms:
-            p, q = c.as_integer_ratio()
-            subs = _block_terms(ctx, g, dependent, env)
-            if subs is None:
-                return None
-            for terms, sub in zip(out, subs):
-                terms += [(p * n, q * d, j) for n, d, j in sub if p]
-    else:  # a Modal whose dependent arguments are the variable itself
-        args = [None] * len(cm.label_ids)
-        for lbl, arglist in f.disjuncts:
-            preds = tuple(None if id(a) in dependent else _eval(ctx, a, env, True)
-                          for a in arglist)
-            if lbl in cm.label_ids:
-                args[cm.label_ids[lbl]] = preds
-        out = _step_terms(cm, args)
-    for row in out or ():
-        lcd = lcm(*(d for _, d, _ in row))
-        if sum(n * (lcd // d) for n, d, _ in row) > lcd:
-            return None
-    return out
 
 
 def _check_valuation(model: Model, valuation: dict[str, Predicate] | None):

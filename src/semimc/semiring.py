@@ -30,6 +30,7 @@ shared freely across concurrent evaluations.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -37,6 +38,12 @@ from math import gcd
 from .errors import CarrierError, EvaluationError, ParseError, quote
 
 INF = float("inf")
+
+# A trailing decimal exponent as Fraction(text) reads it, and the largest
+# one handed to Fraction whatever the text's length: Fraction builds
+# 10**exp in full, so "0e999999999" would cost seconds and gigabytes.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_EXP_LIMIT = 100_000
 
 
 class _Undefined:
@@ -298,12 +305,31 @@ class ProbabilisticSemiring(Semiring):
                 n, d = int(num), int(den or 1)
                 if n <= d:  # in the carrier: built from integers, no Fraction(text)
                     return Fraction(n, d)
-            v = Fraction(text)
+            m = _EXPONENT.search(text)
+            if m is not None and len(m[1]) > 5:
+                v = self._parse_long_exponent(text, m)
+            else:
+                v = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad probabilistic scalar {quote(text)}") from None
         if not 0 <= v <= 1:
             raise CarrierError(f"probability {quote(text)} outside [0, 1]")
         return v
+
+    @staticmethod
+    def _parse_long_exponent(text, m):
+        """`Fraction(text)` for a text ending in exponent ``m``, never
+        building a power of ten larger than the text or ``_EXP_LIMIT``."""
+        exp = int(m[1])
+        if abs(exp) <= max(_EXP_LIMIT, len(text)):
+            return Fraction(text)
+        # the text with exponent 0: the same grammar, and its mantissa's value
+        mantissa = Fraction(text[:m.start(1)] + "0")
+        if mantissa == 0:
+            return mantissa
+        if mantissa < 0 or exp > 0:  # negative, or at least 10**(exp - len(text)) > 1
+            raise CarrierError(f"probability {quote(text)} outside [0, 1]")
+        raise ParseError(f"exponent of probabilistic scalar {quote(text)} out of range")
 
     def render(self, v):
         return str(Fraction(v))

@@ -168,15 +168,16 @@ def truncations(signature: Signature, n: int, cap: int | None = None) -> Iterato
 
 
 def _truncs(signature: Signature, n: int) -> Iterator[TraceFragment]:
-    if n == 0:
-        yield TOP_LEAF
-        return
-    for label in signature.labels:
-        if label.arity == 0:
-            yield TraceNode(label.name, ())
-        else:
-            for combo in product(list(_truncs(signature, n - 1)), repeat=label.arity):
-                yield TraceNode(label.name, combo)
+    """Built bottom-up: each level below n is listed once and shared by
+    the level above; level n is yielded lazily, so a cap can stop it."""
+    def unfold(below: list) -> Iterator[TraceFragment]:
+        return (TraceNode(label.name, combo) for label in signature.labels
+                for combo in product(below, repeat=label.arity))
+
+    level = iter((TOP_LEAF,))
+    for _ in range(n):
+        level = unfold(list(level))
+    return level
 
 
 def _require_plain(model: Model, op: str):

@@ -31,6 +31,7 @@ TROP = str(corpus_path("extent-example.trop.model"))
 DEADLOCK = str(corpus_path("deadlock.bool.model"))
 COUNTER = str(corpus_path("counterexample.prob.model"))
 OFFSET_S = str(corpus_path("offset-s.trop.model"))
+OFFSET_T = str(corpus_path("offset-t.trop.model"))
 FORMULA = "mu X. ([a](T) | [b](X) | [c](X))"
 
 
@@ -143,12 +144,12 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "ftr", OFFSET_S, "a(*)", "--state", "s")
     assert code == 1 and "offsets" in err
     slow = tmp_path / "slow.model"
-    slow.write_text("semiring prob label go/1 label out/0 "
-                    "state a { 11/12 go -> a; 1/12 out }")
-    # the extent of this model and fixpoints affine in their variable are
-    # solved exactly; X under a nested modality still iterates and hits
-    # the cap
-    code, _, err = run(capsys, "eval", str(slow), "mu X. ([go]([go](X)) | [out])",
+    slow.write_text("semiring prob label go/2 label out/0 "
+                    "state a { 11/12 go -> a a; 1/12 out }")
+    # fixpoints affine in their variable are solved exactly; X at both
+    # successors of a binary transition is quadratic, so this one still
+    # iterates and hits the cap
+    code, _, err = run(capsys, "eval", str(slow), "mu X. ([go](X, X) | [out])",
                        "--max-iters", "4")
     assert code == 2 and "no fixpoint after 4 iterations" in err
     code, _, err = run(capsys, "oracle", MODEL, FORMULA, "--unroll", "3",
@@ -172,6 +173,9 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
         (("tr", "--n", "-1", MODEL, "[a](T)", "--state", "x"), "--n"),
         (("oracle", "--enum-cap", "-5", MODEL, "T"), "--enum-cap"),
         (("equiv", "--enum-cap", "0", MODEL, "x", "y"), "--enum-cap"),
+        (("eval", "--promote-bound", "-1", OFFSET_T, "nu X. mu Y. ([a](X) | [b](Y))"),
+         "--promote-bound"),
+        (("extent", "--nu", "--promote-bound", "-1", OFFSET_T), "--promote-bound"),
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out, argv
@@ -334,6 +338,14 @@ def test_two_rate_corpus_extents_are_one(capsys, kind):
     # corpus/two-rate.prob.model is TWO_RATE; both extents are exactly 1
     code, out, err = run(capsys, "extent", kind, str(corpus_path("two-rate.prob.model")))
     assert (code, out, err) == (0, "u = 1\nv = 1\n", "")
+
+
+def test_two_rate_binder_under_nested_modalities_is_exact(capsys):
+    # affine in X under two modalities, so solved exactly: u = 1/(1 + p)
+    # with p = 1 - 10^-12 prints as 1/2 (a chain cut off early printed 0)
+    code, out, err = run(capsys, "eval", str(corpus_path("two-rate.prob.model")),
+                         "mu X. ([a]([a](X)) | [e])")
+    assert (code, out, err) == (0, "u = 1/2\nv = 2/3\n", "")
 
 
 # ---------------------------------------------------------------------------

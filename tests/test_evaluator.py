@@ -18,6 +18,7 @@ from semimc import (BOT, INF, TOP, EvalConfig, KleeneResult, Label, Model, Mu, N
                     parse_formula, parse_model, semiring_for)
 from semimc import evaluator
 from semimc.evaluator import leq_pointwise
+from conftest import load_corpus_model
 from randgen import (DESCRIPTORS, _prob_weights, carrier_values, random_model,
                      random_qualitative_formula)
 
@@ -161,28 +162,41 @@ def test_prob_linear_extent_matches_kleene(seed):
 
 
 def _affine_body(rng: random.Random, signature: Signature, free: list[str]):
-    """A random body affine in X: X as a summand or as a whole modal
-    argument, at most one per disjunct.  The other leaves are T, F, the
+    """A random body affine in X: X, a modality or a weighted sum, where
+    X occurs as a summand or in at most one argument per modal disjunct;
+    that argument is X, a nested modality of the same kind or a weighted
+    sum of one of those and a constant.  The other leaves are T, F, the
     free variables and one-step modalities of T."""
     def const():
         label = rng.choice(signature.labels)
         return rng.choice([TOP, BOT, *map(Var, free),
                            Modal(((label.name, (TOP,) * label.arity),))])
 
-    def modal():
+    def weighted(*parts):
+        parts = list(parts)
+        rng.shuffle(parts)
+        parts = parts[:rng.randint(1, len(parts))]
+        return WeightedSum(tuple(zip(_prob_weights(rng, len(parts)), parts)))
+
+    def dependent(depth):  # a modal argument affine in X
+        r = rng.random()
+        if not depth or r < 0.4:
+            return Var("X")
+        if r < 0.7:
+            return modal(depth - 1)
+        return weighted(dependent(depth - 1), const())
+
+    def modal(depth):
         disjuncts = []
         for label in rng.sample(signature.labels, rng.randint(1, min(2, len(signature.labels)))):
             x = rng.randrange(label.arity) if label.arity and rng.random() < 0.8 else -1
-            disjuncts.append((label.name, tuple(Var("X") if k == x else const()
+            disjuncts.append((label.name, tuple(dependent(depth) if k == x else const()
                                                 for k in range(label.arity))))
         return Modal(tuple(disjuncts))
 
     if rng.random() < 0.4:
-        return modal()
-    parts = [Var("X"), modal(), const()]
-    rng.shuffle(parts)
-    parts = parts[:rng.randint(1, 3)]
-    return WeightedSum(tuple(zip(_prob_weights(rng, len(parts)), parts)))
+        return modal(2)
+    return weighted(Var("X"), modal(2), const())
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -199,7 +213,6 @@ def test_affine_binders_match_kleene(seed):
     valuation = {z: dict(zip(cm.states, carrier_values(m.descriptor, rng, len(cm.states))))
                  for z in free}
     body = _affine_body(rng, m.signature, free)
-    assert evaluator._affine_nodes(body, "X") is not None
     ctx = evaluator._EvalContext(m, cfg, None)
     env = {z: sr.pack([p[s] for s in cm.states]) for z, p in valuation.items()}
 
@@ -307,6 +320,7 @@ def test_kleene_non_convergence():
     ("max_iterations", 0, "max_iterations must be at least 1"),
     ("enum_cap", 0, "enum_cap must be at least 1"),
     ("enum_cap", -5, "enum_cap must be at least 1"),
+    ("promote_bound", -1, "promote_bound must be at least 0"),
     # wrong types fail here, not later inside a chain or a range
     ("epsilon", 0.001, "epsilon must be an int or a Fraction"),
     ("epsilon", 1 / 64, "epsilon must be an int or a Fraction"),
@@ -479,14 +493,70 @@ def test_prob_nested_chains_pinned(counterexample_prob, monkeypatch):
     assert chains == [("gfp", False, 1, 0, 0)]
 
 
+def test_binder_under_nested_modalities_is_solved_exactly(monkeypatch):
+    # X under two modalities is affine in X, so no chain runs: on
+    # corpus/two-rate.prob.model u = 1/(1 + p) with p = 1 - 10^-12, where
+    # the epsilon stop cut the chain off at 0
+    def no_chain(*args, **kwargs):
+        raise AssertionError("kleene called")
+
+    monkeypatch.setattr(evaluator, "kleene", no_chain)
+    m = load_corpus_model("two-rate.prob.model")
+    f = parse_formula("mu X. ([a]([a](X)) | [e])", m.signature, m.descriptor)
+    assert eval_formula(m, f) == {"u": Fraction(10**12, 2 * 10**12 - 1), "v": Fraction(2, 3)}
+
+
+def test_nested_modalities_keep_one_term_per_state():
+    # each modality composes the affine values below it; a row keeps one
+    # term per state it depends on, so the terms do not multiply with the
+    # depth (two a-successors per state: 2^12 terms per row otherwise)
+    m = parse_model("semiring prob label a/1 state s { 1/4 a -> s; 1/4 a -> t } "
+                    "state t { 1/2 a -> s; 1/2 a -> t }")
+    depth = 12
+    f = parse_formula("[a](" * depth + "X" + ")" * depth, m.signature, m.descriptor)
+    x = evaluator._Affine([(1, 1, i)] for i in range(2))
+    rows = evaluator._eval(evaluator._EvalContext(m, EvalConfig(), None), f, {"X": x})
+    assert [sorted(j for _, _, j in row) for row in rows] == [[0, 1], [0, 1]]
+    # at X = 1 the terms sum to the formula's value there
+    ones = eval_formula(m, f, {"X": dict.fromkeys(m.states, Fraction(1))})
+    assert [sum(Fraction(n, d) for n, d, _ in row) for row in rows] == [ones["s"], ones["t"]]
+
+
+def test_zero_terms_of_an_affine_body_are_no_moves():
+    # 0 * [f](T, X) adds no move from s to t: s keeps x_s = x_s and its
+    # least value 0, where a zero move would let it reach t's constant
+    # and hand the solver a singular row
+    m = parse_model("semiring prob label f/2 label e/0 state s { 1 f -> s t } state t { 1 e }")
+    f = parse_formula("mu X. 1 * ([f](X, T) | [e]) + 0 * [f](T, X)", m.signature, m.descriptor)
+    assert eval_formula(m, f) == {"s": 0, "t": 1}
+
+
+def test_inner_binder_that_mentions_the_variable_ends_the_attempt(counterexample_prob,
+                                                                 monkeypatch):
+    # the inner mu mentions X, which ends the outer nu's attempt at once:
+    # the inner mu runs no chain of its own while X is the identity
+    entered = []
+
+    def recording(*args, **kwargs):
+        entered.append(args[3])
+        return kleene(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "kleene", recording)
+    m = counterexample_prob
+    f = parse_formula("nu X. mu Y. ([b](Y) | [c](Y) | [a](X))", m.signature, m.descriptor)
+    assert eval_formula(m, f) == dict.fromkeys(m.states, Fraction(1))
+    assert entered == ["gfp"]
+
+
 @pytest.mark.parametrize("formula", [
-    "nu X. 1 * (mu Y. ([a](X) | [b](Y) | [c](1 * Y)))",
-    "nu X. [a](mu Y. ([a](X) | [b](Y) | [c](1 * Y))) | [b](X) | [c](X)",
+    "nu X. 1 * (mu Y. ([a](X) | [b](Y) | [c](mu Z. [c](Y))))",
+    "nu X. [a](mu Y. ([a](X) | [b](Y) | [c](mu Z. [c](Y)))) | [b](X) | [c](X)",
 ])
 def test_binders_under_sums_and_modalities_are_nested(counterexample_prob, monkeypatch, formula):
-    # nesting is lexical: the mu sits in the nu's body below a sum or a
+    # nesting is lexical: the mu Y sits in the nu's body below a sum or a
     # modality, and only it runs force_exact (T and the outer nu do not).
-    # Y inside the modal argument 1 * Y keeps the mu off the exact solver
+    # The innermost mu mentions Y, which keeps the mu Y off the exact
+    # solver; the innermost mu, constant in Z, is solved exactly
     flags = set()
 
     def recording(*args, **kwargs):

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 from semimc import (INF, UNDEFINED, EvaluationError, Label, Model, Signature,
-                    Transition, ValidationError, eval_formula, nu_extent,
+                    Transition, ValidationError, eval_formula, mu_extent, nu_extent,
                     parse_formula)
 from semimc.logic import Mu, Var, WeightedSum
 from randgen import DESCRIPTORS, carrier_values, random_model
@@ -170,6 +170,17 @@ def test_prob_binder_with_row_mass_above_one_iterates(formula, z, message):
         formula = parse_formula(formula, SIG, bad.descriptor)
     with pytest.raises(EvaluationError, match=f"{message} undefined at state 'x'"):
         eval_formula(bad, formula, {"Z": {"x": z}})
+
+
+def test_prob_mu_extent_with_row_mass_above_one_iterates():
+    # x = 3/4 x + 3/4 solves to 3, outside the carrier: the exact solver
+    # declines (A 1 + c = 3/2) and the chain raises at its second step
+    sig = Signature((Label("a", 1), Label("e", 0)))
+    bad = Model(DESCRIPTORS["probabilistic"], sig, ("x",),
+                {"x": [Transition(Fraction(3, 4), "a", ("x",)),
+                       Transition(Fraction(3, 4), "e", ())]})
+    with pytest.raises(EvaluationError, match="transition sum undefined at state 'x'"):
+        mu_extent(bad)
 
 
 def test_evaluating_programmatic_breakage_is_a_validation_error(extent_prob):

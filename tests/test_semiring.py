@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semimc import (INF, UNDEFINED, CarrierError, ParseError,
@@ -315,12 +315,43 @@ def _outcome(parse, text):
     return type(v), v
 
 
+# no deadline: the reference Fraction("0e999999") alone takes ~0.25 s
+@settings(deadline=None)
 @given(st.text(alphabet="0123456789/.", max_size=8)
        | st.text(alphabet="0123456789/. -_e١²", max_size=8))
 @example("0/0")
 @example("1" * 5000)
+@example("0e600001")
+@example("0e999999")
+@example("1e999999")
+@example("-1e99999")
+@example("1e-99999")
+@example("1/2e999999")
 def test_prob_parse_matches_fraction_text(text):
-    # integer fast path for "n" and "n/d"; every text parses (or fails) as
-    # Fraction(text) does
+    # integer fast path for "n" and "n/d"; every text of 8 characters or
+    # fewer parses (or fails) as Fraction(text) does
     sr = semiring_for(DESCRIPTORS["probabilistic"])
     assert _outcome(sr.parse, text) == _outcome(_fraction_text_parse, text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("0e99999999", Fraction(0)),
+    ("-0.0E+9_999_999", Fraction(0)),
+    (" 0.000e-99999999 ", Fraction(0)),
+    ("1e99999999", CarrierError),
+    ("0.0000001e99999999", CarrierError),
+    ("-1e-99999999", CarrierError),
+    ("1e-99999999", ParseError),
+    ("1/2e99999999", ParseError),
+    ("1 e99999999", ParseError),
+    ("1e5e99999999", ParseError),
+])
+def test_prob_parse_long_exponent(text, expected):
+    # settled from the mantissa's sign, never building 10**99999999
+    sr = semiring_for(DESCRIPTORS["probabilistic"])
+    if isinstance(expected, Fraction):
+        assert sr.parse(text) == expected
+    else:
+        with pytest.raises(expected) as info:
+            sr.parse(text)
+        assert type(info.value) is expected

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimc import (EvalConfig, OffsetUnsupported, ParseError, SizingError, TOP_LEAF, TraceNode,
-                    ValidationError, enumerate_fragments, equiv_upto,
+from semimc import (EvalConfig, Label, OffsetUnsupported, ParseError, Signature, SizingError,
+                    TOP_LEAF, TraceNode, ValidationError, enumerate_fragments, equiv_upto,
                     eval_formula, finite_tr, fragment_to_formula, lt,
                     nu_extent, parse_fragment, parse_formula, render_fragment,
                     tr_approx, truncations)
@@ -231,6 +232,30 @@ def test_lt_below_tr_on_truncations(corpus_models):
                 for s in m.states:
                     assert sr.leq(lt(m, s, frag), tr_approx(m, s, frag, n)), \
                         (name, s, render_fragment(frag))
+
+
+def _recursive_truncs(signature, n):
+    """The reference: depth-n truncations by recursion on n, rebuilding
+    the level below once per non-nullary label."""
+    if n == 0:
+        yield TOP_LEAF
+        return
+    for label in signature.labels:
+        if label.arity == 0:
+            yield TraceNode(label.name, ())
+        else:
+            for combo in product(list(_recursive_truncs(signature, n - 1)), repeat=label.arity):
+                yield TraceNode(label.name, combo)
+
+
+@pytest.mark.parametrize("labels, depth", [
+    ((("a", 1), ("b", 1), ("c", 1), ("e", 0)), 6),
+    ((("e", 0), ("f", 2), ("a", 1)), 4),
+])
+def test_truncations_match_the_recursive_definition(labels, depth):
+    sig = Signature(tuple(Label(name, arity) for name, arity in labels))
+    for n in range(depth + 1):
+        assert list(truncations(sig, n)) == list(_recursive_truncs(sig, n)), n
 
 
 # ---------------------------------------------------------------------------
