@@ -20,18 +20,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
-from semimc import EvalConfig, compare_semantics, unroll
-from semimc.logic import modal_depth
-from semimc.path_oracle import count_fragments
-from randgen import DESCRIPTORS, random_model, random_qualitative_formula
-
-
-def pick_unroll(model, phi, cap, max_k):
-    for k in range(max_k, 0, -1):
-        depth = modal_depth(unroll(phi, k))
-        if all(count_fragments(model, s, depth) <= cap for s in model.states):
-            return k
-    return 0
+from semimc import EvalConfig, compare_semantics
+from randgen import DESCRIPTORS, pick_unroll, random_model, random_qualitative_formula
 
 
 def main() -> int:

@@ -4,7 +4,8 @@ Predicates are plain dicts from state name to semiring scalar, defined on
 exactly the model's state set.  Fixpoints are computed by Kleene iteration
 with a per-semiring stop rule:
 
-* boolean / bounded tropical: exact stabilisation (finite carriers);
+* boolean (run as trop[0], see ``semiring.py``) / bounded tropical:
+  exact stabilisation (finite carriers);
 * probabilistic: stop once the estimated distance to the limit (per-step
   change scaled by the measured contraction ratio) certifies epsilon
   accuracy, recording a convergence certificate (iteration count, last
@@ -20,8 +21,8 @@ Two kinds of fixpoint block are not iterated, so they never depend on
 ``promote_bound``, ``max_iterations`` or the epsilon stop:
 
 * extents (the embedded extent behind T included) of offset-free
-  tropical and bounded tropical models: ``_trop_extent`` solves them
-  exactly with Knuth's generalisation of Dijkstra's algorithm;
+  boolean, tropical and bounded tropical models: ``_trop_extent`` solves
+  them exactly with Knuth's generalisation of Dijkstra's algorithm;
 * probabilistic blocks affine in their variable on offset-free models:
   ``_affine_fixpoint`` solves x = A x + c exactly with
   ``_linear.least_solution`` (a graph pre-pass, then fraction-free
@@ -48,11 +49,11 @@ fixpoints inside them that still iterate run with ``force_exact`` (see
 ``kleene``).
 
 The extent operator, the Modal clause and T all run through one
-transition-step kernel per semiring (``Semiring.step``) on the model's
-compiled form; the path oracle is the separate view that cross-checks
-it.  Inside, predicates are lists by state id in the kernel form
-(``Semiring.pack``); name-keyed dicts of scalars appear only at the
-public functions.
+transition-step kernel (``Semiring.step``: one for prob, one shared by
+bool and the tropical family) on the model's compiled form; the path
+oracle is the separate view that cross-checks it.  Inside, predicates
+are lists by state id in the kernel form (``Semiring.pack``); name-keyed
+dicts of scalars appear only at the public functions.
 
 Everything here is pure; a shared Model can serve concurrent evaluations.
 """
@@ -150,8 +151,9 @@ def kleene(semiring: Semiring,
     """Iterate a monotone operator from `start` until the stop rule fires.
 
     Iterates are lists by state id in the kernel form (`Semiring.pack`:
-    integer pairs (n, d) on prob), named by `names` (default: the ids) in
-    reports and errors; `NonConvergence` reports scalars.
+    integer pairs (n, d) on prob, trop[0] values on bool), named by
+    `names` (default: the ids) in reports and errors; `NonConvergence`
+    reports scalars.
 
     Chains are checked to stay monotone in the induced order (increasing
     for lfp, decreasing for gfp); a violation raises NonMonotoneChain.
@@ -183,10 +185,9 @@ def kleene(semiring: Semiring,
     if semiring.kind == "probabilistic":
         return _prob_kleene(semiring, operator, start, direction, cfg, force_exact, names)
     promoting = promote_bound is not None and semiring.kind == "tropical" and direction == "gfp"
-    # the induced order is numeric <= for bool, >= for the tropical
-    # family; consecutive iterates must be `in_order`
-    rises = (direction == "lfp") == (semiring.kind == "boolean")
-    in_order = le if rises else ge
+    # the kernel form of the tropical family and bool (as trop[0]) is
+    # ordered by numeric >=; consecutive iterates must be `in_order`
+    in_order = ge if direction == "lfp" else le
 
     cur = list(start)
     prev: list | None = None
@@ -204,7 +205,7 @@ def kleene(semiring: Semiring,
             return KleeneResult(nxt, KleeneReport(
                 i, None, None, tuple(sorted(names[s] for s in promoted))))
         prev, cur = cur, nxt
-    raise _no_fixpoint(cfg, names, cur, prev)
+    raise _no_fixpoint(cfg, names, semiring.unpack(cur), prev and semiring.unpack(prev))
 
 
 def _prob_kleene(semiring: Semiring, operator: Callable, start: list, direction: str,
@@ -279,7 +280,7 @@ def _prob_kleene(semiring: Semiring, operator: Callable, start: list, direction:
 
 def _exact_tropical(cm: CompiledModel) -> bool:
     """True when `_trop_extent` solves the extent of `cm` exactly."""
-    return cm.semiring.kind in ("tropical", "bounded_tropical") and not cm.offset_ids
+    return cm.semiring.kind != "probabilistic" and not cm.offset_ids
 
 
 def _zero_cost_states(owner: list, weight: list, uses: list) -> list[int]:
@@ -308,7 +309,8 @@ def _zero_cost_states(owner: list, weight: list, uses: list) -> list[int]:
 
 
 def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
-    """Exact extent of an offset-free (bounded) tropical model.
+    """Exact extent of an offset-free (bounded) tropical or bool model;
+    bool runs as trop[0], with every weight 0.
 
     A transition of weight w to successors x1 .. xk contributes
     w + x1 + ... + xk, a superior function (Knuth, IPL 1977), so states
@@ -320,8 +322,8 @@ def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
     gfp, run trees may be infinite: the states with a zero-cost run tree
     are seeded at 0 as well.
 
-    The report counts settled states as iterations; for the gfp,
-    `promoted` lists the infinite states.
+    The report counts settled states as iterations; for the gfp off
+    bool, `promoted` lists the infinite states.
     """
     n = len(cm.states)
     bound = cm.semiring.bound
@@ -357,7 +359,7 @@ def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
                 if offer <= bound and value[owner[t]] == INF:
                     heappush(heap, (offer, owner[t]))
     promoted = ()
-    if direction == "gfp":
+    if direction == "gfp" and bound:  # bool (trop[0]) promotes nothing
         promoted = tuple(sorted(cm.states[s] for s, v in enumerate(value) if v == INF))
     return KleeneResult(value, KleeneReport(settled, promoted=promoted))
 

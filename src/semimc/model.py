@@ -18,8 +18,8 @@ Text format (whitespace-insensitive, '#' starts a line comment)::
 Successor lists are omitted for nullary labels.  Labels must be declared
 before use; states may be referenced forward but every referenced state
 needs its own "state" block.  Models are immutable after parsing; each
-builds its semiring once and, on first evaluation, its indexed
-``CompiledModel``.
+shares the one semiring instance of its descriptor and builds, on first
+evaluation, its indexed ``CompiledModel``.
 """
 
 from __future__ import annotations
@@ -296,11 +296,8 @@ def parse_model(text: str) -> Model:
     if overfull:
         raise ValidationError(overfull[0].message, overfull)
 
-    model = object.__new__(Model)
-    model.__dict__["semiring"] = semiring  # fills the cached property: one semiring_for
-    model.__init__(descriptor, Signature(tuple(Label(n, a) for n, a in arities.items())),
-                   tuple(transitions), transitions, {k: w for k, (w, _) in offsets.items()})
-    return model
+    return Model(descriptor, Signature(tuple(Label(n, a) for n, a in arities.items())),
+                 tuple(transitions), transitions, {k: w for k, (w, _) in offsets.items()})
 
 
 def _raise_if_invalid(model: Model):

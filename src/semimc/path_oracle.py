@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .errors import EvaluationError, SizingError, ValidationError
+from .errors import EvaluationError, NonConvergence, SizingError, ValidationError
 from .evaluator import (EvalConfig, KleeneReport, Predicate, eval_formula,
                         nu_extent_result)
 from .logic import (Formula, FormulaClass, Modal, Top, WeightedSum, classify,
@@ -199,7 +199,8 @@ class StateComparison:
 class ComparisonReport:
     """Per-state comparison of the step-wise and path-based values of a
     fixpoint-free approximant, plus a non-contractual diagnostic distance
-    between the approximant and the original fixpoint formula."""
+    between the approximant and the original fixpoint formula (None when
+    the formula's own evaluation does not converge)."""
 
     semiring: str
     unroll_depth: int
@@ -242,11 +243,13 @@ class ComparisonReport:
                          f"diff={_render_diff(r.difference)} {r.verdict}")
         lines.append(f"  max discrepancy: {_render_diff(self.max_discrepancy)}")
         lines.append(f"  approximant vs fixpoint distance (diagnostic): "
-                     f"{_render_diff(self.approximant_distance)}")
+                     f"{_render_diff(self.approximant_distance) or 'n/a'}")
         return "\n".join(lines)
 
 
-def _render_diff(d) -> str:
+def _render_diff(d) -> str | None:
+    if d is None:  # unavailable
+        return None
     if d == INF:
         return "inf"
     if isinstance(d, Fraction):
@@ -303,8 +306,11 @@ def compare_semantics(model: Model, phi: Formula, k: int,
             worst = d if d != INF else INF
     report.max_discrepancy = worst
 
-    full = eval_formula(model, phi, cfg=cfg)
-    report.approximant_distance = max(
-        (semiring.distance(full[s], stepwise[s]) for s in model.states),
-        key=lambda v: (v == INF, v), default=0)
+    try:
+        full = eval_formula(model, phi, cfg=cfg)
+        report.approximant_distance = max(
+            (semiring.distance(full[s], stepwise[s]) for s in model.states),
+            key=lambda v: (v == INF, v), default=0)
+    except NonConvergence:  # the diagnostic is unavailable; the verdict stands
+        report.approximant_distance = None
     return report

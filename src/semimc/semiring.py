@@ -19,17 +19,19 @@ oslash(s, t) is the order-infimum of all u with u * t above s.  It is a
 capped division for probabilistic values, truncated subtraction for the
 tropical family, and the first projection for booleans.
 
-``step`` is the transition-step kernel of every fixpoint, written per
-instance with native operators instead of one method call per scalar.
-It runs on the kernel form (``pack``, ``unpack``): integer pairs
-``(numerator, denominator)`` on prob, the scalars themselves elsewhere.
+``step`` is the transition-step kernel of every fixpoint, written for
+prob and for the tropical family with native operators instead of one
+method call per scalar.  It runs on the kernel form (``pack``, ``unpack``):
+integer pairs ``(numerator, denominator)`` on prob, the scalars themselves
+on the tropical family, and on bool the trop[0] value (1 as 0, 0 as INF).
 
-All values are immutable and all operations are pure, so semirings can be
-shared freely across concurrent evaluations.
+All values are immutable and all operations are pure, so ``semiring_for``
+shares one instance per descriptor across concurrent evaluations.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,51 +179,6 @@ class Semiring:
 
     def __repr__(self):
         return f"Semiring({self.descriptor.short_name})"
-
-
-class BooleanSemiring(Semiring):
-    kind = "boolean"
-    zero = 0
-    one = 1
-
-    def contains(self, v):
-        return v in (0, 1) and not isinstance(v, float)
-
-    def plus(self, a, b):
-        return a | b
-
-    def times(self, a, b):
-        return a & b
-
-    def leq(self, a, b):
-        return a <= b
-
-    def oslash(self, s, t):
-        return s
-
-    def step(self, cm, args):
-        # oslash is the first projection, so offsets never apply
-        out = []
-        for row in cm.rows:
-            total = 0
-            for w, lid, succs in row:
-                preds = args[lid]
-                if preds is not None:
-                    for k, s in succs:
-                        w &= preds[k][s]
-                    total |= w
-            out.append(total)
-        return out
-
-    def parse(self, text):
-        if text == "0":
-            return 0
-        if text == "1":
-            return 1
-        raise ParseError(f"boolean scalar must be 0 or 1, got {quote(text)}")
-
-    def render(self, v):
-        return str(v)
 
 
 class ProbabilisticSemiring(Semiring):
@@ -400,6 +357,48 @@ class TropicalSemiring(Semiring):
         return "inf" if v == INF else str(v)
 
 
+class BooleanSemiring(TropicalSemiring):
+    """Public scalars 0 and 1; the kernel form is trop[0], onto which
+    1 -> 0, 0 -> INF maps (or, and) and the first projection, oslash."""
+
+    kind = "boolean"
+    zero = 0
+    one = 1
+    bound = 0
+
+    def contains(self, v):
+        return v in (0, 1) and not isinstance(v, float)
+
+    def plus(self, a, b):
+        return a | b
+
+    def times(self, a, b):
+        return a & b
+
+    def leq(self, a, b):
+        return a <= b
+
+    def oslash(self, s, t):
+        return s
+
+    def pack(self, values):
+        return [0 if v else INF for v in values]
+
+    def unpack(self, values):
+        return [0 if v else 1 for v in values]  # INF is false
+
+    def weighted_sum(self, cm, terms):
+        # per state, the min of p over the terms whose coefficient is 1
+        return [min(v) for v in zip([INF] * len(cm.states), *(p for c, p in terms if c))]
+
+    def parse(self, text):
+        if text == "0":
+            return 0
+        if text == "1":
+            return 1
+        raise ParseError(f"boolean scalar must be 0 or 1, got {quote(text)}")
+
+
 class BoundedTropicalSemiring(TropicalSemiring):
     kind = "bounded_tropical"
 
@@ -412,7 +411,9 @@ class BoundedTropicalSemiring(TropicalSemiring):
         return [INF] + list(range(self.bound, -1, -1))
 
 
+@functools.cache
 def semiring_for(descriptor: SemiringDescriptor) -> Semiring:
+    """The one shared (immutable) instance for `descriptor`."""
     cls = {
         "boolean": BooleanSemiring,
         "probabilistic": ProbabilisticSemiring,

@@ -130,11 +130,15 @@ def enumerate_fragments(signature: Signature, max_depth: int,
     (shallow fragments first, stable label order within each depth).
     Every fragment, the top leaf included, counts against `cap` before it
     is yielded."""
-    count = 0
-    for d, frag in _fragments(signature, max_depth):
-        count += 1
+    return _capped(_fragments(signature, max_depth), cap, "fragment")
+
+
+def _capped(fragments: Iterator[tuple[int, TraceFragment]], cap: int | None,
+            what: str) -> Iterator[TraceFragment]:
+    """The fragments of (depth, fragment) pairs, each counted against `cap`."""
+    for count, (d, frag) in enumerate(fragments, 1):
         if cap is not None and count > cap:
-            raise SizingError(f"fragment enumeration exceeds cap {cap} at depth {d}")
+            raise SizingError(f"{what} enumeration exceeds cap {cap} at depth {d}")
         yield frag
 
 
@@ -159,12 +163,7 @@ def _fragments(signature: Signature, max_depth: int) -> Iterator[tuple[int, Trac
 def truncations(signature: Signature, n: int, cap: int | None = None) -> Iterator[TraceFragment]:
     """Depth-n truncations of maximal traces: every top leaf under exactly
     n nodes, nullary completions allowed earlier."""
-    count = 0
-    for frag in _truncs(signature, n):
-        count += 1
-        if cap is not None and count > cap:
-            raise SizingError(f"truncation enumeration exceeds cap {cap} at depth {n}")
-        yield frag
+    return _capped(((n, frag) for frag in _truncs(signature, n)), cap, "truncation")
 
 
 def _truncs(signature: Signature, n: int) -> Iterator[TraceFragment]:

@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 from semimc import (BOT, TOP, Label, Modal, Model, Mu, Nu, Signature,
-                    SemiringDescriptor, Transition, Var, semiring_for)
+                    SemiringDescriptor, Transition, Var, semiring_for, unroll)
+from semimc.logic import modal_depth
+from semimc.path_oracle import count_fragments
 from semimc.semiring import INF
 
 
@@ -114,6 +116,16 @@ def random_qualitative_formula(rng: random.Random, signature: Signature,
 
     f, _ = go(max_size, max_fnd, max_modal_depth, ())
     return f
+
+
+def pick_unroll(model: Model, phi, cap: int = 50_000, max_k: int = 3) -> int:
+    """The deepest unrolling k <= max_k of `phi` whose path enumeration
+    stays within `cap` fragments from every state; 0 if none does."""
+    for k in range(max_k, 0, -1):
+        depth = modal_depth(unroll(phi, k))
+        if all(count_fragments(model, s, depth) <= cap for s in model.states):
+            return k
+    return 0
 
 
 DESCRIPTORS = {

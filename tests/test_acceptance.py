@@ -16,11 +16,10 @@ from semimc import (EvalConfig, INF, TOP_LEAF, compare_semantics, cyl_measure,
                     enum_fragments, enumerate_fragments, equiv_upto,
                     eval_formula, fragment_to_formula, lt, mu_extent,
                     nu_extent, nu_extent_result, parse_formula,
-                    render_fragment, tr_approx, truncations, unroll)
-from semimc.logic import modal_depth
-from semimc.path_oracle import certificate_tolerance, count_fragments
+                    render_fragment, tr_approx, truncations)
+from semimc.path_oracle import certificate_tolerance
 from semimc.traces import TraceNode, is_completed
-from randgen import DESCRIPTORS, random_model, random_qualitative_formula
+from randgen import DESCRIPTORS, pick_unroll, random_model, random_qualitative_formula
 
 import test_semiring
 
@@ -119,14 +118,6 @@ def test_c05_top_equals_extent_random_models():
 # criterion 6: two-semantics equivalence on random instances ----------------
 
 
-def _pick_unroll(model, phi, cap=50_000, max_k=3):
-    for k in range(max_k, 0, -1):
-        depth = modal_depth(unroll(phi, k))
-        if all(count_fragments(model, s, depth) <= cap for s in model.states):
-            return k
-    return 0
-
-
 def test_c06_two_semantics_equivalence_random():
     started = time.monotonic()
     rng = random.Random(602)
@@ -138,7 +129,7 @@ def test_c06_two_semantics_equivalence_random():
             m = random_model(rng, descriptor, max_states=4, max_labels=3)
             phi = random_qualitative_formula(rng, m.signature, max_size=12,
                                              max_fnd=2, max_modal_depth=2)
-            rep = compare_semantics(m, phi, _pick_unroll(m, phi), cfg)
+            rep = compare_semantics(m, phi, pick_unroll(m, phi), cfg)
             assert rep.ok and rep.max_discrepancy == 0
 
     for _ in range(50):
@@ -146,7 +137,7 @@ def test_c06_two_semantics_equivalence_random():
                          max_labels=3)
         phi = random_qualitative_formula(rng, m.signature, max_size=12,
                                          max_fnd=2, max_modal_depth=2)
-        rep = compare_semantics(m, phi, _pick_unroll(m, phi), cfg)
+        rep = compare_semantics(m, phi, pick_unroll(m, phi), cfg)
         assert rep.ok
         assert rep.max_discrepancy <= Fraction(1, 10**6)
 

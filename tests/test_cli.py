@@ -128,6 +128,20 @@ def test_oracle_report(capsys):
     assert payload["report"]["max_discrepancy"] == "0"
 
 
+def test_oracle_report_without_fixpoint_distance(tmp_path, capsys):
+    # the formula's own chain does not converge; the approximant's check
+    # still succeeds, with the diagnostic distance reported as unavailable
+    critical = tmp_path / "critical.model"
+    critical.write_text("semiring prob label s/2 label e/0 state x { 1/2 s -> x x; 1/2 e }")
+    argv = ("oracle", str(critical), "mu X. ([s](X, X) | [e])", "--unroll", "2",
+            "--max-iters", "200")
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and payload["report"]["ok"] is True
+    assert payload["report"]["approximant_distance"] is None
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("(diagnostic): n/a\n")
+
+
 def test_formula_from_file(tmp_path, capsys):
     f = tmp_path / "formula.txt"
     f.write_text(FORMULA)
@@ -168,6 +182,8 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     for argv, option in [
         (("extent", "--max-iters", "0", MODEL), "--max-iters"),
         (("eval", "--epsilon", "0", MODEL, "T"), "--epsilon"),
+        # an exponent past the scalar parser's bound: 10**999999999 is never built
+        (("extent", "--epsilon", "1e-999999999", MODEL), "--epsilon"),
         (("equiv", "--depth", "-1", MODEL, "x", "y"), "--depth"),
         (("oracle", "--unroll", "-2", MODEL, "T"), "--unroll"),
         (("tr", "--n", "-1", MODEL, "[a](T)", "--state", "x"), "--n"),

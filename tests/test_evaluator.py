@@ -19,6 +19,7 @@ from semimc import (BOT, INF, TOP, EvalConfig, KleeneResult, Label, Model, Mu, N
 from semimc import evaluator
 from semimc.evaluator import leq_pointwise
 from conftest import load_corpus_model
+from test_kernel import naive_step
 from randgen import (DESCRIPTORS, _prob_weights, carrier_values, random_model,
                      random_qualitative_formula)
 
@@ -104,10 +105,10 @@ TROP_LABELS = Signature(tuple(Label(f"l{k}", k) for k in range(4)))
 
 
 @st.composite
-def offset_free_trop_models(draw):
-    descriptor = draw(st.sampled_from([SemiringDescriptor("tropical"),
-                                       SemiringDescriptor("bounded_tropical", 3),
-                                       SemiringDescriptor("bounded_tropical", 8)]))
+def offset_free_trop_models(draw, descriptors=(SemiringDescriptor("tropical"),
+                                               SemiringDescriptor("bounded_tropical", 3),
+                                               SemiringDescriptor("bounded_tropical", 8))):
+    descriptor = draw(st.sampled_from(descriptors))
     top = 6 if descriptor.bound is None else descriptor.bound
     n = draw(st.integers(1, 5))
     states = tuple(f"s{i}" for i in range(n))
@@ -117,8 +118,10 @@ def offset_free_trop_models(draw):
         for _ in range(draw(st.integers(0, 3))):
             arity = draw(st.integers(0, 3))
             succs = tuple(states[draw(st.integers(0, n - 1))] for _ in range(arity))
-            # weight 0 on about half the edges, so zero-cost run trees occur
-            w = draw(st.one_of(st.just(0), st.integers(0, top)))
+            # weight 0 on about half the edges, so zero-cost run trees occur;
+            # every bool weight is 1
+            w = 1 if descriptor.kind == "boolean" else draw(
+                st.one_of(st.just(0), st.integers(0, top)))
             outs[(f"l{arity}", succs)] = Transition(w, f"l{arity}", succs)
         transitions[name] = list(outs.values())
     return Model(descriptor, TROP_LABELS, states, transitions)
@@ -138,6 +141,28 @@ def test_trop_extent_matches_kleene(m):
         assert res.values == dict(zip(cm.states, ref.values))
     assert nu.report.promoted == tuple(s for s in sorted(cm.states) if nu.values[s] == INF)
     assert all(nu.values[s] <= mu.values[s] for s in cm.states)
+
+
+def _no_chain(*args, **kwargs):
+    raise AssertionError("kleene called")
+
+
+@given(offset_free_trop_models([DESCRIPTORS["boolean"]]))
+@settings(max_examples=200, deadline=None)
+def test_bool_extent_is_exact(m):
+    # bool runs as trop[0], so offset-free extents and T come from
+    # _trop_extent with no chain; the reference iterates the public
+    # or/and fold from 1 (the gfp) and from 0 (the lfp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "kleene", _no_chain)
+        nu, mu = nu_extent_result(m), mu_extent_result(m)
+        top = eval_formula(m, TOP)
+    for res, start in ((nu, 1), (mu, 0)):
+        p = dict.fromkeys(m.states, start)
+        while (q := naive_step(m, {l.name: (p,) * l.arity for l in m.signature.labels})) != p:
+            p = q
+        assert res.values == p and res.report.promoted == ()
+    assert top == nu.values
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -313,6 +338,17 @@ def test_kleene_non_convergence():
                        "state a { 11/12 go -> a; 1/12 out }", "lfp", EvalConfig(max_iterations=5))
     assert info.value.iterations == 5
     assert info.value.last is not None
+
+
+def test_bool_non_convergence_reports_scalars():
+    # the chain runs on trop[0] values; the error reports bool's 0 and 1
+    m = parse_model("semiring bool label a/1 label e/0 "
+                    "state x { 1 a -> y } state y { 1 a -> z } state z { 1 e }")
+    f = parse_formula("mu X. ([a](X) | [e])", m.signature, m.descriptor)
+    with pytest.raises(NonConvergence) as info:
+        eval_formula(m, f, cfg=EvalConfig(max_iterations=1))
+    assert info.value.last == {"x": 0, "y": 0, "z": 1}
+    assert info.value.previous == {"x": 0, "y": 0, "z": 0}
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -497,10 +533,7 @@ def test_binder_under_nested_modalities_is_solved_exactly(monkeypatch):
     # X under two modalities is affine in X, so no chain runs: on
     # corpus/two-rate.prob.model u = 1/(1 + p) with p = 1 - 10^-12, where
     # the epsilon stop cut the chain off at 0
-    def no_chain(*args, **kwargs):
-        raise AssertionError("kleene called")
-
-    monkeypatch.setattr(evaluator, "kleene", no_chain)
+    monkeypatch.setattr(evaluator, "kleene", _no_chain)
     m = load_corpus_model("two-rate.prob.model")
     f = parse_formula("mu X. ([a]([a](X)) | [e])", m.signature, m.descriptor)
     assert eval_formula(m, f) == {"u": Fraction(10**12, 2 * 10**12 - 1), "v": Fraction(2, 3)}

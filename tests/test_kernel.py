@@ -1,7 +1,9 @@
-"""The compiled model form and the per-semiring transition-step kernel.
+"""The compiled model form and the transition-step kernels.
 
 The kernel runs on the semiring's kernel form (`Semiring.pack`): integer
-pairs on the probabilistic semiring, the scalars themselves elsewhere.
+pairs on the probabilistic semiring, the trop[0] value on bool (1 as 0,
+0 as INF), which runs on the tropical kernel, and the scalars themselves
+on the tropical family.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from semimc import (EvalConfig, EvaluationError, PathNode, SizingError,
                     StateLeaf, TOP, ValidationError, compare_semantics,
                     cyl_measure, enum_fragments, eval_formula, frag_sat,
-                    nu_extent, oracle_eval, parse_formula, unroll)
-from randgen import DESCRIPTORS, random_model, random_qualitative_formula
+                    nu_extent, oracle_eval, parse_formula, parse_model, unroll)
+from randgen import DESCRIPTORS, pick_unroll, random_model, random_qualitative_formula
 
 EPS = Fraction(1, 10**9)
 
@@ -255,15 +255,20 @@ def test_compare_report_serialises(extent_trop):
     assert "max discrepancy" in text
 
 
-def _capped_unroll(model, phi, max_k=3, cap=50_000):
-    # deepest unrolling whose enumeration stays within the budget
-    from semimc.logic import modal_depth
-    from semimc.path_oracle import count_fragments
-    for k in range(max_k, 0, -1):
-        depth = modal_depth(unroll(phi, k))
-        if all(count_fragments(model, s, depth) <= cap for s in model.states):
-            return k
-    return 0
+CRITICAL = "semiring prob label s/2 label e/0 state x { 1/2 s -> x x; 1/2 e }"
+
+
+def test_compare_keeps_its_verdict_when_the_fixpoint_does_not_converge():
+    # x = 1/2 x^2 + 1/2 has the double root 1, so the formula's own chain
+    # finds no fixpoint in 200 iterations; its 2-step approximant is 5/8
+    # both ways, and only the diagnostic distance is unavailable
+    m = parse_model(CRITICAL)
+    phi = parse_formula("mu X. ([s](X, X) | [e])", m.signature, m.descriptor)
+    rep = compare_semantics(m, phi, 2, EvalConfig(max_iterations=200))
+    assert rep.ok and rep.rows[0].stepwise == rep.rows[0].oracle == Fraction(5, 8)
+    assert rep.approximant_distance is None
+    assert rep.to_dict(m.descriptor)["approximant_distance"] is None
+    assert rep.to_text(m.descriptor).endswith("approximant vs fixpoint distance (diagnostic): n/a")
 
 
 @given(st.integers(min_value=0, max_value=10**9),
@@ -274,7 +279,7 @@ def test_compare_random_models_exact(seed, kind):
     m = random_model(rng, DESCRIPTORS[kind], max_states=4, max_labels=3)
     phi = random_qualitative_formula(rng, m.signature, max_size=12, max_fnd=2,
                                      max_modal_depth=2)
-    k = _capped_unroll(m, phi)
+    k = pick_unroll(m, phi)
     rep = compare_semantics(m, phi, k, EvalConfig(enum_cap=150_000))
     assert rep.ok and rep.max_discrepancy == 0
 
@@ -286,7 +291,7 @@ def test_compare_random_models_probabilistic(seed):
     m = random_model(rng, DESCRIPTORS["probabilistic"], max_states=4, max_labels=3)
     phi = random_qualitative_formula(rng, m.signature, max_size=10, max_fnd=2,
                                      max_modal_depth=2)
-    k = _capped_unroll(m, phi)
+    k = pick_unroll(m, phi)
     rep = compare_semantics(m, phi, k, EvalConfig(enum_cap=150_000))
     assert rep.ok
     assert rep.max_discrepancy <= Fraction(1, 10**6)

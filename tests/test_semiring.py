@@ -152,6 +152,23 @@ def test_oslash_residuation_exhaustive_boolean():
             _residuation_check(sr, [0, 1], s_, t)
 
 
+def test_bool_kernel_form_is_trop0():
+    # 1 as 0 and 0 as INF carries or, and and oslash onto min, + and
+    # truncated subtraction on {0, INF}: bool runs on the tropical kernel
+    sr, tr = semiring_for(DESCRIPTORS["boolean"]), semiring_for(DESCRIPTORS["tropical"])
+    assert sr.pack([0, 1]) == [INF, 0] and sr.unpack([INF, 0]) == [0, 1]
+    for a in (0, 1):
+        for b in (0, 1):
+            x, y = sr.pack([a, b])
+            assert sr.pack([sr.plus(a, b), sr.times(a, b), sr.oslash(a, b)]) == [
+                tr.plus(x, y), tr.times(x, y), tr.oslash(x, y)]
+
+
+def test_semiring_for_shares_one_instance_per_descriptor():
+    for d in ALL:
+        assert semiring_for(d) is semiring_for(SemiringDescriptor(d.kind, d.bound))
+
+
 @pytest.mark.parametrize("bound", range(1, 9))
 def test_oslash_residuation_exhaustive_bounded_tropical(bound):
     sr = semiring_for(SemiringDescriptor("bounded_tropical", bound))

@@ -92,11 +92,16 @@ def test_enumeration_cap_counts_every_fragment(counterexample_prob):
         TOP_LEAF, *(TraceNode(l, (TOP_LEAF,)) for l in ("a", "b", "c"))]
     # the top leaf counts too: a cap of 0 admits no fragment
     for cap, depth in ((0, 0), (3, 1)):
-        with pytest.raises(SizingError, match=f"exceeds cap {cap} at depth {depth}"):
+        with pytest.raises(SizingError,
+                           match=f"^fragment enumeration exceeds cap {cap} at depth {depth}$"):
             list(enumerate_fragments(sig, 1, cap=cap))
     # so does equiv_upto: a cap of 1 admits the top leaf and nothing more
     with pytest.raises(SizingError, match="exceeds cap 1 at depth 1"):
         equiv_upto(counterexample_prob, "x", "u", 1, "lt", EvalConfig(enum_cap=1))
+    # truncations count the same way: a(a(T)) .. c(c(T)) are 9 at depth 2
+    assert len(list(truncations(sig, 2, cap=9))) == 9
+    with pytest.raises(SizingError, match="^truncation enumeration exceeds cap 8 at depth 2$"):
+        list(truncations(sig, 2, cap=8))
 
 
 def test_lt_cross_path_identity_corpus(corpus_models):
