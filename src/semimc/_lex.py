@@ -1,15 +1,18 @@
 """Tokenizer shared by the model, formula and fragment parsers.
 
-A token is a plain ``(kind, text, offset)`` tuple: kind is 'ident',
-'number', 'symbol' or 'eof', and offset indexes the source text.  Line and
-column are worked out from the offset only when a `ParseError` is raised;
-columns count characters, so a tab and a carriage return are one column
-each.  Identifiers and digits are ASCII only.
+A token is its text, and the list ends with the empty text ''.  The text
+fixes the kind: an identifier passes `str.isidentifier`, a number starts
+with a digit, anything else is a symbol.  The parsers hold token indices;
+line and column are worked out only when a `ParseError` is raised, by
+scanning the text again up to that token.  Columns count characters, so a
+tab and a carriage return are one column each.  Identifiers and digits are
+ASCII only.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .errors import ParseError
 
@@ -19,32 +22,32 @@ from .errors import ParseError
 # per level, so this stays inside the default recursion limit of 1000.
 MAX_DEPTH = 160
 
-# one match per token, skipping the whitespace and comments before it (the
-# last match may hold no token).  Explicit ASCII classes: \d and \w would
-# accept non-ASCII digits and letters.  Numbers are digit runs with at most
-# one decimal point ("0.25"); '->' must be tried before the other symbols.
-# '*' is a symbol; parsers take it as a name where a nullary label is expected.
-_TOKEN = re.compile(r"""(?:[ \t\r\n]+|\#[^\n]*)*(?:
-    (?P<number>[0-9]+(?:\.[0-9]+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<symbol>->|[{};=/\[\](),.|+*])
-  | (?P<bad>.)
-  | \Z)
-""", re.VERBOSE)
+# one token: a digit run with at most one decimal point ("0.25"), an
+# identifier, or a symbol.  Explicit ASCII classes: \d and \w would accept
+# non-ASCII digits and letters.  '*' is a symbol; parsers take it as a name
+# where a nullary label is expected.
+_SYMBOLS = r"{};=/\[\](),.|+*"
+_ONE = r"[0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|->|[" + _SYMBOLS + "]"
+_GAP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"  # whitespace and comments
+_LEAD = re.compile(_GAP)
+# a token and the gap after it: from the end of `_LEAD` or of the last
+# match, on a text `_CLEAN` accepts, each search succeeds where it starts
+_TOKEN = re.compile(f"({_ONE}){_GAP}")
+# runs of token characters, '->' and gaps: nothing after the loop can fail,
+# so the match never backtracks and ends at the first character no token
+# can start.  (A gap loop before a part that fails backtracks exponentially.)
+_CLEAN = re.compile(r"(?:[ \t\r\n0-9A-Za-z_" + _SYMBOLS + r"]+|->|\#[^\n]*)*")
 
 
-def tokenize(source: str) -> list[tuple[str, str, int]]:
+def tokenize(source: str) -> list[str]:
     """Whitespace-insensitive tokenization; '#' starts a line comment.
-    The list ends with an 'eof' token; the first character no token can
-    start raises `ParseError`."""
-    tokens = [(kind, m[kind], m.start(kind))
-              for m in _TOKEN.finditer(source) for kind in (m.lastgroup,) if kind]
-    for kind, text, offset in tokens:
-        if kind == "bad":
-            raise error(source, offset, f"unexpected character {text!r}")
-    # a trailing comment does not advance the end-of-input column
-    comment = source.find("#", source.rfind("\n") + 1)
-    tokens.append(("eof", "", len(source) if comment < 0 else comment))
+    The list ends with ''; the first character no token can start raises
+    `ParseError`."""
+    end = _CLEAN.match(source).end()
+    if end < len(source):
+        raise error(source, end, f"unexpected character {source[end]!r}")
+    tokens = _TOKEN.findall(source, _LEAD.match(source).end())
+    tokens.append("")
     return tokens
 
 
@@ -56,9 +59,9 @@ def error(source: str, offset: int, message: str) -> ParseError:
 
 class TokenStream:
     """Cursor over the tokens of `source` with the usual peek/expect
-    helpers, and the nesting guard of the recursive parsers.  A token's
-    text fixes its kind (identifiers, numbers and symbols share no text),
-    so most checks compare the text alone."""
+    helpers, and the nesting guard of the recursive parsers.  Identifiers,
+    numbers and symbols share no text, so most checks compare the text
+    alone; errors name the index of their token."""
 
     def __init__(self, source: str):
         self.source = source
@@ -66,66 +69,73 @@ class TokenStream:
         self.pos = 0
         self.depth = 0
 
-    def error(self, message: str, tok) -> ParseError:
-        return error(self.source, tok[2], message)
+    def error(self, message: str, k: int) -> ParseError:
+        """A `ParseError` at token `k`, found by tokenizing again; the final
+        '' is at the end of the text, or at a comment on its last line."""
+        source = self.source
+        m = next(islice(_TOKEN.finditer(source, _LEAD.match(source).end()), k, None), None)
+        if m is None:
+            comment = source.find("#", source.rfind("\n") + 1)
+            return error(source, len(source) if comment < 0 else comment, message)
+        return error(source, m.start(), message)
 
-    def peek(self):
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self):
+    def next(self) -> str:
         tok = self.tokens[self.pos]
-        if tok[0] != "eof":
+        if tok:
             self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.tokens[self.pos][1] == text
+        return self.tokens[self.pos] == text
 
-    def expect(self, kind: str):
+    def expect(self, kind: str) -> str:
         """The next token, which must be an 'ident' or a 'number'."""
         tok = self.tokens[self.pos]
-        if tok[0] != kind:
+        if not (tok.isidentifier() if kind == "ident" else tok[:1].isdigit()):
             what = "identifier" if kind == "ident" else "number"
-            raise self.error(f"expected {what}, got {tok[1]!r}", tok)
+            raise self.error(f"expected {what}, got {tok!r}", self.pos)
         self.pos += 1
         return tok
 
-    def expect_symbol(self, text: str):
+    def expect_symbol(self, text: str) -> str:
         tok = self.tokens[self.pos]
-        if tok[1] != text:
-            raise self.error(f"expected {text!r}, got {tok[1]!r}", tok)
+        if tok != text:
+            raise self.error(f"expected {text!r}, got {tok!r}", self.pos)
         self.pos += 1
         return tok
 
-    def expect_label_name(self):
+    def expect_label_name(self) -> str:
         """Identifier or bare '*', the conventional nullary label."""
         tok = self.tokens[self.pos]
-        if tok[0] != "ident" and tok[1] != "*":
-            raise self.error(f"expected label name, got {tok[1]!r}", tok)
+        if tok != "*" and not tok.isidentifier():
+            raise self.error(f"expected label name, got {tok!r}", self.pos)
         self.pos += 1
         return tok
 
     def expect_weight(self, semiring):
         """WEIGHT := NUMBER ["/" NUMBER] | "inf", parsed by `semiring`;
         errors carry the position of the weight's first token."""
-        tok = self.peek()
-        if tok[1] == "inf":
+        k = self.pos
+        if self.tokens[k] == "inf":
             self.pos += 1
             text = "inf"
         else:
-            text = self.expect("number")[1]
+            text = self.expect("number")
             if self.at("/"):
                 self.pos += 1
-                text = f"{text}/{self.expect('number')[1]}"
+                text = f"{text}/{self.expect('number')}"
         try:
             return semiring.parse(text)
         except ParseError as e:
-            raise self.error(str(e), tok) from None
+            raise self.error(str(e), k) from None
 
     def expect_eof(self):
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise self.error(f"trailing input starting at {tok[1]!r}", tok)
+        tok = self.tokens[self.pos]
+        if tok:
+            raise self.error(f"trailing input starting at {tok!r}", self.pos)
 
     def enter(self):
         """Open one nesting level at the next token; past MAX_DEPTH levels
@@ -133,4 +143,4 @@ class TokenStream:
         The parser closes the level with ``depth -= 1``."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise self.error(f"input nested deeper than {MAX_DEPTH} levels", self.peek())
+            raise self.error(f"input nested deeper than {MAX_DEPTH} levels", self.pos)

@@ -22,6 +22,7 @@ solve such a system do not load it.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 
@@ -122,24 +123,32 @@ def _bareiss(rows: dict[int, dict[int, int]]) -> dict[int, Fraction]:
     The matrix must be a nonsingular M-matrix, so every diagonal pivot
     order meets only positive pivots; the next pivot is the remaining
     diagonal entry of least Markowitz cost (row length - 1) * (column
-    length - 1), ties to the smaller key, which keeps fill-in low.  After
+    length - 1), ties to the smaller key, which keeps fill-in low.  A heap
+    holds a (cost, key) entry for every cost a key has had; an entry whose
+    cost is no longer its key's is skipped when it comes up.  After
     step k every updated entry is a (k+1)-minor p_k * a - a_ir * a_rj
     over the previous pivot, an exact division.  A row the pivot column
     misses is only scaled by p_k / p_(k-1) per step; that product
     telescopes, so such rows store their last level and are scaled once,
     when next used.  Back-substitution runs on the integers X_i = D * x_i,
-    with D the last pivot (the determinant).
+    with D the last pivot (the determinant).  The result lists the
+    unknowns in reverse pivot order.
     """
     cols = {i: set() for i in rows}
     for i, row in rows.items():
         for j in row:
             if j != _RHS:
                 cols[j].add(i)
+    cost = lambda i: (len(rows[i]) - 1) * (len(cols[i]) - 1)
+    heap = [(cost(i), i) for i in rows]
+    heapq.heapify(heap)
     level = dict.fromkeys(rows, 0)
     pivots = [1]
     order = []
     for step in range(len(rows)):
-        r = min(cols, key=lambda i: ((len(rows[i]) - 1) * (len(cols[i]) - 1), i))
+        c, r = heapq.heappop(heap)
+        while r not in cols or c != cost(r):
+            c, r = heapq.heappop(heap)
         prev = pivots[-1]
         row_r = rows[r]
         if level[r] != step:
@@ -150,7 +159,8 @@ def _bareiss(rows: dict[int, dict[int, int]]) -> dict[int, Fraction]:
         for j, _ in others:
             if j != _RHS:
                 cols[j].discard(r)
-        for i in cols.pop(r) - {r}:
+        below = cols.pop(r) - {r}
+        for i in below:
             row_i = rows[i]
             if level[i] != step:
                 base = pivots[level[i]]
@@ -168,6 +178,9 @@ def _bareiss(rows: dict[int, dict[int, int]]) -> dict[int, Fraction]:
             level[i] = step + 1
         pivots.append(p)
         order.append(r)
+        # the rows updated and the columns of row r changed their lengths
+        for k in below.union(j for j, _ in others if j != _RHS):
+            heapq.heappush(heap, (cost(k), k))
     det = pivots[-1]
     scaled = {}
     for r in reversed(order):

@@ -226,7 +226,7 @@ class _FormulaParser:
         self.binders_seen: set[str] = set()
         # every identifier in the source; fresh binder names must miss all
         # of them or renaming could capture a free variable
-        self.all_names = {text for kind, text, _ in self.ts.tokens if kind == "ident"}
+        self.all_names = {tok for tok in self.ts.tokens if tok.isidentifier()}
 
     def parse(self) -> Formula:
         f = self.formula({})
@@ -235,7 +235,7 @@ class _FormulaParser:
 
     def formula(self, scope: dict[str, str]) -> Formula:
         ts = self.ts
-        first_tok = ts.peek()
+        first = ts.pos
         ts.enter()
         terms = [self.summand(scope)]
         while ts.at("+"):
@@ -248,15 +248,15 @@ class _FormulaParser:
                 return f
             return WeightedSum(((c, f),))
         if any(c is None for c, _ in terms):
-            raise ts.error("multi-term sums need a weight on every term", first_tok)
+            raise ts.error("multi-term sums need a weight on every term", first)
         coeffs = [c for c, _ in terms]
         if self.semiring.sum(coeffs) is UNDEFINED:
-            raise ts.error("coefficient sum is undefined in the semiring", first_tok)
+            raise ts.error("coefficient sum is undefined in the semiring", first)
         return WeightedSum(tuple((c, f) for c, f in terms))
 
     def summand(self, scope) -> tuple[object | None, Formula]:
         ts = self.ts
-        if ts.peek()[0] == "number" or ts.at("inf"):
+        if ts.peek()[:1].isdigit() or ts.at("inf"):
             w = ts.expect_weight(self.semiring)
             ts.expect_symbol("*")
             return w, self.atom(scope)
@@ -264,16 +264,16 @@ class _FormulaParser:
 
     def atom(self, scope) -> Formula:
         ts = self.ts
-        tok = ts.peek()
-        if ts.at("("):
+        k = ts.pos
+        text = ts.peek()
+        if text == "(":
             ts.next()
             f = self.formula(scope)
             ts.expect_symbol(")")
             return f
-        if ts.at("["):
+        if text == "[":
             return self.modal_chain(scope)
-        kind, text, _ = tok
-        if kind == "ident":
+        if text.isidentifier():
             if text == "T":
                 ts.next()
                 return TOP
@@ -282,10 +282,9 @@ class _FormulaParser:
                 return BOT
             if text in ("mu", "nu"):
                 ts.next()
-                name_tok = ts.expect("ident")
-                name = name_tok[1]
+                name = ts.expect("ident")
                 if name in ("T", "F", "mu", "nu"):
-                    raise ts.error(f"reserved word {name!r} cannot be a variable", name_tok)
+                    raise ts.error(f"reserved word {name!r} cannot be a variable", k + 1)
                 ts.expect_symbol(".")
                 # rename on collision with any other binder to rule out shadowing
                 bound = name
@@ -299,16 +298,17 @@ class _FormulaParser:
                 return cls(bound, body)
             ts.next()
             return Var(scope.get(text, text))
-        raise ts.error(f"expected a formula, got {text!r}", tok)
+        raise ts.error(f"expected a formula, got {text!r}", k)
 
     def modal_chain(self, scope) -> Formula:
         disjuncts = [self.modal(scope)]
         labels = {disjuncts[0][0]}
         while self.ts.at("|"):
-            tok = self.ts.next()
+            k = self.ts.pos
+            self.ts.next()
             lbl, args = self.modal(scope)
             if lbl in labels:
-                raise self.ts.error(f"duplicate label {lbl!r} in disjunction", tok)
+                raise self.ts.error(f"duplicate label {lbl!r} in disjunction", k)
             labels.add(lbl)
             disjuncts.append((lbl, args))
         return Modal(tuple(disjuncts))
@@ -316,11 +316,11 @@ class _FormulaParser:
     def modal(self, scope) -> tuple[str, tuple[Formula, ...]]:
         ts = self.ts
         ts.expect_symbol("[")
-        lbl_tok = ts.expect_label_name()
-        label = lbl_tok[1]
+        k = ts.pos
+        label = ts.expect_label_name()
         ts.expect_symbol("]")
         if not self.signature.has(label):
-            raise ts.error(f"unknown label {label!r}", lbl_tok)
+            raise ts.error(f"unknown label {label!r}", k)
         arity = self.signature.arity(label)
         args: list[Formula] = []
         if ts.at("("):
@@ -331,8 +331,7 @@ class _FormulaParser:
                 args.append(self.formula(scope))
             ts.expect_symbol(")")
         if len(args) != arity:
-            raise ts.error(f"label {label!r} has arity {arity}, got {len(args)} argument(s)",
-                           lbl_tok)
+            raise ts.error(f"label {label!r} has arity {arity}, got {len(args)} argument(s)", k)
         return label, tuple(args)
 
 

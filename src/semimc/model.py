@@ -17,9 +17,12 @@ Text format (whitespace-insensitive, '#' starts a line comment)::
 
 Successor lists are omitted for nullary labels.  Labels must be declared
 before use; states may be referenced forward but every referenced state
-needs its own "state" block.  Models are immutable after parsing; each
-shares the one semiring instance of its descriptor and builds, on first
-evaluation, its indexed ``CompiledModel``.
+needs its own "state" block.  The parser reads the token texts of
+``_lex.tokenize`` in one pass and keeps a token's index where an error may
+need it; line and column are worked out only when the error is raised.
+Models are immutable after parsing; each shares the one semiring instance
+of its descriptor and builds, on first evaluation, its indexed
+``CompiledModel``.
 """
 
 from __future__ import annotations
@@ -105,13 +108,14 @@ class Model:
         pack = self.semiring.pack
         rows = []
         for c in self.states:
+            ts = self.transitions[c]
             row = []
-            for t in self.transitions[c]:
+            for w, t in zip(pack([t.weight for t in ts]), ts):
                 lid = label_ids.get(t.label)
-                succs = tuple(index.get(s) for s in t.successors)
+                succs = tuple(map(index.get, t.successors))
                 if lid is None or None in succs or arities[lid] != len(succs):
                     _raise_if_invalid(self)
-                row.append((pack([t.weight])[0], lid, tuple(enumerate(succs))))
+                row.append((w, lid, tuple(enumerate(succs))))
             rows.append(tuple(row))
         offsets = [self.offsets[c] for c in self.states]
         offset_ids = tuple(i for i, v in enumerate(offsets) if v != self.semiring.one)
@@ -184,20 +188,22 @@ _STYPES = {"bool": "boolean", "prob": "probabilistic", "trop": "tropical"}
 
 
 def _parse_descriptor(ts: TokenStream) -> SemiringDescriptor:
-    tok = ts.expect("ident")
-    kind = _STYPES.get(tok[1])
+    k = ts.pos
+    name = ts.expect("ident")
+    kind = _STYPES.get(name)
     if kind is None:
-        raise ts.error(f"unknown semiring {tok[1]!r}", tok)
+        raise ts.error(f"unknown semiring {name!r}", k)
     if kind == "tropical" and ts.at("["):
         ts.next()
-        btok = ts.expect("number")
+        k = ts.pos
+        text = ts.expect("number")
         ts.expect_symbol("]")
         try:
-            bound = int(btok[1])
+            bound = int(text)
         except ValueError:
-            raise ts.error(f"bad bound {quote(btok[1])}", btok) from None
+            raise ts.error(f"bad bound {quote(text)}", k) from None
         if bound < 1:
-            raise ts.error("bound must be at least 1", btok)
+            raise ts.error("bound must be at least 1", k)
         return SemiringDescriptor("bounded_tropical", bound)
     return SemiringDescriptor(kind)
 
@@ -214,26 +220,25 @@ def parse_model(text: str) -> Model:
     the whole text has parsed, so a syntax error anywhere is reported first.
     """
     ts = TokenStream(text)
-    kw = ts.expect("ident")
-    if kw[1] != "semiring":
-        raise ts.error("model must start with 'semiring'", kw)
+    if ts.expect("ident") != "semiring":
+        raise ts.error("model must start with 'semiring'", 0)
     descriptor = _parse_descriptor(ts)
     semiring = semiring_for(descriptor)
     prob = descriptor.kind == "probabilistic"
 
     arities: dict[str, int] = {}
     transitions: dict[str, list[Transition]] = {}
-    offsets: dict[str, tuple] = {}  # state -> (weight, name token)
-    referenced: dict[str, tuple] = {}  # state -> first token naming it
+    offsets: dict[str, tuple] = {}  # state -> (weight, index of its name)
+    referenced: dict[str, int] = {}  # state -> index of the first token naming it
     overfull: list[Diagnostic] = []
 
-    while ts.peek()[0] != "eof":
-        tok = ts.expect("ident")
-        if tok[1] == "state":
-            name_tok = ts.expect("ident")
-            name = name_tok[1]
+    while ts.peek():
+        k = ts.pos
+        kw = ts.expect("ident")
+        if kw == "state":
+            name = ts.expect("ident")
             if name in transitions:
-                raise ts.error(f"duplicate state {name!r}", name_tok)
+                raise ts.error(f"duplicate state {name!r}", k + 1)
             ts.expect_symbol("{")
             row: dict[tuple, object] = {}  # (label, successors) -> merged weight
             undefined = None  # first merge whose sum is undefined
@@ -263,36 +268,36 @@ def parse_model(text: str) -> Model:
                     overfull.append(Diagnostic(
                         "error", f"state {name!r}: outgoing weight sum is undefined"))
             transitions[name] = [Transition(w, label, succs) for (label, succs), w in row.items()]
-        elif tok[1] == "label":
-            name_tok = ts.expect_label_name()
+        elif kw == "label":  # label NAME / ARITY, at k + 1 and k + 3
+            name = ts.expect_label_name()
             ts.expect_symbol("/")
-            ar_tok = ts.expect("number")
-            if name_tok[1] in arities:
-                raise ts.error(f"duplicate label {name_tok[1]!r}", name_tok)
-            if "." in ar_tok[1]:
-                raise ts.error("arity must be a natural number", ar_tok)
+            arity = ts.expect("number")
+            if name in arities:
+                raise ts.error(f"duplicate label {name!r}", k + 1)
+            if "." in arity:
+                raise ts.error("arity must be a natural number", k + 3)
             try:
-                arities[name_tok[1]] = int(ar_tok[1])
+                arities[name] = int(arity)
             except ValueError:  # more digits than int() converts
-                raise ts.error("arity is too large", ar_tok) from None
-        elif tok[1] == "offset":
-            name_tok = ts.expect("ident")
+                raise ts.error("arity is too large", k + 3) from None
+        elif kw == "offset":
+            name = ts.expect("ident")
             ts.expect_symbol("=")
             w = ts.expect_weight(semiring)
-            if name_tok[1] in offsets:
-                raise ts.error(f"duplicate offset for {name_tok[1]!r}", name_tok)
-            offsets[name_tok[1]] = (w, name_tok)
+            if name in offsets:
+                raise ts.error(f"duplicate offset for {name!r}", k + 1)
+            offsets[name] = (w, k + 1)
         else:
-            raise ts.error(f"expected 'label', 'state' or 'offset', got {tok[1]!r}", tok)
+            raise ts.error(f"expected 'label', 'state' or 'offset', got {kw!r}", k)
 
     if not arities:
         raise ValidationError("model declares no labels")
-    for name, tok in referenced.items():
+    for name, k in referenced.items():
         if name not in transitions:
-            raise ts.error(f"undeclared successor state {name!r}", tok)
-    for name, (_, tok) in offsets.items():
+            raise ts.error(f"undeclared successor state {name!r}", k)
+    for name, (_, k) in offsets.items():
         if name not in transitions:
-            raise ts.error(f"offset for unknown state {name!r}", tok)
+            raise ts.error(f"offset for unknown state {name!r}", k)
     if overfull:
         raise ValidationError(overfull[0].message, overfull)
 
@@ -309,28 +314,27 @@ def _raise_if_invalid(model: Model):
 def _parse_transition(ts, semiring, arities, referenced) -> tuple:
     """``WEIGHT LABEL ["->" IDENT+]`` as the weight and its (label, successors)."""
     w = ts.expect_weight(semiring)
-    lbl_tok = ts.expect_label_name()
-    label = lbl_tok[1]
+    k = ts.pos
+    label = ts.expect_label_name()
     arity = arities.get(label)
     if arity is None:
-        raise ts.error(f"unknown label {label!r}", lbl_tok)
-    succs: list[str] = []
-    toks, i = ts.tokens, ts.pos
-    if toks[i][1] == "->":
-        i += 1
-        while toks[i][0] == "ident":
-            succs.append(toks[i][1])
-            referenced.setdefault(toks[i][1], toks[i])
-            i += 1
-        if not succs:
-            raise ts.error("expected successor state after '->'", toks[i])
-        ts.pos = i
+        raise ts.error(f"unknown label {label!r}", k)
+    toks = ts.tokens
+    succs = ()
+    if toks[k + 1] == "->":
+        i = j = k + 2
+        while toks[j].isidentifier():
+            referenced.setdefault(toks[j], j)
+            j += 1
+        if j == i:
+            raise ts.error("expected successor state after '->'", j)
+        succs = tuple(toks[i:j])
+        ts.pos = j
     if len(succs) != arity:
-        raise ts.error(f"label {label!r} has arity {arity}, got {len(succs)} successor(s)",
-                       lbl_tok)
+        raise ts.error(f"label {label!r} has arity {arity}, got {len(succs)} successor(s)", k)
     if w == semiring.zero:
-        raise ts.error("transition weight is the semiring zero", lbl_tok)
-    return w, (label, tuple(succs))
+        raise ts.error("transition weight is the semiring zero", k)
+    return w, (label, succs)
 
 
 def validate(model: Model) -> list[Diagnostic]:

@@ -87,10 +87,10 @@ def _parse_frag(ts: TokenStream, signature: Signature) -> TraceFragment:
     if ts.at("T"):
         ts.next()
         return TOP_LEAF
-    name_tok = ts.expect_label_name()
-    label = name_tok[1]
+    k = ts.pos
+    label = ts.expect_label_name()
     if not signature.has(label):
-        raise ts.error(f"unknown label {label!r}", name_tok)
+        raise ts.error(f"unknown label {label!r}", k)
     arity = signature.arity(label)
     children: list[TraceFragment] = []
     if ts.at("("):
@@ -103,8 +103,7 @@ def _parse_frag(ts: TokenStream, signature: Signature) -> TraceFragment:
         ts.expect_symbol(")")
         ts.depth -= 1
     if len(children) != arity:
-        raise ts.error(f"label {label!r} has arity {arity}, got {len(children)} child(ren)",
-                       name_tok)
+        raise ts.error(f"label {label!r} has arity {arity}, got {len(children)} child(ren)", k)
     return TraceNode(label, tuple(children))
 
 

@@ -17,6 +17,7 @@ from semimc import (BOT, INF, TOP, EvalConfig, KleeneResult, Label, Model, Mu, N
                     mu_extent, mu_extent_result, nu_extent, nu_extent_result,
                     parse_formula, parse_model, semiring_for)
 from semimc import evaluator
+from semimc._linear import _RHS, _bareiss
 from semimc.evaluator import leq_pointwise
 from conftest import load_corpus_model
 from test_kernel import naive_step
@@ -184,6 +185,83 @@ def test_prob_linear_extent_matches_kleene(seed):
             assert (r <= v) if direction == "lfp" else (r >= v)
             assert abs(r - v) <= 2 * cfg.epsilon
         assert (res.report.last_delta, res.report.tail_bound) == (0, 0)
+
+
+def _min_rule_bareiss(rows):
+    """The reference: `_linear._bareiss` with each pivot picked by `min`
+    over every remaining column, as before it kept a heap."""
+    cols = {i: set() for i in rows}
+    for i, row in rows.items():
+        for j in row:
+            if j != _RHS:
+                cols[j].add(i)
+    level = dict.fromkeys(rows, 0)
+    pivots = [1]
+    order = []
+    for step in range(len(rows)):
+        r = min(cols, key=lambda i: ((len(rows[i]) - 1) * (len(cols[i]) - 1), i))
+        prev = pivots[-1]
+        row_r = rows[r]
+        if level[r] != step:
+            base = pivots[level[r]]
+            row_r = rows[r] = {j: v * prev // base for j, v in row_r.items()}
+        p = row_r[r]
+        others = [(j, v) for j, v in row_r.items() if j != r]
+        for j, _ in others:
+            if j != _RHS:
+                cols[j].discard(r)
+        for i in cols.pop(r) - {r}:
+            row_i = rows[i]
+            if level[i] != step:
+                base = pivots[level[i]]
+                row_i = {j: v * prev // base for j, v in row_i.items()}
+            f = row_i.pop(r)
+            new = {j: v * p for j, v in row_i.items()}
+            for j, v in others:
+                if j in new:
+                    new[j] -= f * v
+                else:
+                    new[j] = -f * v
+                    if j != _RHS:
+                        cols[j].add(i)
+            rows[i] = {j: v // prev for j, v in new.items()}
+            level[i] = step + 1
+        pivots.append(p)
+        order.append(r)
+    det = pivots[-1]
+    scaled = {}
+    for r in reversed(order):
+        row = rows[r]
+        acc = det * row.get(_RHS, 0)
+        for j, v in row.items():
+            if j != r and j != _RHS:
+                acc -= v * scaled[j]
+        scaled[r] = acc // row[r]
+    return {r: Fraction(x, det) for r, x in scaled.items()}
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_bareiss_pivot_order_matches_min_rule(seed):
+    # random sparse strictly substochastic systems: D x = A x + b with row
+    # sums of A below D, so I - A/D is a nonsingular M-matrix; small row
+    # counts make Markowitz cost ties, which go to the smaller key
+    rng = random.Random(seed)
+    n, den = rng.randint(1, 40), rng.choice([2, 3, 10])
+    rows = {}
+    for i in range(n):
+        row = {}
+        for j in rng.sample(range(n), rng.randint(0, min(n, 4))):
+            if sum(row.values()) < den - 1:
+                row[j] = rng.randint(1, den - 1 - sum(row.values()))
+        eq = {j: -v for j, v in row.items()}
+        eq[i] = eq.get(i, 0) + den
+        eq[_RHS] = rng.randint(0, 3)
+        rows[i] = eq
+    got = _bareiss({i: dict(r) for i, r in rows.items()})
+    want = _min_rule_bareiss({i: dict(r) for i, r in rows.items()})
+    # both list the unknowns in reverse pivot order
+    assert list(got.items()) == list(want.items())
 
 
 def _affine_body(rng: random.Random, signature: Signature, free: list[str]):

@@ -1,13 +1,16 @@
-"""Parsers survive arbitrary input with typed errors only."""
+"""Parsers and the command line survive arbitrary input: the parsers with
+typed errors only, `cli.main` with a documented exit code."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from semimc import (CarrierError, ParseError, SemimcError, ValidationError,
+from semimc import (CarrierError, ParseError, SemimcError, ValidationError, cli,
                     parse_formula, parse_fragment, parse_model, render_model)
 from randgen import DESCRIPTORS, random_model
 
@@ -66,3 +69,69 @@ def test_rendered_models_always_reparse(seed):
     kind = rng.choice(sorted(DESCRIPTORS))
     m = random_model(rng, DESCRIPTORS[kind], allow_offsets=True)
     parse_model(render_model(m))
+
+
+_SOLVER = [["--epsilon", "1/100"], ["--epsilon", "1e-3"], ["--max-iters", "1"],
+           ["--promote-bound", "2"]]
+_STATE = [["--state", "s0"], ["--state", "s1"]]
+# subcommand -> (positionals after the model, options it takes besides
+# --format); lt, tr and ftr need --state
+_COMMANDS = {
+    "check": (0, []), "info": (0, []), "bogus": (0, []), "--help": (0, []),
+    "eval": (1, _SOLVER), "oracle": (1, _SOLVER + [["--enum-cap", "40"], ["--unroll", "1"]]),
+    "extent": (0, _SOLVER + [["--nu"], ["--mu"]]),
+    "lt": (1, _SOLVER + _STATE), "tr": (1, _STATE + [["--n", "2"]]), "ftr": (1, _STATE),
+    "equiv": (2, _SOLVER + [["--enum-cap", "40"], ["--kind", "tr"], ["--depth", "1"]]),
+}
+# formulas, fragments and states over the labels l0.. and states s0.. of
+# `random_model`
+_TEXTS = ["T", "F", "s0", "s1", "l0", "l1(T)", "l1(l0)", "[l0]", "[l1](T) | [l0]",
+          "nu X. [l1](X)", "mu X. ([l0] | [l1](X) | [l2](X, T))", "1/2 * [l0] + 1/2 * T"]
+# option groups that are wrong for some or all subcommands
+_BAD_OPTIONS = [["--epsilon", "0"], ["--epsilon", "x"], ["--max-iters", "0"],
+                ["--promote-bound", "-1"], ["--enum-cap", "0"], ["--format", "xml"],
+                ["--state", "zz"], ["--nu", "--mu"], ["--n", "-1"], ["--kind", "x"],
+                ["--depth", "-1"], ["--unroll", "9x"], ["-h"], ["--"], ["-x"], ["--format"],
+                ["--state", "s0"], ["--depth", "1"]]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_main_total(tmp_path, data):
+    """Random argv: a subcommand, options, a model file and formula or
+    fragment tokens, in any order, mostly as the subcommand takes them.
+    Every call ends in exit 0 to 3; only --help leaves by SystemExit(0)."""
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    model = tmp_path / "m.model"
+    source = data.draw(st.sampled_from(["random", "random", "tokens", "missing", "directory"]))
+    if source == "random":
+        rng = random.Random(data.draw(st.integers(0, 10**9)))
+        kind = rng.choice(sorted(DESCRIPTORS))
+        model.write_text(render_model(random_model(rng, DESCRIPTORS[kind], max_states=4,
+                                                   allow_offsets=True)))
+    elif source == "tokens":
+        model.write_text(" ".join(data.draw(st.lists(st.sampled_from(_TOKENS), max_size=30))))
+    path = {"missing": str(tmp_path / "missing.model"), "directory": str(tmp_path)}.get(
+        source, str(model))
+    n, valid = _COMMANDS[command]
+    valid = valid + [["--format", "json"], ["--format", "text"]]
+    count = data.draw(st.sampled_from([n, n, n, 0, 1, 2, 3]))
+    words = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=12).map(" ".join)
+    positional = data.draw(st.lists(st.sampled_from(_TEXTS) | words,
+                                    min_size=count, max_size=count))
+    options = data.draw(st.lists(st.sampled_from(valid), max_size=3))
+    options += data.draw(st.lists(st.sampled_from(_BAD_OPTIONS), max_size=1))
+    if command in ("lt", "tr", "ftr") and data.draw(st.booleans()):
+        options.append(_STATE[0])
+    groups = [[path], *([p] for p in positional)]
+    for opt in options:  # options go anywhere; positionals keep their order
+        groups.insert(data.draw(st.integers(0, len(groups))), opt)
+    argv = [command] + [a for g in groups for a in g]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            assert e.code == 0 and {"--help", "-h"} & set(argv), argv
+            return
+    assert code in (0, 1, 2, 3), argv

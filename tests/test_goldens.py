@@ -3,8 +3,10 @@
 Every malformed input below is pinned to what the model, formula and
 fragment parsers report for it, so a rewrite of the tokenizer or the
 parsers that moves a column, reorders two checks or changes an exception
-type fails here.  Columns count characters: a tab and a carriage return are
-one column each.  Identifiers and digits are ASCII only.  The corpus
+type fails here.  The parsers keep token indices, and the tokenizer works
+out a line and column only when an error is raised, so every case here
+also checks that rescan.  Columns count characters: a tab and a carriage
+return are one column each.  Identifiers and digits are ASCII only.  The corpus
 models pin their `validate` diagnostics and a byte-identical
 `render_model` after a reparse.
 """
