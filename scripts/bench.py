@@ -11,6 +11,9 @@ the final JSON line of each run and writes one JSON file with, per
 workload and end-to-end metric (the names, units and directions of
 ``BENCHMARK.json``): every value, the median and quartiles of each side,
 and in how many pairs the change was better (ties count for neither side).
+The file names both trees by absolute path.  ``setup_s`` moves with the
+directory a checkout sits in, so the script warns when the two trees do
+not share a parent directory.
 
 Each ``--claim`` names a workload and metric that the change claims to
 improve.  The file records whether the claim holds: the change wins at
@@ -81,13 +84,17 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
 
+    trees = {side: os.path.abspath(getattr(args, side)) for side in ("parent", "change")}
+    if os.path.dirname(trees["parent"]) != os.path.dirname(trees["change"]):
+        print("warning: the trees do not share a parent directory, and setup_s depends on "
+              "where a checkout sits; put them side by side", file=sys.stderr)
     seconds = spec["run_seconds"]
     claims = [tuple(c.split(":", 1)) for c in args.claim]
     for w, m in claims:
         if w not in names or m not in metrics:
             p.error(f"--claim {w}:{m} names no benchmarked workload and end-to-end metric")
 
-    report = {"seed": args.seed, "pairs": args.pairs, "seconds": seconds,
+    report = {"seed": args.seed, "pairs": args.pairs, "seconds": seconds, "trees": trees,
               "host": {"machine": platform.machine(), "processor": platform.processor(),
                        "python": platform.python_version(), "cpus": os.cpu_count()},
               "workloads": {}, "claims": []}
@@ -96,7 +103,7 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                res = run_once(getattr(args, side), w, args.seed, seconds)
+                res = run_once(trees[side], w, args.seed, seconds)
                 runs[side].append(res)
                 print(f"{w} pair {i + 1}/{args.pairs} {side}: wall_s "
                       f"{res['metrics']['wall_s']['value']:.4f}", file=sys.stderr)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .errors import ParseError
+from .errors import ParseError, quote
 
 # most levels a parser keeps open at once: each formula (the whole one,
 # parenthesised ones, modal arguments and binder bodies) or list of fragment
@@ -96,14 +96,14 @@ class TokenStream:
         tok = self.tokens[self.pos]
         if not (tok.isidentifier() if kind == "ident" else tok[:1].isdigit()):
             what = "identifier" if kind == "ident" else "number"
-            raise self.error(f"expected {what}, got {tok!r}", self.pos)
+            raise self.error(f"expected {what}, got {quote(tok)}", self.pos)
         self.pos += 1
         return tok
 
     def expect_symbol(self, text: str) -> str:
         tok = self.tokens[self.pos]
         if tok != text:
-            raise self.error(f"expected {text!r}, got {tok!r}", self.pos)
+            raise self.error(f"expected {text!r}, got {quote(tok)}", self.pos)
         self.pos += 1
         return tok
 
@@ -111,7 +111,7 @@ class TokenStream:
         """Identifier or bare '*', the conventional nullary label."""
         tok = self.tokens[self.pos]
         if tok != "*" and not tok.isidentifier():
-            raise self.error(f"expected label name, got {tok!r}", self.pos)
+            raise self.error(f"expected label name, got {quote(tok)}", self.pos)
         self.pos += 1
         return tok
 
@@ -135,7 +135,7 @@ class TokenStream:
     def expect_eof(self):
         tok = self.tokens[self.pos]
         if tok:
-            raise self.error(f"trailing input starting at {tok!r}", self.pos)
+            raise self.error(f"trailing input starting at {quote(tok)}", self.pos)
 
     def enter(self):
         """Open one nesting level at the next token; past MAX_DEPTH levels

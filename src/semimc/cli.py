@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
 
 from .errors import (EvaluationError, NonConvergence, OffsetUnsupported,
-                     ParseError, SemimcError, SizingError, ValidationError)
+                     ParseError, SemimcError, SizingError, ValidationError, quote)
 from .evaluator import (EvalConfig, eval_with_certificate, mu_extent_result,
                         nu_extent_result)
 from .logic import parse_formula
@@ -131,6 +130,7 @@ class _Output:
     def emit(self) -> str:
         self.payload.setdefault("diagnostics", [])
         if self.fmt == "json":
+            import json  # loaded only for JSON output: text output never needs it
             return json.dumps(self.payload, indent=2, sort_keys=False)
         return "\n".join(self.lines) if self.lines else "ok"
 
@@ -348,11 +348,12 @@ _HANDLERS = {
 
 def _need_state(model: Model, state: str):
     if state not in model.states:
-        raise ValidationError(f"unknown state {state!r}")
+        raise ValidationError(f"unknown state {quote(state)}")
 
 
 def _error_payload(command: str, fmt: str, message: str, code: int) -> str:
     if fmt == "json":
+        import json
         return json.dumps({"command": command, "error": message, "exit": code}, indent=2)
     return f"error: {message}"
 

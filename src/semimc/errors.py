@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 
-def quote(token: str) -> str:
-    """`token` as error messages show it: repr, clipped past 32 characters."""
-    if len(token) <= 32:
+def quote(token) -> str:
+    """`token` as error messages show it: repr, a string clipped past 32
+    characters (programmatic models may name states by other values)."""
+    if not isinstance(token, str) or len(token) <= 32:
         return repr(token)
     return f"{token[:32]!r}... ({len(token)} characters)"
 

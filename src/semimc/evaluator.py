@@ -60,14 +60,14 @@ Everything here is pure; a shared Model can serve concurrent evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import ge, le
-from typing import Callable, Literal
 
-from .errors import EvaluationError, NonConvergence, NonMonotoneChain
+from ._record import Record
+from .errors import EvaluationError, NonConvergence, NonMonotoneChain, quote
 from .logic import TOP, Formula, Modal, Mu, Nu, Top, Var, WeightedSum, size
 from .model import CompiledModel, Model
 from .semiring import INF, Semiring
@@ -75,14 +75,12 @@ from .semiring import INF, Semiring
 Predicate = dict
 
 
-@dataclass
-class EvalConfig:
-    """Convergence controls; exactness per semiring is chosen automatically."""
+class EvalConfig(Record, epsilon=Fraction(1, 10**9), max_iterations=10**6,
+                 promote_bound=None, enum_cap=200_000):
+    """Convergence controls; exactness per semiring is chosen automatically.
+    `promote_bound` is derived from the model when absent."""
 
-    epsilon: Fraction = Fraction(1, 10**9)
-    max_iterations: int = 10**6
-    promote_bound: int | None = None  # derived from the model when absent
-    enum_cap: int = 200_000
+    __slots__ = ("epsilon", "max_iterations", "promote_bound", "enum_cap")
 
     def __post_init__(self):
         if not isinstance(self.epsilon, (int, Fraction)):  # a float makes the stop rule inexact
@@ -102,18 +100,14 @@ class EvalConfig:
             raise ValueError("promote_bound must be at least 0")
 
 
-@dataclass
-class KleeneReport:
-    iterations: int
-    last_delta: Fraction | None = None  # probabilistic stop rule only
-    tail_bound: Fraction | None = None  # estimated distance to the limit
-    promoted: tuple[str, ...] = ()
+class KleeneReport(Record, last_delta=None, tail_bound=None, promoted=()):
+    # last_delta: the probabilistic stop rule's last step; tail_bound: the
+    # estimated distance to the limit; promoted: states promoted to infinity
+    __slots__ = ("iterations", "last_delta", "tail_bound", "promoted")
 
 
-@dataclass
-class KleeneResult:
-    values: Predicate
-    report: KleeneReport
+class KleeneResult(Record):
+    __slots__ = ("values", "report")
 
 
 # Probabilistic iterates are kept on a fixed denominator grid once they get
@@ -143,7 +137,7 @@ def _no_fixpoint(cfg: EvalConfig, names, cur: list, prev: list | None) -> NonCon
 def kleene(semiring: Semiring,
            operator: Callable,
            start: list,
-           direction: Literal["lfp", "gfp"],
+           direction: str,
            cfg: EvalConfig,
            promote_bound: int | None = None,
            force_exact: bool = False,
@@ -545,12 +539,10 @@ def mu_extent(model: Model, cfg: EvalConfig | None = None) -> Predicate:
     return mu_extent_result(model, cfg).values
 
 
-@dataclass
-class _EvalContext:
-    model: Model
-    cfg: EvalConfig
-    promote_bound: int | None  # for the formula's fixpoints; None off the tropical kind
-    top: KleeneResult | None = None  # T, the greatest extent, once needed
+class _EvalContext(Record, top=None):
+    # promote_bound: for the formula's fixpoints, None off the tropical kind;
+    # top: T, the greatest extent, once needed
+    __slots__ = ("model", "cfg", "promote_bound", "top")
 
 
 def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> list:
@@ -563,7 +555,7 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
     if isinstance(f, Var):
         v = env.get(f.name)
         if v is None:
-            raise EvaluationError(f"unbound variable {f.name!r}")
+            raise EvaluationError(f"unbound variable {quote(f.name)}")
         if v is _ENCLOSING:
             raise _NotAffine(f.name)
         return v

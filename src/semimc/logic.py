@@ -24,45 +24,38 @@ parser and `render_formula`, which need concrete syntax, read node fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._lex import TokenStream
-from .errors import ParseError
+from ._record import Record
+from .errors import ParseError, quote
 from .model import Signature
 from .semiring import Semiring, SemiringDescriptor, UNDEFINED, semiring_for
 
 
-@dataclass(frozen=True)
-class Top:
+class Top(Record, frozen=True):
+    __slots__ = ()
+
     def __repr__(self):
         return "T"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record, frozen=True):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class WeightedSum:
-    terms: tuple[tuple[object, "Formula"], ...]  # (coefficient, operand)
+class WeightedSum(Record, frozen=True):
+    __slots__ = ("terms",)  # ((coefficient, operand), ...)
 
 
-@dataclass(frozen=True)
-class Modal:
-    disjuncts: tuple[tuple[str, tuple["Formula", ...]], ...]  # (label, args)
+class Modal(Record, frozen=True):
+    __slots__ = ("disjuncts",)  # ((label, (argument, ...)), ...)
 
 
-@dataclass(frozen=True)
-class Mu:
-    var: str
-    body: "Formula"
+class Mu(Record, frozen=True):
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
-class Nu:
-    var: str
-    body: "Formula"
+class Nu(Record, frozen=True):
+    __slots__ = ("var", "body")
 
 
 Formula = Top | Var | WeightedSum | Modal | Mu | Nu
@@ -71,12 +64,8 @@ TOP = Top()
 BOT = WeightedSum(())
 
 
-@dataclass(frozen=True)
-class FormulaClass:
-    closed: bool
-    qualitative: bool
-    modal_only: bool
-    modal_depth: int
+class FormulaClass(Record, frozen=True):
+    __slots__ = ("closed", "qualitative", "modal_only", "modal_depth")
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
@@ -284,7 +273,7 @@ class _FormulaParser:
                 ts.next()
                 name = ts.expect("ident")
                 if name in ("T", "F", "mu", "nu"):
-                    raise ts.error(f"reserved word {name!r} cannot be a variable", k + 1)
+                    raise ts.error(f"reserved word {quote(name)} cannot be a variable", k + 1)
                 ts.expect_symbol(".")
                 # rename on collision with any other binder to rule out shadowing
                 bound = name
@@ -298,7 +287,7 @@ class _FormulaParser:
                 return cls(bound, body)
             ts.next()
             return Var(scope.get(text, text))
-        raise ts.error(f"expected a formula, got {text!r}", k)
+        raise ts.error(f"expected a formula, got {quote(text)}", k)
 
     def modal_chain(self, scope) -> Formula:
         disjuncts = [self.modal(scope)]
@@ -308,7 +297,7 @@ class _FormulaParser:
             self.ts.next()
             lbl, args = self.modal(scope)
             if lbl in labels:
-                raise self.ts.error(f"duplicate label {lbl!r} in disjunction", k)
+                raise self.ts.error(f"duplicate label {quote(lbl)} in disjunction", k)
             labels.add(lbl)
             disjuncts.append((lbl, args))
         return Modal(tuple(disjuncts))
@@ -320,7 +309,7 @@ class _FormulaParser:
         label = ts.expect_label_name()
         ts.expect_symbol("]")
         if not self.signature.has(label):
-            raise ts.error(f"unknown label {label!r}", k)
+            raise ts.error(f"unknown label {quote(label)}", k)
         arity = self.signature.arity(label)
         args: list[Formula] = []
         if ts.at("("):
@@ -331,7 +320,8 @@ class _FormulaParser:
                 args.append(self.formula(scope))
             ts.expect_symbol(")")
         if len(args) != arity:
-            raise ts.error(f"label {label!r} has arity {arity}, got {len(args)} argument(s)", k)
+            raise ts.error(f"label {quote(label)} has arity {arity}, "
+                           f"got {len(args)} argument(s)", k)
         return label, tuple(args)
 
 
@@ -347,7 +337,7 @@ def parse_formula(text: str, signature: Signature, descriptor: SemiringDescripto
     if require_closed:
         fv = free_vars(f)
         if fv:
-            raise ParseError(f"unbound variable {sorted(fv)[0]!r} in closed formula")
+            raise ParseError(f"unbound variable {quote(sorted(fv)[0])} in closed formula")
     return f
 
 

@@ -27,23 +27,20 @@ of its descriptor and builds, on first evaluation, its indexed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._lex import TokenStream
+from ._record import Record
 from .errors import ValidationError, quote
 from .semiring import Semiring, SemiringDescriptor, UNDEFINED, semiring_for
 
 
-@dataclass(frozen=True)
-class Label:
-    name: str
-    arity: int
+class Label(Record, frozen=True):
+    __slots__ = ("name", "arity")
 
 
-@dataclass(frozen=True)
-class Signature:
-    labels: tuple[Label, ...]
+class Signature(Record, frozen=True):
+    __slots__ = ("labels",)
 
     def __post_init__(self):
         names = [l.name for l in self.labels]
@@ -62,34 +59,27 @@ class Signature:
         return any(l.name == name for l in self.labels)
 
 
-@dataclass(frozen=True)
-class Transition:
-    weight: object  # scalar of the model's semiring, never the semiring zero
-    label: str
-    successors: tuple[str, ...]
+class Transition(Record, frozen=True):
+    # weight: a scalar of the model's semiring, never the semiring zero
+    __slots__ = ("weight", "label", "successors")
 
 
-@dataclass
-class Diagnostic:
-    severity: str  # 'error' | 'warning'
-    message: str
-    line: int | None = None
-    col: int | None = None
+class Diagnostic(Record, line=None, col=None):
+    # severity: 'error' | 'warning'
+    __slots__ = ("severity", "message", "line", "col")
 
     def render(self) -> str:
         loc = f"{self.line}:{self.col}: " if self.line is not None else ""
         return f"{loc}{self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Model:
-    descriptor: SemiringDescriptor
-    signature: Signature
-    states: tuple[str, ...]
-    transitions: dict[str, list[Transition]]
-    offsets: dict[str, object] = field(default_factory=dict)
+class Model(Record, frozen=True, offsets=None):
+    # transitions: state -> [Transition]; offsets: state -> scalar, the unit if absent
+    __slots__ = ("descriptor", "signature", "states", "transitions", "offsets", "__dict__")
 
     def __post_init__(self):
+        if self.offsets is None:  # a fresh dict per model, stored past the frozen guard
+            object.__setattr__(self, "offsets", {})
         one = self.semiring.one
         for s in self.states:
             self.transitions.setdefault(s, [])
@@ -156,8 +146,7 @@ class Model:
                      {s: list(ts) for s, ts in self.transitions.items()}, new)
 
 
-@dataclass(frozen=True)
-class CompiledModel:
+class CompiledModel(Record, frozen=True):
     """A model indexed for evaluation; predicates are lists by state id.
 
     ``rows[i]`` holds one ``(weight, label id, successors)`` triple per
@@ -166,13 +155,7 @@ class CompiledModel:
     the semiring unit.  Values are in the kernel form (``Semiring.pack``).
     """
 
-    semiring: Semiring
-    states: tuple[str, ...]
-    label_ids: dict[str, int]
-    max_arity: int
-    rows: tuple[tuple[tuple[object, int, tuple[tuple[int, int], ...]], ...], ...]
-    offsets: tuple
-    offset_ids: tuple[int, ...]
+    __slots__ = ("semiring", "states", "label_ids", "max_arity", "rows", "offsets", "offset_ids")
 
     def step(self, args: list) -> list:
         """The semiring's transition-step kernel on this model."""
@@ -192,7 +175,7 @@ def _parse_descriptor(ts: TokenStream) -> SemiringDescriptor:
     name = ts.expect("ident")
     kind = _STYPES.get(name)
     if kind is None:
-        raise ts.error(f"unknown semiring {name!r}", k)
+        raise ts.error(f"unknown semiring {quote(name)}", k)
     if kind == "tropical" and ts.at("["):
         ts.next()
         k = ts.pos
@@ -238,7 +221,7 @@ def parse_model(text: str) -> Model:
         if kw == "state":
             name = ts.expect("ident")
             if name in transitions:
-                raise ts.error(f"duplicate state {name!r}", k + 1)
+                raise ts.error(f"duplicate state {quote(name)}", k + 1)
             ts.expect_symbol("{")
             row: dict[tuple, object] = {}  # (label, successors) -> merged weight
             undefined = None  # first merge whose sum is undefined
@@ -258,7 +241,7 @@ def parse_model(text: str) -> Model:
             ts.expect_symbol("}")
             if undefined is not None:
                 label, succs = undefined
-                raise ValidationError(f"state {name!r}: merged weight for {label} -> "
+                raise ValidationError(f"state {quote(name)}: merged weight for {label} -> "
                                       f"{' '.join(succs) or '()'} is undefined")
             if prob:
                 num, den = 0, 1
@@ -266,14 +249,14 @@ def parse_model(text: str) -> Model:
                     num, den = num * w.denominator + w.numerator * den, den * w.denominator
                 if num > den:
                     overfull.append(Diagnostic(
-                        "error", f"state {name!r}: outgoing weight sum is undefined"))
+                        "error", f"state {quote(name)}: outgoing weight sum is undefined"))
             transitions[name] = [Transition(w, label, succs) for (label, succs), w in row.items()]
         elif kw == "label":  # label NAME / ARITY, at k + 1 and k + 3
             name = ts.expect_label_name()
             ts.expect_symbol("/")
             arity = ts.expect("number")
             if name in arities:
-                raise ts.error(f"duplicate label {name!r}", k + 1)
+                raise ts.error(f"duplicate label {quote(name)}", k + 1)
             if "." in arity:
                 raise ts.error("arity must be a natural number", k + 3)
             try:
@@ -285,19 +268,19 @@ def parse_model(text: str) -> Model:
             ts.expect_symbol("=")
             w = ts.expect_weight(semiring)
             if name in offsets:
-                raise ts.error(f"duplicate offset for {name!r}", k + 1)
+                raise ts.error(f"duplicate offset for {quote(name)}", k + 1)
             offsets[name] = (w, k + 1)
         else:
-            raise ts.error(f"expected 'label', 'state' or 'offset', got {kw!r}", k)
+            raise ts.error(f"expected 'label', 'state' or 'offset', got {quote(kw)}", k)
 
     if not arities:
         raise ValidationError("model declares no labels")
     for name, k in referenced.items():
         if name not in transitions:
-            raise ts.error(f"undeclared successor state {name!r}", k)
+            raise ts.error(f"undeclared successor state {quote(name)}", k)
     for name, (_, k) in offsets.items():
         if name not in transitions:
-            raise ts.error(f"offset for unknown state {name!r}", k)
+            raise ts.error(f"offset for unknown state {quote(name)}", k)
     if overfull:
         raise ValidationError(overfull[0].message, overfull)
 
@@ -318,7 +301,7 @@ def _parse_transition(ts, semiring, arities, referenced) -> tuple:
     label = ts.expect_label_name()
     arity = arities.get(label)
     if arity is None:
-        raise ts.error(f"unknown label {label!r}", k)
+        raise ts.error(f"unknown label {quote(label)}", k)
     toks = ts.tokens
     succs = ()
     if toks[k + 1] == "->":
@@ -331,7 +314,7 @@ def _parse_transition(ts, semiring, arities, referenced) -> tuple:
         succs = tuple(toks[i:j])
         ts.pos = j
     if len(succs) != arity:
-        raise ts.error(f"label {label!r} has arity {arity}, got {len(succs)} successor(s)", k)
+        raise ts.error(f"label {quote(label)} has arity {arity}, got {len(succs)} successor(s)", k)
     if w == semiring.zero:
         raise ts.error("transition weight is the semiring zero", k)
     return w, (label, succs)
@@ -362,28 +345,28 @@ def validate(model: Model) -> list[Diagnostic]:
         for t in row:
             arity = arities.get(t.label)
             if arity is None:
-                err(f"state {state!r}: unknown label {t.label!r}")
+                err(f"state {quote(state)}: unknown label {quote(t.label)}")
                 continue
             if len(t.successors) != arity:
-                err(f"state {state!r}: arity mismatch on label {t.label!r}")
+                err(f"state {quote(state)}: arity mismatch on label {quote(t.label)}")
             for s in t.successors:
                 if s not in names:
-                    err(f"state {state!r}: undeclared successor {s!r}")
+                    err(f"state {quote(state)}: undeclared successor {quote(s)}")
             if t.weight == semiring.zero:
-                err(f"state {state!r}: transition weight is the semiring zero")
+                err(f"state {quote(state)}: transition weight is the semiring zero")
             elif not semiring.contains(t.weight):
-                err(f"state {state!r}: weight outside the carrier")
+                err(f"state {quote(state)}: weight outside the carrier")
             key = (t.label, t.successors)
             if key in seen:
-                err(f"state {state!r}: duplicate transition {t.label} -> {t.successors}")
+                err(f"state {quote(state)}: duplicate transition {t.label} -> {t.successors}")
             seen.add(key)
             weights.append(t.weight)
         total = semiring.sum(weights)
         if total is UNDEFINED:
-            err(f"state {state!r}: outgoing weight sum is undefined")
+            err(f"state {quote(state)}: outgoing weight sum is undefined")
         off = model.offsets.get(state)
         if off is not None and not semiring.contains(off):
-            err(f"state {state!r}: offset outside the carrier")
+            err(f"state {quote(state)}: offset outside the carrier")
         if prob:
             if len(weights) < len(row):  # the mass counts unknown labels too
                 total = semiring.sum([t.weight for t in row])

@@ -17,10 +17,10 @@ certificate-derived tolerance on probabilistic models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from ._record import Record
 from .errors import EvaluationError, NonConvergence, SizingError, ValidationError
 from .evaluator import (EvalConfig, KleeneReport, Predicate, eval_formula,
                         nu_extent_result)
@@ -30,16 +30,12 @@ from .model import Model
 from .semiring import INF, UNDEFINED, render_scalar
 
 
-@dataclass(frozen=True)
-class StateLeaf:
-    state: str
+class StateLeaf(Record, frozen=True):
+    __slots__ = ("state",)
 
 
-@dataclass(frozen=True)
-class PathNode:
-    state: str
-    label: str
-    children: tuple["PathFragment", ...]
+class PathNode(Record, frozen=True):
+    __slots__ = ("state", "label", "children")
 
 
 PathFragment = StateLeaf | PathNode
@@ -186,30 +182,24 @@ def oracle_eval(model: Model, psi: Formula, state: str, depth: int,
     return total
 
 
-@dataclass
-class StateComparison:
-    state: str
-    stepwise: object
-    oracle: object
-    difference: object
-    verdict: str  # 'ok' | 'mismatch'
+class StateComparison(Record):
+    # verdict: 'ok' | 'mismatch'
+    __slots__ = ("state", "stepwise", "oracle", "difference", "verdict")
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(Record, rows=None, max_discrepancy=0, approximant_distance=0,
+                       certificate=None):
     """Per-state comparison of the step-wise and path-based values of a
     fixpoint-free approximant, plus a non-contractual diagnostic distance
     between the approximant and the original fixpoint formula (None when
     the formula's own evaluation does not converge)."""
 
-    semiring: str
-    unroll_depth: int
-    enum_depth: int
-    tolerance: object
-    rows: list[StateComparison] = field(default_factory=list)
-    max_discrepancy: object = 0
-    approximant_distance: object = 0
-    certificate: KleeneReport | None = None
+    __slots__ = ("semiring", "unroll_depth", "enum_depth", "tolerance", "rows",
+                 "max_discrepancy", "approximant_distance", "certificate")
+
+    def __post_init__(self):
+        if self.rows is None:
+            self.rows = []
 
     @property
     def ok(self) -> bool:

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 from .errors import CarrierError, EvaluationError, ParseError, quote
 
 INF = float("inf")
@@ -65,12 +65,10 @@ UNDEFINED = _Undefined()
 KINDS = ("boolean", "probabilistic", "tropical", "bounded_tropical")
 
 
-@dataclass(frozen=True)
-class SemiringDescriptor:
+class SemiringDescriptor(Record, frozen=True, bound=None):
     """Names one of the four semiring instances (plus the bound, if any)."""
 
-    kind: str
-    bound: int | None = None
+    __slots__ = ("kind", "bound")
 
     def __post_init__(self):
         if self.kind not in KINDS:

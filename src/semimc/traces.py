@@ -23,27 +23,26 @@ first distinguishing fragment as a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator, Literal
 
 from ._lex import TokenStream
-from .errors import OffsetUnsupported, SizingError, ValidationError
+from ._record import Record
+from .errors import OffsetUnsupported, SizingError, ValidationError, quote
 from .evaluator import EvalConfig, nu_extent
 from .logic import Formula, Modal, TOP
 from .model import Model, Signature
 
 
-@dataclass(frozen=True)
-class TopLeaf:
+class TopLeaf(Record, frozen=True):
+    __slots__ = ()
+
     def __repr__(self):
         return "T"
 
 
-@dataclass(frozen=True)
-class TraceNode:
-    label: str
-    children: tuple["TraceFragment", ...]
+class TraceNode(Record, frozen=True):
+    __slots__ = ("label", "children")
 
 
 TraceFragment = TopLeaf | TraceNode
@@ -68,9 +67,9 @@ def check_fragment(b: TraceFragment, signature: Signature):
     if isinstance(b, TopLeaf):
         return
     if not signature.has(b.label):
-        raise ValidationError(f"unknown label {b.label!r} in fragment")
+        raise ValidationError(f"unknown label {quote(b.label)} in fragment")
     if signature.arity(b.label) != len(b.children):
-        raise ValidationError(f"arity mismatch on label {b.label!r} in fragment")
+        raise ValidationError(f"arity mismatch on label {quote(b.label)} in fragment")
     for c in b.children:
         check_fragment(c, signature)
 
@@ -90,7 +89,7 @@ def _parse_frag(ts: TokenStream, signature: Signature) -> TraceFragment:
     k = ts.pos
     label = ts.expect_label_name()
     if not signature.has(label):
-        raise ts.error(f"unknown label {label!r}", k)
+        raise ts.error(f"unknown label {quote(label)}", k)
     arity = signature.arity(label)
     children: list[TraceFragment] = []
     if ts.at("("):
@@ -103,7 +102,8 @@ def _parse_frag(ts: TokenStream, signature: Signature) -> TraceFragment:
         ts.expect_symbol(")")
         ts.depth -= 1
     if len(children) != arity:
-        raise ts.error(f"label {label!r} has arity {arity}, got {len(children)} child(ren)", k)
+        raise ts.error(f"label {quote(label)} has arity {arity}, "
+                       f"got {len(children)} child(ren)", k)
     return TraceNode(label, tuple(children))
 
 
@@ -251,17 +251,13 @@ def tr_approx(model: Model, state: str, truncation: TraceFragment, n: int):
     return vec[model.compiled.states.index(state)]
 
 
-@dataclass
-class EquivResult:
-    equivalent: bool
-    witness: TraceFragment | None = None
-    left_value: object = None
-    right_value: object = None
-    fragments_checked: int = 0
+class EquivResult(Record, witness=None, left_value=None, right_value=None,
+                  fragments_checked=0):
+    __slots__ = ("equivalent", "witness", "left_value", "right_value", "fragments_checked")
 
 
 def equiv_upto(model: Model, c: str, d: str, max_depth: int,
-               kind: Literal["lt", "tr"] = "lt",
+               kind: str = "lt",
                cfg: EvalConfig | None = None) -> EquivResult:
     """Compare two states on every fragment up to `max_depth`.
 

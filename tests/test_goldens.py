@@ -126,6 +126,9 @@ MODEL_ERRORS = [
      ParseError, "1:37: unknown label 'b'", 1, 37),
     ('unknown-declaration', 'semiring bool label a/1 transition x',
      ParseError, "1:25: expected 'label', 'state' or 'offset', got 'transition'", 1, 25),
+    ('long-declaration', 'semiring bool label a/1 ' + 'k' * 5000 + ' x',
+     ParseError, "1:25: expected 'label', 'state' or 'offset', got '" + 'k' * 32
+     + "'... (5000 characters)", 1, 25),
     ('bool-weight-two', 'semiring bool label a/1 state x { 2 a -> x }',
      ParseError, "1:35: boolean scalar must be 0 or 1, got '2'", 1, 35),
     ('prob-above-one', 'semiring prob label a/1 state x { 3/2 a -> x }',
@@ -205,6 +208,9 @@ FORMULA_ERRORS = [
      ParseError, "1:6: expected '.', got '['", 1, 6),
     ('unbound-closed', 'mu X. [a](Y)',
      ParseError, "unbound variable 'Y' in closed formula", None, None),
+    ('long-unbound-closed', 'V' * 3000,
+     ParseError, "unbound variable '" + 'V' * 32 + "'... (3000 characters) in closed formula",
+     None, None),
     ('comment-eof', '[a](  # open',
      ParseError, "1:7: expected a formula, got ''", 1, 7),
 ]
