@@ -37,7 +37,7 @@ def run_query(main, argv: list[str]) -> tuple:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    except SystemExit as e:  # argparse usage errors
+    except SystemExit as e:  # --help
         code = e.code if isinstance(e.code, int) else 1
     except Exception as e:
         code = None

@@ -7,12 +7,9 @@ declaration order and scalars use the canonical per-semiring syntax.
 Epsilon-converged probabilistic values are printed as the simplest
 rational within the configured epsilon of the computed value.
 
-`main` parses with one parser per process: `build_parser` runs on the
-first call and its parser is shared by every later call, which saves
-in-process callers (test suites, benchmark loops, programs embedding the
-CLI) a few milliseconds per call.  Parsing does not change the parser and
-every default is immutable, so sharing is safe; do not mutate the parser
-that `main` uses.
+`main` parses argv against one command table, built by `build_parser` on
+import, which also gives each command's usage line and help.  Options are
+written as for argparse: `--opt text`, `--opt=text` or a unique prefix.
 
 Exit codes: 0 success, 1 validation or usage errors, 2 non-convergence or
 enumeration caps, 3 I/O errors.
@@ -20,11 +17,11 @@ enumeration caps, 3 I/O errors.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import (EvaluationError, NonConvergence, OffsetUnsupported,
                      ParseError, SemimcError, SizingError, ValidationError, quote)
@@ -57,27 +54,27 @@ def _inline_or_file(arg: str) -> str:
 def _positive_rational(text: str) -> Fraction:
     m = _EXPONENT.search(text)  # Fraction builds 10**exponent: bound it as parse_scalar does
     try:
-        if m and len(m[1]) > 5 and abs(int(m[1])) > max(_EXP_LIMIT, len(text)):
-            raise argparse.ArgumentTypeError(f"must be written with |exponent| <= {_EXP_LIMIT}, "
-                                             f"got {text!r}")
-        value = Fraction(text)
+        huge = m and len(m[1]) > 5 and abs(int(m[1])) > max(_EXP_LIMIT, len(text))
+        value = 0 if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+        raise ValueError(f"not a rational: {quote(text)}") from None
+    if huge:
+        raise ValueError(f"must be written with |exponent| <= {_EXP_LIMIT}, got {quote(text)}")
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        raise ValueError(f"must be positive, got {quote(text)}")
     return value
 
 
 def _int_at_least(low: int):
-    """argparse type for an integer option with lower bound `low`, so an
+    """Converter of an integer option with lower bound `low`, so an
     out-of-range value is a usage error rather than a failure later on."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+            raise ValueError(f"invalid int value: {quote(text)}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise ValueError(f"must be at least {low}, got {quote(text)}")
         return value
     return parse
 
@@ -268,82 +265,139 @@ def _cmd_info(args) -> tuple[int, _Output]:
     return EXIT_OK, out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="semimc",
-        description="semiring-parametric model checker for quantitative "
-                    "linear-time fixpoint logics")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, formula=False, fragment=False, state=False, solver=False, enum=False):
-        """Arguments of a subcommand; `solver` adds the fixpoint options and
-        `enum` the enumeration cap.  Their defaults are EvalConfig's."""
-        sp.add_argument("model", help="model file")
-        if formula:
-            sp.add_argument("formula", help="formula text or file")
-        if fragment:
-            sp.add_argument("fragment", help="trace fragment text or file")
-        if state:
-            sp.add_argument("--state", required=True, help="state to query")
-        if solver:
-            sp.add_argument("--epsilon", type=_positive_rational, default=argparse.SUPPRESS,
-                            help="probabilistic convergence target (rational > 0, "
-                                 "default 1/10^9)")
-            sp.add_argument("--max-iters", type=_int_at_least(1), default=argparse.SUPPRESS,
-                            dest="max_iterations", help="iteration cap per fixpoint (>= 1)")
-            sp.add_argument("--promote-bound", type=_int_at_least(0), default=argparse.SUPPRESS,
-                            help="tropical divergence cutoff (>= 0, default: from the model)")
-        if enum:
-            sp.add_argument("--enum-cap", type=_int_at_least(1), default=argparse.SUPPRESS,
-                            help="fragment enumeration cap (>= 1)")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        return sp
-
-    common(sub.add_parser("check", help="validate a model, list diagnostics"))
-    common(sub.add_parser("eval", help="evaluate a closed formula"), formula=True, solver=True)
-    ext = common(sub.add_parser("extent", help="greatest or least extent"), solver=True)
-    g = ext.add_mutually_exclusive_group()
-    g.add_argument("--nu", action="store_true", help="greatest extent (default)")
-    g.add_argument("--mu", action="store_true", help="least extent")
-    common(sub.add_parser("lt", help="linear-time behaviour of a fragment"),
-           fragment=True, state=True, solver=True)
-    tr = common(sub.add_parser("tr", help="depth-n trace approximant"),
-                fragment=True, state=True)
-    tr.add_argument("--n", type=_int_at_least(0), default=None,
-                    help="approximation depth (>= 0, default: fragment depth)")
-    common(sub.add_parser("ftr", help="completed-trace behaviour"),
-           fragment=True, state=True)
-    eq = common(sub.add_parser("equiv", help="depth-bounded equivalence check"),
-                solver=True, enum=True)
-    eq.add_argument("left", help="first state")
-    eq.add_argument("right", help="second state")
-    eq.add_argument("--kind", choices=("lt", "tr"), default="lt")
-    eq.add_argument("--depth", type=_int_at_least(0), default=2,
-                    help="fragment depth bound (>= 0)")
-    orc = common(sub.add_parser("oracle", help="cross-check step-wise vs path semantics"),
-                 formula=True, solver=True, enum=True)
-    orc.add_argument("--unroll", type=_int_at_least(0), default=2,
-                     help="fixpoint unrolling depth (>= 0)")
-    common(sub.add_parser("info", help="model statistics"))
-    return p
+# the default of an option whose field is set only when it is given, and of a required one
+_ABSENT, _REQUIRED = object(), object()
+_HELP = dict.fromkeys(("-h", "--help"), ("help", None, _ABSENT, "show this help message and exit"))
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    return build_parser()
+def build_parser() -> dict:
+    """The command table: name -> (handler, help, positionals, options,
+    exclusive), and None -> semimc itself.  `options` maps each flag to
+    (dest, convert, default, help); `convert` makes the value of the text
+    after the flag, a tuple lists the texts allowed, and None marks a switch,
+    which stores True.  `exclusive` maps a flag to one it excludes."""
+    solver = {  # their defaults are EvalConfig's
+        "--epsilon": ("epsilon", _positive_rational, _ABSENT, "prob convergence target (> 0)"),
+        "--max-iters": ("max_iterations", _int_at_least(1), _ABSENT, "iteration cap per fixpoint"),
+        "--promote-bound": ("promote_bound", _int_at_least(0), _ABSENT, "trop divergence cutoff")}
+    enum = {"--enum-cap": ("enum_cap", _int_at_least(1), _ABSENT, "fragment enumeration cap")}
+    state = {"--state": ("state", str, _REQUIRED, "state to query")}
+    fragment = ("model", "fragment")
+    table = {
+        "check": (_cmd_check, "validate a model, list diagnostics", ("model",), {}),
+        "eval": (_cmd_eval, "evaluate a closed formula", ("model", "formula"), solver),
+        "extent": (_cmd_extent, "greatest or least extent", ("model",), {
+            **solver, "--nu": ("nu", None, False, "greatest extent (default)"),
+            "--mu": ("mu", None, False, "least extent")}, {"--nu": "--mu", "--mu": "--nu"}),
+        "lt": (_cmd_lt, "linear-time behaviour of a fragment", fragment, {**state, **solver}),
+        "tr": (_cmd_tr, "depth-n trace approximant", fragment, {**state, "--n": (
+            "n", _int_at_least(0), None, "approximation depth (>= 0, default: fragment depth)")}),
+        "ftr": (_cmd_ftr, "completed-trace behaviour", fragment, state),
+        "equiv": (_cmd_equiv, "depth-bounded equivalence check", ("model", "left", "right"), {
+            **solver, **enum, "--kind": ("kind", ("lt", "tr"), "lt", "lt (default) or tr"),
+            "--depth": ("depth", _int_at_least(0), 2, "fragment depth bound (>= 0, default 2)")}),
+        "oracle": (_cmd_oracle, "cross-check step-wise vs path semantics", ("model", "formula"), {
+            **solver, **enum, "--unroll": ("unroll", _int_at_least(0), 2,
+                                           "fixpoint unrolling depth (>= 0, default 2)")}),
+        "info": (_cmd_info, "model statistics", ("model",), {}),
+    }
+    fmt = {"--format": ("format", ("text", "json"), "text", "text (default) or json")}
+    return {None: (None, "semiring-parametric model checker for quantitative linear-time "
+                   "fixpoint logics", ("command",), _HELP, {}),
+            **{name: (handler, text, positionals, {**_HELP, **opts, **fmt}, dict(*exclusive))
+               for name, (handler, text, positionals, opts, *exclusive) in table.items()}}
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "eval": _cmd_eval,
-    "extent": _cmd_extent,
-    "lt": _cmd_lt,
-    "tr": _cmd_tr,
-    "ftr": _cmd_ftr,
-    "equiv": _cmd_equiv,
-    "oracle": _cmd_oracle,
-    "info": _cmd_info,
-}
+def _classify(word: str, options: dict):
+    """What argparse makes of a word before `--`: None for a positional,
+    else (flag, the text after `=` or None), with flag None for an option
+    not in `options`.  A long flag may be cut to a unique prefix."""
+    if word[:1] != "-" or word == "-":
+        return None
+    name, eq, text = word.partition("=")
+    hits = [name] if name in options else \
+        [f for f in options if f.startswith(name) and word[1] == "-"]
+    if len(hits) > 1:
+        raise ValueError(f"ambiguous option: {name} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], text if eq else None
+    return None if re.match(r"-\d+$|-\d*\.\d+$", word) or " " in word else (None, None)
+
+
+def _help(name: str | None, full: bool = True) -> str:
+    """The usage line of a command, or of semimc for None, and with `full`
+    the rest of what `-h`/`--help` prints."""
+    _, text, positionals, options, _ = _COMMANDS[name]
+    flags = {f: f if o[1] is None else f"{f} {o[0].upper()}" for f, o in options.items()}
+    usage = " ".join([f"usage: semimc{' ' + name if name else ''}", *positionals, *(
+        flags[f] if o[2] is _REQUIRED else f"[{flags[f]}]" for f, o in options.items()
+        if f != "--help")])
+    if not full:
+        return usage
+    rows = [] if name else [(n, c[1]) for n, c in _COMMANDS.items() if n]
+    rows += [(flags[f], o[3]) for f, o in options.items() if f != "-h"]
+    width = 2 + max(len(left) for left, _ in rows)
+    return "\n".join([usage, "", text, "", *(f"  {l:<{width}}{r}" for l, r in rows)])
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The fields that argv sets and the defaults of the options left out,
+    as argparse sets them.  Options may come anywhere among the positionals,
+    as `--flag text` or `--flag=text`; the words after `--` are positionals.
+    A usage error raises ValueError, and `-h`/`--help` SystemExit(0)."""
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    _, _, positionals, options, exclusive = _COMMANDS[name]
+    words = argv[1:] if name else argv[:1]
+    end = words.index("--") if "--" in words else len(words)
+    kinds = [_classify(w, options) for w in words[:end]] + [None] * (len(words) - end)
+    fields = {d: v for d, _, v, _ in options.values() if v is not _ABSENT and v is not _REQUIRED}
+    pending, extras, seen = list(positionals), [], set()
+    pending_at_run, i = len(pending), 0  # positionals left when the current run began
+    while i < len(words):
+        word, kind = words[i], kinds[i]
+        i += 1
+        if i - 1 == end:  # argparse drops `--` only in a run of positionals that fills one
+            extras += [] if pending_at_run else [word]
+        elif kind is None and pending:
+            fields[pending.pop(0)] = word
+        elif kind is None or kind[0] is None:
+            extras.append(word)
+        else:
+            flag, text = kind
+            dest, convert, _, _ = options[flag]
+            if dest == "help" and text is None:
+                print(_help(name))
+                raise SystemExit(0)
+            try:
+                if convert is None and text is not None:
+                    raise ValueError(f"ignored explicit argument {quote(text)}")
+                if exclusive.get(flag) in seen:
+                    raise ValueError(f"not allowed with argument {exclusive[flag]}")
+                if convert is not None and text is None:
+                    if i >= end or kinds[i] is not None:
+                        raise ValueError("expected one argument")
+                    text, i = words[i], i + 1
+                if type(convert) is tuple and text not in convert:
+                    raise ValueError(f"invalid choice: {quote(text)} "
+                                     f"(choose from {', '.join(map(repr, convert))})")
+                fields[dest] = True if convert is None else \
+                    text if type(convert) is tuple else convert(text)
+            except ValueError as e:
+                raise ValueError(f"argument {flag}: {e}") from None
+            seen.add(flag)
+            pending_at_run = len(pending)
+    missing = pending + [f for f, o in options.items() if o[2] is _REQUIRED and f not in seen]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    if not name:
+        raise ValueError(f"argument command: invalid choice: {quote(fields['command'])} "
+                         f"(choose from {', '.join(map(repr, list(_COMMANDS)[1:]))})")
+    return SimpleNamespace(command=name, **fields)
+
+
+_COMMANDS = build_parser()
 
 
 def _need_state(model: Model, state: str):
@@ -359,31 +413,30 @@ def _error_payload(command: str, fmt: str, message: str, code: int) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _shared_parser().parse_args(argv)
-    except SystemExit as e:
-        # argparse has printed the usage error; its code 2 would read as
-        # non-convergence here (--help exits 0 and passes through)
-        if e.code == 2:
-            return EXIT_USER
-        raise
-    fmt = getattr(args, "format", "text")
+        args = _parse(argv)
+    except ValueError as e:
+        name = argv[0] if argv and argv[0] in _COMMANDS else None
+        print(_help(name, full=False), f"semimc{' ' + name if name else ''}: error: {e}",
+              sep="\n", file=sys.stderr)
+        return EXIT_USER
     try:
-        code, out = _HANDLERS[args.command](args)
+        code, out = _COMMANDS[args.command][0](args)
         print(out.emit())
         return code
     except (NonConvergence, SizingError) as e:
-        print(_error_payload(args.command, fmt, str(e), EXIT_LIMIT), file=sys.stderr)
+        print(_error_payload(args.command, args.format, str(e), EXIT_LIMIT), file=sys.stderr)
         return EXIT_LIMIT
     except (ParseError, ValidationError, EvaluationError, OffsetUnsupported, SemimcError) as e:
-        print(_error_payload(args.command, fmt, str(e), EXIT_USER), file=sys.stderr)
+        print(_error_payload(args.command, args.format, str(e), EXIT_USER), file=sys.stderr)
         return EXIT_USER
     except OSError as e:
-        print(_error_payload(args.command, fmt, str(e), EXIT_IO), file=sys.stderr)
+        print(_error_payload(args.command, args.format, str(e), EXIT_IO), file=sys.stderr)
         return EXIT_IO
     except RecursionError:
         # the parsers stop at _lex.MAX_DEPTH; formula walks still recurse
-        print(_error_payload(args.command, fmt, "input nested too deeply", EXIT_USER),
+        print(_error_payload(args.command, args.format, "input nested too deeply", EXIT_USER),
               file=sys.stderr)
         return EXIT_USER
 

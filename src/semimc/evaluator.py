@@ -635,7 +635,3 @@ def eval_with_certificate(model: Model, formula: Formula,
            for name, pred in (valuation or {}).items()}
     values = semiring.unpack(_eval(ctx, formula, env))
     return dict(zip(states, values)), None if ctx.top is None else ctx.top.report
-
-
-def leq_pointwise(semiring: Semiring, p: Predicate, q: Predicate) -> bool:
-    return all(semiring.leq(p[k], q[k]) for k in p)

@@ -241,8 +241,8 @@ def parse_model(text: str) -> Model:
             ts.expect_symbol("}")
             if undefined is not None:
                 label, succs = undefined
-                raise ValidationError(f"state {quote(name)}: merged weight for {label} -> "
-                                      f"{' '.join(succs) or '()'} is undefined")
+                raise ValidationError(f"state {quote(name)}: merged weight for {quote(label)} -> "
+                                      f"{' '.join(map(quote, succs)) or '()'} is undefined")
             if prob:
                 num, den = 0, 1
                 for w in row.values():

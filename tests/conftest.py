@@ -19,6 +19,11 @@ def corpus_path(name: str) -> pathlib.Path:
     return CORPUS / name
 
 
+def leq_pointwise(semiring, p: dict, q: dict) -> bool:
+    """p <= q at every state, in the semiring's order."""
+    return all(semiring.leq(p[k], q[k]) for k in p)
+
+
 def load_corpus_model(name: str):
     return parse_model(corpus_path(name).read_text())
 

@@ -14,7 +14,7 @@ from conftest import corpus_path
 def run(capsys, *argv):
     try:
         code = main(list(argv))
-    except SystemExit as e:  # argparse usage errors
+    except SystemExit as e:  # --help
         code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -272,7 +272,7 @@ def test_check_json_shape(capsys):
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# one command table per process
 
 
 # each call follows one whose options must not carry over
@@ -286,25 +286,18 @@ SHARED_PARSER_SEQUENCE = [
 ]
 
 
-@pytest.fixture
-def clear_shared_parser():
-    cli._shared_parser.cache_clear()
-    yield
-    cli._shared_parser.cache_clear()
-
-
-def test_shared_parser_matches_fresh_parser(capsys, monkeypatch, clear_shared_parser):
+def test_shared_parser_matches_fresh_parser(capsys, monkeypatch):
     fresh = []
     for argv in SHARED_PARSER_SEQUENCE:
-        cli._shared_parser.cache_clear()
+        monkeypatch.setattr(cli, "_COMMANDS", cli.build_parser())
         fresh.append(run(capsys, *argv))
-    cli._shared_parser.cache_clear()
+    monkeypatch.undo()
     builds = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
     shared = [run(capsys, *argv) for argv in SHARED_PARSER_SEQUENCE]
     assert shared == fresh
-    assert len(builds) == 1
+    assert not builds  # the table is built once, on import, and never per call
     mu, nu, eps, default, usage, info = shared
     assert mu[:2] == (0, "x = 4\ny = 2\nz = 4\n")
     assert nu[:2] == (0, "x = 1\ny = 1\nz = 0\n")

@@ -18,8 +18,7 @@ from semimc import (BOT, INF, TOP, EvalConfig, KleeneResult, Label, Model, Mu, N
                     parse_formula, parse_model, semiring_for)
 from semimc import evaluator
 from semimc._linear import _RHS, _bareiss
-from semimc.evaluator import leq_pointwise
-from conftest import load_corpus_model
+from conftest import leq_pointwise, load_corpus_model
 from test_kernel import naive_step
 from randgen import (DESCRIPTORS, _prob_weights, carrier_values, random_model,
                      random_qualitative_formula)

@@ -6,12 +6,15 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+import sys
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from semimc import (CarrierError, ParseError, SemimcError, ValidationError, cli,
                     parse_formula, parse_fragment, parse_model, render_model)
+import argparse_reference
+from conftest import ROOT
 from randgen import DESCRIPTORS, random_model
 
 _TOKENS = ["semiring", "prob", "bool", "trop", "label", "state", "offset",
@@ -135,3 +138,76 @@ def test_cli_main_total(tmp_path, data):
             assert e.code == 0 and {"--help", "-h"} & set(argv), argv
             return
     assert code in (0, 1, 2, 3), argv
+
+
+# ---------------------------------------------------------------------------
+# the command table parses as argparse did
+
+
+_REFERENCE = argparse_reference.build_parser()
+
+
+def _outcomes(argv: list[str]) -> tuple:
+    """What the argparse reference and `cli._parse` make of argv: the parsed
+    fields, "usage" for a usage error or "help" for -h/--help."""
+    results = []
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for parse in (_REFERENCE.parse_args, cli._parse):
+            try:
+                results.append(vars(parse(argv)))
+            except ValueError:  # how the table reports a usage error
+                results.append("usage")
+            except SystemExit as e:  # argparse exits 2 on a usage error; both exit 0 on help
+                results.append("help" if e.code == 0 else "usage")
+    return tuple(results)
+
+
+def _respell(data, group: list[str]) -> list[str]:
+    """An option group as a user may also write it: the flag cut to a prefix
+    of at least three characters, and its text joined on with `=`."""
+    flag, *text = group
+    if flag.startswith("--") and len(flag) > 3:
+        flag = flag[:data.draw(st.integers(3, len(flag)))]
+    if text and data.draw(st.booleans()):
+        return [f"{flag}={text[0]}"]
+    return [flag, *text]
+
+
+@given(st.data())
+@settings(max_examples=500, deadline=None)
+def test_table_parser_matches_argparse(data):
+    """argv drawn as in `test_cli_main_total`, with some options respelled:
+    the table and the argparse reference accept it with the same fields,
+    both reject it (and `main` exits 1), or both print help."""
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    n, valid = _COMMANDS[command]
+    valid = valid + [["--format", "json"], ["--format", "text"]]
+    count = data.draw(st.sampled_from([n, n, n, 0, 1, 2, 3]))
+    words = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=12).map(" ".join)
+    positional = data.draw(st.lists(st.sampled_from(_TEXTS) | words,
+                                    min_size=count, max_size=count))
+    options = data.draw(st.lists(st.sampled_from(valid), max_size=3))
+    options += data.draw(st.lists(st.sampled_from(_BAD_OPTIONS), max_size=1))
+    if command in ("lt", "tr", "ftr") and data.draw(st.booleans()):
+        options.append(_STATE[0])
+    groups = [["m.model"], *([p] for p in positional)]
+    for opt in options:
+        groups.insert(data.draw(st.integers(0, len(groups))), _respell(data, opt))
+    argv = [command] + [a for g in groups for a in g]
+    # where argparse accepts `--` differs between Python versions; the table
+    # follows 3.11
+    assume("--" not in argv or sys.version_info[:2] == (3, 11))
+    reference, table = _outcomes(argv)
+    assert reference == table, argv
+    if table == "usage":
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 1, argv
+
+
+def test_table_parser_matches_argparse_on_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    for name in ("prob-kleene", "trop-kleene", "small-queries"):
+        for q in workloads.build(name, 1).queries:
+            reference, table = _outcomes(q.argv)
+            assert isinstance(table, dict) and reference == table, q.argv

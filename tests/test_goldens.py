@@ -17,9 +17,10 @@ from fractions import Fraction
 
 import pytest
 
-from semimc import (INF, Model, ParseError, Transition, ValidationError,
+from semimc import (INF, Model, ParseError, Transition, ValidationError, cli,
                     parse_formula, parse_fragment, parse_model, render_model,
                     validate)
+from conftest import corpus_path
 
 
 MODEL_ERRORS = [
@@ -96,7 +97,13 @@ MODEL_ERRORS = [
      ParseError, "3:11: unexpected character '@'", 3, 11),
     ('merge-undefined-then-syntax', 'semiring prob label a/1\n'
      'state x { 3/4 a -> x; 3/4 a -> x }\nstate y { 1 c -> y }',
-     ValidationError, "state 'x': merged weight for a -> x is undefined", None, None),
+     ValidationError, "state 'x': merged weight for 'a' -> 'x' is undefined", None, None),
+    ('merge-undefined-nullary', 'semiring prob label e/0 state x { 3/4 e; 3/4 e }',
+     ValidationError, "state 'x': merged weight for 'e' -> () is undefined", None, None),
+    ('merge-undefined-long-label', 'semiring prob label ' + 'L' * 3000 + '/1\nstate x { 3/4 '
+     + 'L' * 3000 + ' -> x; 3/4 ' + 'L' * 3000 + ' -> x }',
+     ValidationError, "state 'x': merged weight for '" + 'L' * 32 + "'... (3000 characters) "
+     "-> 'x' is undefined", None, None),
     ('unknown-semiring', 'semiring frob label a/1',
      ParseError, "1:10: unknown semiring 'frob'", 1, 10),
     ('missing-semiring', 'label a/1 state x { }',
@@ -240,6 +247,46 @@ FRAGMENT_ERRORS = [
     ('form-feed', 'a(\x0cT)',
      ParseError, "1:3: unexpected character '\\x0c'", 1, 3),
 ]
+
+# command-line options: the last line of the usage error, which echoes the
+# option text clipped as the parsers clip a token
+LONG = "x" * 5000
+OPTION_ERRORS = [
+    ('long-epsilon', ("extent", "--epsilon", LONG),
+     "semimc extent: error: argument --epsilon: not a rational: '" + "x" * 32
+     + "'... (5000 characters)"),
+    ('long-max-iters', ("eval", "T", "--max-iters", LONG),
+     "semimc eval: error: argument --max-iters: invalid int value: '" + "x" * 32
+     + "'... (5000 characters)"),
+    ('long-negative-depth', ("equiv", "x", "y", "--depth=-" + "9" * 40),
+     "semimc equiv: error: argument --depth: must be at least 0, got '-" + "9" * 31
+     + "'... (41 characters)"),
+    ('long-unroll', ("oracle", "T", "--unroll", "1" + LONG),
+     "semimc oracle: error: argument --unroll: invalid int value: '1" + "x" * 31
+     + "'... (5001 characters)"),
+    ('long-choice', ("equiv", "x", "y", "--kind", LONG),
+     "semimc equiv: error: argument --kind: invalid choice: '" + "x" * 32
+     + "'... (5000 characters) (choose from 'lt', 'tr')"),
+    ('huge-exponent', ("extent", "--epsilon", "1e-999999999"),
+     "semimc extent: error: argument --epsilon: must be written with |exponent| <= 100000, "
+     "got '1e-999999999'"),
+    ('zero-epsilon', ("eval", "T", "--epsilon", "0"),
+     "semimc eval: error: argument --epsilon: must be positive, got '0'"),
+    ('short-n', ("tr", "a(T)", "--state", "x", "--n", "-1"),
+     "semimc tr: error: argument --n: must be at least 0, got '-1'"),
+]
+
+
+@pytest.mark.parametrize("name,argv,message", OPTION_ERRORS, ids=[c[0] for c in OPTION_ERRORS])
+def test_option_error_golden(capsys, name, argv, message):
+    command, *rest = argv
+    model = str(corpus_path("extent-example.prob.model"))
+    assert cli.main([command, model, *rest]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    usage, line = err.splitlines()
+    assert usage.startswith(f"usage: semimc {command} ") and line == message
+
 
 def _check(exc, kind, message, line, col):
     assert type(exc) is kind

@@ -13,8 +13,8 @@ from semimc import (BOT, TOP, EvalConfig, Modal, Mu, Nu, ParseError, Var,
                     WeightedSum, alpha_equal, classify, eval_formula, fnd,
                     modal_depth, parse_formula, render_formula, substitute,
                     unroll)
-from semimc.evaluator import leq_pointwise
 from semimc.logic import free_vars, size
+from conftest import leq_pointwise
 from randgen import DESCRIPTORS, random_model, random_qualitative_formula
 
 
