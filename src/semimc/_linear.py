@@ -8,11 +8,12 @@ finds affine in its variable (see ``evaluator._eval``).  Its least
 solution is the limit of that chain, and this module computes it exactly
 (Baier & Katoen, Principles of Model Checking, 10.1.1):
 
-* states that reach no positive constant are 0 (a reverse graph search);
-* on the rest I - A is a nonsingular M-matrix (a bounded chain leaves no
+* components (``_graph.sccs``) in reverse topological order, so solved
+  successors are constants; one is live when a state of it has a positive
+  constant or a move into a live one, and its states are 0 otherwise;
+* on live ones I - A is a nonsingular M-matrix (a bounded chain leaves no
   component of spectral radius at least 1 that reaches a positive constant),
-  solved one strongly connected component at a time (Tarjan),
-  components reached first, so solved successors are constants;
+  solved one component at a time;
 * each component is solved by fraction-free Bareiss elimination on sparse
   integer rows.
 
@@ -25,20 +26,23 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
+from ._graph import sccs
+
 
 def least_solution(scale: list[int], moves: list[dict[int, int]],
                    const: list[int]) -> tuple[list[Fraction], int]:
     """The least solution, and the number of states solved by elimination
     (those that reach a positive constant)."""
-    n = len(scale)
-    live = _live_states(moves, const)
-    value = [Fraction(0)] * n
-    for comp in _sccs([[j for j in moves[i] if live[j]] for i in range(n)]):
-        if not live[comp[0]]:
+    live = [False] * len(scale)
+    value = [Fraction(0)] * len(scale)
+    for comp in sccs(moves):
+        # components it reaches came first, so a move out of it is decided
+        if not any(const[i] > 0 or any(live[j] for j in moves[i]) for i in comp):
             continue
         inside = set(comp)
         rows = {}
         for i in comp:
+            live[i] = True
             # solved successors are constants; scale the row again by
             # their common denominator to keep it integral
             rhs = Fraction(const[i] + sum(v * value[j] for j, v in moves[i].items()
@@ -51,65 +55,6 @@ def least_solution(scale: list[int], moves: list[dict[int, int]],
         for i, v in _bareiss(rows).items():
             value[i] = v
     return value, sum(live)
-
-
-def _live_states(moves: list[dict], const: list[int]) -> list[bool]:
-    """The states that reach a state with a positive constant, by a
-    reverse graph search; the least solution is 0 everywhere else."""
-    pred = [[] for _ in moves]
-    for i, row in enumerate(moves):
-        for j in row:
-            pred[j].append(i)
-    live = [c > 0 for c in const]
-    todo = [i for i, c in enumerate(const) if c > 0]
-    while todo:
-        for i in pred[todo.pop()]:
-            if not live[i]:
-                live[i] = True
-                todo.append(i)
-    return live
-
-
-def _sccs(succ: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components, each listed after every component
-    it reaches (Tarjan's algorithm, iterative)."""
-    n = len(succ)
-    index, low = [-1] * n, [0] * n
-    on_stack = [False] * n
-    stack, out = [], []
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while not comp or comp[-1] != v:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                    out.append(comp)
-    return out
 
 
 _RHS = -1  # the column key of the right-hand side in `_bareiss` rows

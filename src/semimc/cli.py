@@ -390,7 +390,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     if extras:
-        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+        raise ValueError(f"unrecognized arguments: {' '.join(map(quote, extras))}")
     if not name:
         raise ValueError(f"argument command: invalid choice: {quote(fields['command'])} "
                          f"(choose from {', '.join(map(repr, list(_COMMANDS)[1:]))})")

@@ -20,20 +20,23 @@ with a per-semiring stop rule:
 Two kinds of fixpoint block are not iterated, so they never depend on
 ``promote_bound``, ``max_iterations`` or the epsilon stop:
 
-* extents (the embedded extent behind T included) of offset-free
-  boolean, tropical and bounded tropical models: ``_trop_extent`` solves
-  them exactly with Knuth's generalisation of Dijkstra's algorithm;
+* extents (the embedded extent behind T included) of boolean models,
+  whose offsets are the identity, and of offset-free tropical and
+  bounded tropical ones: ``_trop_extent`` solves them exactly with
+  Knuth's generalisation of Dijkstra's algorithm;
 * probabilistic blocks affine in their variable on offset-free models:
   ``_affine_fixpoint`` solves x = A x + c exactly with
-  ``_linear.least_solution`` (a graph pre-pass, then fraction-free
-  Bareiss elimination one strongly connected component at a time).  The
+  ``_linear.least_solution`` (liveness and fraction-free Bareiss
+  elimination one strongly connected component at a time).  The
   extent's block has the variable in every argument position; a binder's
   is built by ``_eval``, with the variable bound to an ``_Affine``
   identity, and is affine unless a transition has two successors that
   depend on the variable or an inner binder mentions it.
 
-Kleene iteration remains for models with offsets (truncated subtraction
-is not a superior function, and the probabilistic offset divides), for
+The graph searches of both (SCCs, zero-cost states, the transition
+index) are in ``_graph``.  Kleene iteration remains for tropical and
+probabilistic models with offsets (truncated subtraction is not a
+superior function, and the probabilistic offset divides), for
 the other probabilistic blocks and the other semirings' formula
 fixpoints; ``kleene`` stays the reference both solvers are tested
 against.  No setting chooses between solver and chain: the shape of the
@@ -272,39 +275,9 @@ def _prob_kleene(semiring: Semiring, operator: Callable, start: list, direction:
     raise _no_fixpoint(cfg, names, semiring.unpack(cur), prev and semiring.unpack(prev))
 
 
-def _exact_tropical(cm: CompiledModel) -> bool:
-    """True when `_trop_extent` solves the extent of `cm` exactly."""
-    return cm.semiring.kind != "probabilistic" and not cm.offset_ids
-
-
-def _zero_cost_states(owner: list, weight: list, uses: list) -> list[int]:
-    """The states with a zero-cost run tree: the greatest set in which
-    every state has a weight-0 transition with all successors in the set.
-
-    `live[s]` counts the weight-0 transitions of s with no successor
-    removed yet; a state is removed when that count reaches 0, and each
-    removal kills the weight-0 transitions that use it.
-    """
-    n = len(uses)
-    live = [0] * n
-    for t, w in enumerate(weight):
-        if not w:
-            live[owner[t]] += 1
-    removed = [s for s in range(n) if not live[s]]
-    dead = set()
-    while removed:
-        for t in uses[removed.pop()]:
-            if not weight[t] and t not in dead:
-                dead.add(t)
-                live[owner[t]] -= 1
-                if not live[owner[t]]:
-                    removed.append(owner[t])
-    return [s for s in range(n) if live[s]]
-
-
 def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
-    """Exact extent of an offset-free (bounded) tropical or bool model;
-    bool runs as trop[0], with every weight 0.
+    """Exact extent of a bool model or an offset-free (bounded) tropical
+    one; bool runs as trop[0], every weight 0 and its offsets the identity.
 
     A transition of weight w to successors x1 .. xk contributes
     w + x1 + ... + xk, a superior function (Knuth, IPL 1977), so states
@@ -319,24 +292,15 @@ def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
     The report counts settled states as iterations; for the gfp off
     bool, `promoted` lists the infinite states.
     """
-    n = len(cm.states)
+    import semimc._graph as graph  # loaded on first use; a relative import is slower
+
     bound = cm.semiring.bound
-    owner, weight, waiting = [], [], []  # per transition
-    uses = [[] for _ in range(n)]  # per state: transitions, once per occurrence
-    heap = []
-    for i, row in enumerate(cm.rows):
-        for w, _, succs in row:
-            for _, s in succs:
-                uses[s].append(len(owner))
-            if not succs:
-                heap.append((w, i))
-            owner.append(i)
-            weight.append(w)
-            waiting.append(len(succs))
+    owner, weight, waiting, uses = graph.transitions(cm.rows)
+    heap = [(w, i) for w, i, k in zip(weight, owner, waiting) if not k]
     if direction == "gfp":
-        heap += [(0, s) for s in _zero_cost_states(owner, weight, uses)]
+        heap += [(0, s) for s in graph.zero_cost_states(owner, weight, uses)]
     heapify(heap)
-    value = [INF] * n
+    value = [INF] * len(cm.states)
     partial = [0] * len(owner)
     settled = 0
     while heap:
@@ -495,11 +459,10 @@ def default_promote_bound(model: Model, formula_size: int = 0) -> int:
 def _extent(model: Model, cfg: EvalConfig, direction: str) -> KleeneResult:
     """The extent with list values: the routine behind the public extent
     functions and behind T."""
-    cm = model.compiled
-    if _exact_tropical(cm):
-        return _trop_extent(cm, direction)
-    semiring = model.semiring
-    if semiring.kind == "probabilistic" and not cm.offset_ids:
+    cm, semiring = model.compiled, model.semiring
+    if not cm.offset_ids:  # always so on bool, see `Model.compiled`
+        if semiring.kind != "probabilistic":
+            return _trop_extent(cm, direction)
         # the block whose body is every label with the variable in every position
         x = _Affine([(1, 1, i)] for i in range(len(cm.states)))
         top = [(1, 1)] * len(cm.states) if direction == "gfp" else None

@@ -108,7 +108,9 @@ class Model(Record, frozen=True, offsets=None):
                 row.append((w, lid, tuple(enumerate(succs))))
             rows.append(tuple(row))
         offsets = [self.offsets[c] for c in self.states]
-        offset_ids = tuple(i for i, v in enumerate(offsets) if v != self.semiring.one)
+        # bool's oslash is the first projection: its offsets change nothing
+        offset_ids = () if self.descriptor.kind == "boolean" else tuple(
+            i for i, v in enumerate(offsets) if v != self.semiring.one)
         return CompiledModel(self.semiring, self.states, label_ids, max(arities),
                              tuple(rows), tuple(pack(offsets)), offset_ids)
 
@@ -152,7 +154,8 @@ class CompiledModel(Record, frozen=True):
     ``rows[i]`` holds one ``(weight, label id, successors)`` triple per
     transition of ``states[i]``, the successors as ``(argument position,
     state id)`` pairs; ``offset_ids`` lists the states whose offset is not
-    the semiring unit.  Values are in the kernel form (``Semiring.pack``).
+    the semiring unit (none on bool, whose offsets are the identity).
+    Values are in the kernel form (``Semiring.pack``).
     """
 
     __slots__ = ("semiring", "states", "label_ids", "max_arity", "rows", "offsets", "offset_ids")

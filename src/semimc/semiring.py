@@ -152,13 +152,7 @@ class Semiring:
 
     def weighted_sum(self, cm, terms) -> list:
         """Per state, the sum of c * p[state] over (scalar c, kernel-form p)."""
-        out = []
-        for i, state in enumerate(cm.states):
-            total = self.sum([self.times(c, p[i]) for c, p in terms])
-            if total is UNDEFINED:
-                raise EvaluationError(f"weighted sum undefined at state {state!r}")
-            out.append(total)
-        return out
+        raise NotImplementedError
 
     def parse(self, text: str):
         raise NotImplementedError
@@ -338,6 +332,17 @@ class TropicalSemiring(Semiring):
             out[i] = self.oslash(out[i], cm.offsets[i])
         return out
 
+    def weighted_sum(self, cm, terms):
+        # the min of c + p[state] with c packed (on bool, 1 as 0 and 0 as
+        # INF), saturating past the bound as `step` does
+        bound, out = self.bound, [INF] * len(cm.states)
+        for c, (_, p) in zip(self.pack([c for c, _ in terms]), terms):
+            for i, v in enumerate(p):
+                v += c
+                if v < out[i] and v <= bound:
+                    out[i] = v
+        return out
+
     def parse(self, text):
         if text == "inf":
             return INF
@@ -384,10 +389,6 @@ class BooleanSemiring(TropicalSemiring):
 
     def unpack(self, values):
         return [0 if v else 1 for v in values]  # INF is false
-
-    def weighted_sum(self, cm, terms):
-        # per state, the min of p over the terms whose coefficient is 1
-        return [min(v) for v in zip([INF] * len(cm.states), *(p for c, p in terms if c))]
 
     def parse(self, text):
         if text == "0":

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semimc import (BOT, INF, TOP, EvalConfig, KleeneResult, Label, Model, Mu, Nu,
+from semimc import (BOT, INF, TOP, TOP_LEAF, EvalConfig, KleeneResult, Label, Model, Mu, Nu,
                     NonConvergence, NonMonotoneChain, EvaluationError, Modal,
-                    SemiringDescriptor, Signature, Transition, Var, WeightedSum,
-                    eval_formula, eval_with_certificate, kleene,
+                    OffsetUnsupported, SemiringDescriptor, Signature, Transition, Var,
+                    WeightedSum, eval_formula, eval_with_certificate, finite_tr, kleene,
                     mu_extent, mu_extent_result, nu_extent, nu_extent_result,
-                    parse_formula, parse_model, semiring_for)
+                    parse_formula, parse_fragment, parse_model, semiring_for, tr_approx)
 from semimc import evaluator
 from semimc._linear import _RHS, _bareiss
 from conftest import leq_pointwise, load_corpus_model
@@ -147,12 +147,10 @@ def _no_chain(*args, **kwargs):
     raise AssertionError("kleene called")
 
 
-@given(offset_free_trop_models([DESCRIPTORS["boolean"]]))
-@settings(max_examples=200, deadline=None)
-def test_bool_extent_is_exact(m):
-    # bool runs as trop[0], so offset-free extents and T come from
-    # _trop_extent with no chain; the reference iterates the public
-    # or/and fold from 1 (the gfp) and from 0 (the lfp)
+def _check_bool_extents_exact(m):
+    """Extents and T of bool model `m` come from _trop_extent with no
+    chain; the reference iterates the public or/and fold, offsets
+    applied, from 1 (the gfp) and from 0 (the lfp)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluator, "kleene", _no_chain)
         nu, mu = nu_extent_result(m), mu_extent_result(m)
@@ -163,6 +161,37 @@ def test_bool_extent_is_exact(m):
             p = q
         assert res.values == p and res.report.promoted == ()
     assert top == nu.values
+
+
+@given(offset_free_trop_models([DESCRIPTORS["boolean"]]))
+@settings(max_examples=200, deadline=None)
+def test_bool_extent_is_exact(m):
+    # bool runs as trop[0]
+    _check_bool_extents_exact(m)
+
+
+@st.composite
+def bool_models_with_offsets(draw):
+    """`offset_free_trop_models` on bool, then offsets 0 or 1, at least one 0."""
+    m = draw(offset_free_trop_models([DESCRIPTORS["boolean"]]))
+    offsets = dict(zip(m.states, draw(st.lists(st.sampled_from((0, 1)), min_size=len(m.states),
+                                               max_size=len(m.states)))))
+    offsets[draw(st.sampled_from(m.states))] = 0
+    return m.with_offsets(offsets)
+
+
+@given(bool_models_with_offsets())
+@settings(max_examples=200, deadline=None)
+def test_bool_extent_with_offsets_is_exact(m):
+    # bool's oslash is the first projection, so its offsets change no
+    # value and every bool extent is exact; the trace operations still
+    # reject any model with offsets
+    _check_bool_extents_exact(m)
+    assert not m.is_plain
+    with pytest.raises(OffsetUnsupported):
+        finite_tr(m, m.states[0], parse_fragment("l0", m.signature))
+    with pytest.raises(OffsetUnsupported):
+        tr_approx(m, m.states[0], TOP_LEAF, 0)
 
 
 @given(st.integers(min_value=0, max_value=10**9))

@@ -274,6 +274,11 @@ OPTION_ERRORS = [
      "semimc eval: error: argument --epsilon: must be positive, got '0'"),
     ('short-n', ("tr", "a(T)", "--state", "x", "--n", "-1"),
      "semimc tr: error: argument --n: must be at least 0, got '-1'"),
+    ('long-extra', ("info", LONG),
+     "semimc info: error: unrecognized arguments: '" + "x" * 32 + "'... (5000 characters)"),
+    ('long-unknown-option', ("info", "--state=" + LONG),
+     "semimc info: error: unrecognized arguments: '--state=" + "x" * 24
+     + "'... (5008 characters)"),
 ]
 
 

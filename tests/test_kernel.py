@@ -127,6 +127,31 @@ def test_prob_weighted_sum_on_pairs():
     assert undefined
 
 
+def naive_weighted_sum(sr, terms, n):
+    """The WeightedSum clause as a fold of semiring method calls on
+    public scalars."""
+    return [sr.sum([sr.times(c, p[i]) for c, p in terms]) for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["boolean", "tropical", "bounded_tropical"])
+def test_tropical_weighted_sum_matches_naive_fold(kind):
+    # one kernel serves bool, trop and trop[5]: coefficients packed, the
+    # sum saturating past the bound; INF occurs on both sides of a product
+    rng = random.Random(f"kernel:weighted-sum:{kind}")
+    d = DESCRIPTORS[kind]
+    saturated = 0
+    for _ in range(300):
+        m = random_model(rng, d, max_states=5, max_arity=1)
+        cm, sr, n = m.compiled, m.semiring, len(m.states)
+        terms = [(c, carrier_values(d, rng, n)) for c in carrier_values(d, rng, rng.randint(0, 3))]
+        want = naive_weighted_sum(sr, terms, n)
+        out = sr.weighted_sum(cm, [(c, sr.pack(p)) for c, p in terms])
+        assert sr.unpack(out) == want, terms
+        saturated += any(INF not in (c, v) and sr.times(c, v) == INF for c, p in terms for v in p)
+    if kind == "bounded_tropical":
+        assert saturated
+
+
 SIG = Signature((Label("a", 1), Label("b", 1)))
 
 
