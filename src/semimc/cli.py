@@ -98,20 +98,23 @@ class _Output:
         self.model = model
         self.lines: list[str] = []
 
-    def _render(self, v, cfg: EvalConfig | None) -> str:
-        """Certified to cfg.epsilon when a cfg is given, exact otherwise."""
-        if cfg is None:
-            return self.model.semiring.render(v)
-        return render_certified(v, self.model.descriptor, cfg.epsilon)
+    def _renderer(self, cfg: EvalConfig | None):
+        """Certified to cfg.epsilon on prob when a cfg is given, exact
+        otherwise: the other semirings compute exact values."""
+        m = self.model
+        if cfg is None or m.descriptor.kind != "probabilistic":
+            return m.semiring.render
+        return lambda v: render_certified(v, m.descriptor, cfg.epsilon)
 
     def values(self, pred: dict, cfg: EvalConfig):
-        rendered = {s: self._render(pred[s], cfg) for s in self.model.states}
+        render = self._renderer(cfg)
+        rendered = {s: render(pred[s]) for s in self.model.states}
         self.payload["values"] = rendered
         for s, v in rendered.items():
             self.lines.append(f"{s} = {v}")
 
     def value(self, state: str, v, cfg: EvalConfig | None = None):
-        rendered = self._render(v, cfg)
+        rendered = self._renderer(cfg)(v)
         self.payload["values"] = {state: rendered}
         self.lines.append(f"{state} = {rendered}")
 
@@ -222,8 +225,7 @@ def _cmd_equiv(args) -> tuple[int, _Output]:
                          f"({res.fragments_checked} fragments)")
     else:
         wit = render_fragment(res.witness)
-        left, right = (render_certified(v, model.descriptor, cfg.epsilon)
-                       for v in (res.left_value, res.right_value))
+        left, right = map(out._renderer(cfg), (res.left_value, res.right_value))
         out.extra("witness", wit)
         out.extra("left_value", left)
         out.extra("right_value", right)

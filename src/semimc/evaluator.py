@@ -401,8 +401,8 @@ def _affine_fixpoint(terms: list, top: list | None) -> tuple[list, int] | None:
     needs.  Sums inside f are checked as `_affine` builds them.
     """
     # imported on first use: with no bytecode cache, every process that
-    # imports semimc would otherwise compile the solver
-    from ._linear import least_solution
+    # imports semimc would otherwise compile the solver; a relative import is slower
+    import semimc._linear as linear
 
     scale, moves, const = [], [], []
     for i, row in enumerate(terms):
@@ -427,7 +427,7 @@ def _affine_fixpoint(terms: list, top: list | None) -> tuple[list, int] | None:
         scale.append(lcd)
         moves.append(out)
         const.append(b)
-    value, solved = least_solution(scale, moves, const)
+    value, solved = linear.least_solution(scale, moves, const)
     # pairs in lowest terms, as the grid test needs
     pairs = [v.as_integer_ratio() for v in value]
     if top is not None:  # x = top - y

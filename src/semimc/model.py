@@ -17,16 +17,19 @@ Text format (whitespace-insensitive, '#' starts a line comment)::
 
 Successor lists are omitted for nullary labels.  Labels must be declared
 before use; states may be referenced forward but every referenced state
-needs its own "state" block.  The parser reads the token texts of
-``_lex.tokenize`` in one pass and keeps a token's index where an error may
-need it; line and column are worked out only when the error is raised.
-Models are immutable after parsing; each shares the one semiring instance
-of its descriptor and builds, on first evaluation, its indexed
-``CompiledModel``.
+needs its own "state" block.  The parser is one loop over the token texts
+of ``_lex.tokenize`` and keeps a token's index where an error may need it;
+line and column are worked out only when the error is raised.  Each
+distinct weight text is parsed once per model.  Models are immutable after
+parsing; each shares the one semiring instance of its descriptor and
+builds, on first evaluation, its indexed ``CompiledModel`` from the
+transition entries the parser recorded (a model built by hand makes them
+from its ``Transition`` records).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 
 from ._lex import TokenStream
@@ -90,29 +93,43 @@ class Model(Record, frozen=True, offsets=None):
         return semiring_for(self.descriptor)
 
     @cached_property
-    def compiled(self) -> "CompiledModel":
-        """The indexed form every evaluation runs on, built on first use."""
-        index = {s: i for i, s in enumerate(self.states)}
-        label_ids = {l.name: j for j, l in enumerate(self.signature.labels)}
-        arities = [l.arity for l in self.signature.labels]
-        pack = self.semiring.pack
-        rows = []
+    def _entries(self) -> tuple:
+        """Per state, its transitions as ((label id, successors), (weight,
+        kernel-form weight)) pairs, and the kernel form of every offset that
+        is not the unit, by state.  `parse_model` stores its own, so only a
+        model built by hand walks its `Transition`s here."""
+        labels = {l.name: (j, l.arity) for j, l in enumerate(self.signature.labels)}
+        names, pack, one, rows = set(self.states), self.semiring.pack, self.semiring.one, []
         for c in self.states:
             ts = self.transitions[c]
             row = []
-            for w, t in zip(pack([t.weight for t in ts]), ts):
-                lid = label_ids.get(t.label)
-                succs = tuple(map(index.get, t.successors))
-                if lid is None or None in succs or arities[lid] != len(succs):
-                    _raise_if_invalid(self)
-                row.append((w, lid, tuple(enumerate(succs))))
-            rows.append(tuple(row))
-        offsets = [self.offsets[c] for c in self.states]
+            for t, w in zip(ts, pack([t.weight for t in ts])):
+                lid, arity = labels.get(t.label, (None, None))
+                if arity != len(t.successors) or not names.issuperset(t.successors):
+                    errors = [d for d in validate(self) if d.severity == "error"]
+                    raise ValidationError(errors[0].message, errors)
+                row.append(((lid, t.successors), (t.weight, w)))
+            rows.append(row)
+        moved = [c for c in self.states if self.offsets[c] != one]
+        return rows, dict(zip(moved, pack([self.offsets[c] for c in moved])))
+
+    @cached_property
+    def compiled(self) -> "CompiledModel":
+        """The indexed form every evaluation runs on, built on first use:
+        the entries of `_entries` with state names mapped to ids."""
+        entries, moved = self._entries
+        index = {s: i for i, s in enumerate(self.states)}
+        get = index.__getitem__
+        rows = tuple(tuple((w, lid, tuple(enumerate(map(get, succs))))
+                           for (lid, succs), (_, w) in row) for row in entries)
+        offsets = self.semiring.pack([self.semiring.one]) * len(self.states)
+        for c, w in moved.items():
+            offsets[index[c]] = w
         # bool's oslash is the first projection: its offsets change nothing
-        offset_ids = () if self.descriptor.kind == "boolean" else tuple(
-            i for i, v in enumerate(offsets) if v != self.semiring.one)
-        return CompiledModel(self.semiring, self.states, label_ids, max(arities),
-                             tuple(rows), tuple(pack(offsets)), offset_ids)
+        offset_ids = () if self.descriptor.kind == "boolean" else tuple(sorted(map(get, moved)))
+        labels = self.signature.labels
+        return CompiledModel(self.semiring, self.states, {l.name: j for j, l in enumerate(labels)},
+                             max(l.arity for l in labels), rows, tuple(offsets), offset_ids)
 
     @property
     def is_plain(self) -> bool:
@@ -155,7 +172,9 @@ class CompiledModel(Record, frozen=True):
     transition of ``states[i]``, the successors as ``(argument position,
     state id)`` pairs; ``offset_ids`` lists the states whose offset is not
     the semiring unit (none on bool, whose offsets are the identity).
-    Values are in the kernel form (``Semiring.pack``).
+    Values are in the kernel form (``Semiring.pack``).  `Model.compiled`
+    is the one row builder: it maps the successor names of the entries
+    that `parse_model` recorded, or that a hand-built model packed, to ids.
     """
 
     __slots__ = ("semiring", "states", "label_ids", "max_arity", "rows", "offsets", "offset_ids")
@@ -199,7 +218,8 @@ def parse_model(text: str) -> Model:
     ValidationError.
 
     The parser enforces every invariant `validate` checks (carrier, zero
-    weight, label, arity, successors), so it does not call it.  Duplicate
+    weight, label, arity, successors), so it does not call it.  Each
+    distinct weight text is parsed, checked and packed once.  Duplicate
     (label, successors) transitions from the same state are merged with the
     semiring plus; a merge with undefined sum is an error at the end of its
     state block.  Probabilistic rows of mass above 1 are errors raised once
@@ -211,116 +231,144 @@ def parse_model(text: str) -> Model:
     descriptor = _parse_descriptor(ts)
     semiring = semiring_for(descriptor)
     prob = descriptor.kind == "probabilistic"
+    toks, error = ts.tokens, ts.error
+    toks.append("")  # a second end marker: a weight looks one token past its first
 
-    arities: dict[str, int] = {}
+    labels: dict[str, tuple] = {}  # name -> (label id, arity)
+    weights: dict[str, tuple] = {}  # weight text -> (scalar, kernel form or None for the zero)
     transitions: dict[str, list[Transition]] = {}
+    rows: list = []  # per state, its ((label id, successors), weights entry) pairs
     offsets: dict[str, tuple] = {}  # state -> (weight, index of its name)
     referenced: dict[str, int] = {}  # state -> index of the first token naming it
     overfull: list[Diagnostic] = []
 
-    while ts.peek():
-        k = ts.pos
-        kw = ts.expect("ident")
+    k = ts.pos
+    while toks[k]:
+        kw = toks[k]
         if kw == "state":
-            name = ts.expect("ident")
+            name = toks[k + 1]
+            if not name.isidentifier():
+                raise error(f"expected identifier, got {quote(name)}", k + 1)
             if name in transitions:
-                raise ts.error(f"duplicate state {quote(name)}", k + 1)
-            ts.expect_symbol("{")
-            row: dict[tuple, object] = {}  # (label, successors) -> merged weight
+                raise error(f"duplicate state {quote(name)}", k + 1)
+            if toks[k + 2] != "{":
+                raise error(f"expected '{{', got {quote(toks[k + 2])}", k + 2)
+            row: dict[tuple, tuple] = {}  # (label id, successors) -> merged weights entry
             undefined = None  # first merge whose sum is undefined
-            more = not ts.at("}")
-            while more:
-                w, key = _parse_transition(ts, semiring, arities, referenced)
-                old = row.get(key)
+            i = k + 3
+            more = toks[i] != "}"
+            while more:  # WEIGHT LABEL ["->" IDENT+], the label at j
+                t = toks[i]
+                if t != "inf" and toks[i + 1] == "/":
+                    t, j = f"{t}/{toks[i + 2]}", i + 3
+                else:
+                    j = i + 1
+                hit = weights.get(t)
+                if hit is None:  # parsed by `TokenStream.expect_weight`, raising there
+                    ts.pos = i
+                    w = ts.expect_weight(semiring)
+                    hit = weights[t] = (w, None if w == semiring.zero else semiring.pack([w])[0])
+                label = toks[j]
+                entry = labels.get(label)
+                if entry is None:
+                    if label != "*" and not label.isidentifier():
+                        raise error(f"expected label name, got {quote(label)}", j)
+                    raise error(f"unknown label {quote(label)}", j)
+                lid, arity = entry
+                i = j + 1
+                if toks[i] == "->":
+                    i += 1
+                    first = i
+                    while toks[i].isidentifier():
+                        referenced.setdefault(toks[i], i)
+                        i += 1
+                    if i == first:
+                        raise error("expected successor state after '->'", i)
+                    succs = tuple(toks[first:i])
+                else:
+                    succs = ()
+                if len(succs) != arity:
+                    raise error(f"label {quote(label)} has arity {arity}, "
+                                f"got {len(succs)} successor(s)", j)
+                if hit[1] is None:
+                    raise error("transition weight is the semiring zero", j)
+                old = row.get((lid, succs))
                 if old is None:
-                    row[key] = w
+                    row[lid, succs] = hit
                 elif undefined is None:
-                    w = semiring.plus(old, w)
+                    w = semiring.plus(old[0], hit[0])
                     if w is UNDEFINED:
-                        undefined = key
-                    row[key] = w
-                more = ts.at(";")
-                ts.pos += more  # past the ';'
-            ts.expect_symbol("}")
+                        undefined = (label, succs)
+                    else:
+                        row[lid, succs] = (w, semiring.pack([w])[0])
+                more = toks[i] == ";"
+                i += more  # past the ';'
+            if toks[i] != "}":
+                raise error(f"expected '}}', got {quote(toks[i])}", i)
             if undefined is not None:
                 label, succs = undefined
                 raise ValidationError(f"state {quote(name)}: merged weight for {quote(label)} -> "
                                       f"{' '.join(map(quote, succs)) or '()'} is undefined")
-            if prob:
-                num, den = 0, 1
-                for w in row.values():
-                    num, den = num * w.denominator + w.numerator * den, den * w.denominator
-                if num > den:
-                    overfull.append(Diagnostic(
-                        "error", f"state {quote(name)}: outgoing weight sum is undefined"))
-            transitions[name] = [Transition(w, label, succs) for (label, succs), w in row.items()]
-        elif kw == "label":  # label NAME / ARITY, at k + 1 and k + 3
-            name = ts.expect_label_name()
-            ts.expect_symbol("/")
-            arity = ts.expect("number")
-            if name in arities:
-                raise ts.error(f"duplicate label {quote(name)}", k + 1)
+            if prob and _ratio_sum([w for _, w in row.values()]) is UNDEFINED:
+                overfull.append(Diagnostic(
+                    "error", f"state {quote(name)}: outgoing weight sum is undefined"))
+            names = list(labels)
+            transitions[name] = [Transition(w, names[lid], succs)
+                                 for (lid, succs), (w, _) in row.items()]
+            rows.append(row.items())
+            k = i + 1
+        elif kw == "label":  # label NAME / ARITY
+            name = toks[k + 1]
+            if name != "*" and not name.isidentifier():
+                raise error(f"expected label name, got {quote(name)}", k + 1)
+            if toks[k + 2] != "/":
+                raise error(f"expected '/', got {quote(toks[k + 2])}", k + 2)
+            arity = toks[k + 3]
+            if not arity[:1].isdigit():
+                raise error(f"expected number, got {quote(arity)}", k + 3)
+            if name in labels:
+                raise error(f"duplicate label {quote(name)}", k + 1)
             if "." in arity:
-                raise ts.error("arity must be a natural number", k + 3)
+                raise error("arity must be a natural number", k + 3)
             try:
-                arities[name] = int(arity)
+                labels[name] = (len(labels), int(arity))
             except ValueError:  # more digits than int() converts
-                raise ts.error("arity is too large", k + 3) from None
-        elif kw == "offset":
-            name = ts.expect("ident")
-            ts.expect_symbol("=")
+                raise error("arity is too large", k + 3) from None
+            k += 4
+        elif kw == "offset":  # offset NAME = WEIGHT
+            name = toks[k + 1]
+            if not name.isidentifier():
+                raise error(f"expected identifier, got {quote(name)}", k + 1)
+            if toks[k + 2] != "=":
+                raise error(f"expected '=', got {quote(toks[k + 2])}", k + 2)
+            ts.pos = k + 3
             w = ts.expect_weight(semiring)
             if name in offsets:
-                raise ts.error(f"duplicate offset for {quote(name)}", k + 1)
+                raise error(f"duplicate offset for {quote(name)}", k + 1)
             offsets[name] = (w, k + 1)
+            k = ts.pos
         else:
-            raise ts.error(f"expected 'label', 'state' or 'offset', got {quote(kw)}", k)
+            if not kw.isidentifier():
+                raise error(f"expected identifier, got {quote(kw)}", k)
+            raise error(f"expected 'label', 'state' or 'offset', got {quote(kw)}", k)
 
-    if not arities:
+    if not labels:
         raise ValidationError("model declares no labels")
     for name, k in referenced.items():
         if name not in transitions:
-            raise ts.error(f"undeclared successor state {quote(name)}", k)
+            raise error(f"undeclared successor state {quote(name)}", k)
     for name, (_, k) in offsets.items():
         if name not in transitions:
-            raise ts.error(f"offset for unknown state {quote(name)}", k)
+            raise error(f"offset for unknown state {quote(name)}", k)
     if overfull:
         raise ValidationError(overfull[0].message, overfull)
 
-    return Model(descriptor, Signature(tuple(Label(n, a) for n, a in arities.items())),
-                 tuple(transitions), transitions, {k: w for k, (w, _) in offsets.items()})
-
-
-def _raise_if_invalid(model: Model):
-    errors = [d for d in validate(model) if d.severity == "error"]
-    if errors:
-        raise ValidationError(errors[0].message, errors)
-
-
-def _parse_transition(ts, semiring, arities, referenced) -> tuple:
-    """``WEIGHT LABEL ["->" IDENT+]`` as the weight and its (label, successors)."""
-    w = ts.expect_weight(semiring)
-    k = ts.pos
-    label = ts.expect_label_name()
-    arity = arities.get(label)
-    if arity is None:
-        raise ts.error(f"unknown label {quote(label)}", k)
-    toks = ts.tokens
-    succs = ()
-    if toks[k + 1] == "->":
-        i = j = k + 2
-        while toks[j].isidentifier():
-            referenced.setdefault(toks[j], j)
-            j += 1
-        if j == i:
-            raise ts.error("expected successor state after '->'", j)
-        succs = tuple(toks[i:j])
-        ts.pos = j
-    if len(succs) != arity:
-        raise ts.error(f"label {quote(label)} has arity {arity}, got {len(succs)} successor(s)", k)
-    if w == semiring.zero:
-        raise ts.error("transition weight is the semiring zero", k)
-    return w, (label, succs)
+    one = semiring.one
+    model = Model(descriptor, Signature(tuple(Label(n, a) for n, (_, a) in labels.items())),
+                  tuple(transitions), transitions, {s: w for s, (w, _) in offsets.items()})
+    model.__dict__["_entries"] = rows, {s: semiring.pack([w])[0]
+                                        for s, (w, _) in offsets.items() if w != one}
+    return model
 
 
 def validate(model: Model) -> list[Diagnostic]:
@@ -345,7 +393,9 @@ def validate(model: Model) -> list[Diagnostic]:
         seen = set()
         weights = []
         row = model.transitions.get(state, [])
-        for t in row:
+        # prob weights as integer pairs: each check is then an integer comparison
+        ratios = [t.weight.as_integer_ratio() for t in row] if prob else None
+        for i, t in enumerate(row):
             arity = arities.get(t.label)
             if arity is None:
                 err(f"state {quote(state)}: unknown label {quote(t.label)}")
@@ -355,7 +405,7 @@ def validate(model: Model) -> list[Diagnostic]:
             for s in t.successors:
                 if s not in names:
                     err(f"state {quote(state)}: undeclared successor {quote(s)}")
-            if t.weight == semiring.zero:
+            if (ratios[i][0] == 0) if prob else (t.weight == semiring.zero):
                 err(f"state {quote(state)}: transition weight is the semiring zero")
             elif not semiring.contains(t.weight):
                 err(f"state {quote(state)}: weight outside the carrier")
@@ -363,8 +413,8 @@ def validate(model: Model) -> list[Diagnostic]:
             if key in seen:
                 err(f"state {quote(state)}: duplicate transition {t.label} -> {t.successors}")
             seen.add(key)
-            weights.append(t.weight)
-        total = semiring.sum(weights)
+            weights.append(ratios[i] if prob else t.weight)
+        total = _ratio_sum(weights) if prob else semiring.sum(weights)
         if total is UNDEFINED:
             err(f"state {quote(state)}: outgoing weight sum is undefined")
         off = model.offsets.get(state)
@@ -372,13 +422,24 @@ def validate(model: Model) -> list[Diagnostic]:
             err(f"state {quote(state)}: offset outside the carrier")
         if prob:
             if len(weights) < len(row):  # the mass counts unknown labels too
-                total = semiring.sum([t.weight for t in row])
-            if total is not UNDEFINED and total < 1:
-                substochastic.append(Diagnostic(
-                    "warning", f"substochastic: {state} (outgoing mass {semiring.render(total)})"))
+                total = _ratio_sum(ratios)
+            if total is not UNDEFINED and total[0] < total[1]:
+                substochastic.append(Diagnostic("warning", f"substochastic: {state} "
+                                                f"(outgoing mass {semiring.render(Fraction(*total))})"))
 
     out.extend(Diagnostic("warning", f"deadlock: {s}") for s in model.deadlock_states())
     return out + substochastic
+
+
+def _ratio_sum(ratios):
+    """Prob's partial sum of (numerator, denominator) pairs, as a pair:
+    UNDEFINED once a partial sum exceeds 1, as in `Semiring.sum`."""
+    num, den = 0, 1
+    for n, d in ratios:
+        num, den = num * d + n * den, den * d
+        if num > den:
+            return UNDEFINED
+    return num, den
 
 
 def render_model(model: Model) -> str:

@@ -178,8 +178,8 @@ class ProbabilisticSemiring(Semiring):
     zero = Fraction(0)
     one = Fraction(1)
 
-    def contains(self, v):
-        return isinstance(v, (Fraction, int)) and 0 <= v <= 1
+    def contains(self, v):  # on integers: a Fraction comparison costs far more
+        return isinstance(v, (Fraction, int)) and 0 <= v.numerator <= v.denominator
 
     def plus(self, a, b):
         s = a + b
