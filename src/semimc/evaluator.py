@@ -26,12 +26,12 @@ Two kinds of fixpoint block are not iterated, so they never depend on
   Knuth's generalisation of Dijkstra's algorithm;
 * probabilistic blocks affine in their variable on offset-free models:
   ``_affine_fixpoint`` solves x = A x + c exactly with
-  ``_linear.least_solution`` (liveness and fraction-free Bareiss
-  elimination one strongly connected component at a time).  The
-  extent's block has the variable in every argument position; a binder's
-  is built by ``_eval``, with the variable bound to an ``_Affine``
-  identity, and is affine unless a transition has two successors that
-  depend on the variable or an inner binder mentions it.
+  ``_linear.least_solution`` (liveness from the strongly connected
+  components, then one elimination over all live states on primitive
+  integer rows).  The extent's block has the variable in every argument
+  position; a binder's is built by ``_eval``, with the variable bound to
+  an ``_Affine`` identity, and is affine unless a transition has two
+  successors that depend on the variable or an inner binder mentions it.
 
 The graph searches of both (SCCs, zero-cost states, the transition
 index) are in ``_graph``.  Kleene iteration remains for tropical and

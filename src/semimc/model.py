@@ -393,9 +393,11 @@ def validate(model: Model) -> list[Diagnostic]:
         seen = set()
         weights = []
         row = model.transitions.get(state, [])
-        # prob weights as integer pairs: each check is then an integer comparison
-        ratios = [t.weight.as_integer_ratio() for t in row] if prob else None
-        for i, t in enumerate(row):
+        # prob weights as integer pairs, each check then an integer comparison;
+        # None for a weight of another type, outside the carrier and the sums
+        ratios = [t.weight.as_integer_ratio() if isinstance(t.weight, (int, Fraction)) else None
+                  for t in row] if prob else [None] * len(row)
+        for t, ratio in zip(row, ratios):
             arity = arities.get(t.label)
             if arity is None:
                 err(f"state {quote(state)}: unknown label {quote(t.label)}")
@@ -405,7 +407,7 @@ def validate(model: Model) -> list[Diagnostic]:
             for s in t.successors:
                 if s not in names:
                     err(f"state {quote(state)}: undeclared successor {quote(s)}")
-            if (ratios[i][0] == 0) if prob else (t.weight == semiring.zero):
+            if (ratio is not None and ratio[0] == 0) if prob else (t.weight == semiring.zero):
                 err(f"state {quote(state)}: transition weight is the semiring zero")
             elif not semiring.contains(t.weight):
                 err(f"state {quote(state)}: weight outside the carrier")
@@ -413,14 +415,14 @@ def validate(model: Model) -> list[Diagnostic]:
             if key in seen:
                 err(f"state {quote(state)}: duplicate transition {t.label} -> {t.successors}")
             seen.add(key)
-            weights.append(ratios[i] if prob else t.weight)
-        total = _ratio_sum(weights) if prob else semiring.sum(weights)
+            weights.append(ratio)
+        total = _ratio_sum(filter(None, weights)) if prob else None
         if total is UNDEFINED:
             err(f"state {quote(state)}: outgoing weight sum is undefined")
         off = model.offsets.get(state)
         if off is not None and not semiring.contains(off):
             err(f"state {quote(state)}: offset outside the carrier")
-        if prob:
+        if prob and None not in ratios:
             if len(weights) < len(row):  # the mass counts unknown labels too
                 total = _ratio_sum(ratios)
             if total is not UNDEFINED and total[0] < total[1]:

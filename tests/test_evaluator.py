@@ -17,7 +17,7 @@ from semimc import (BOT, INF, TOP, TOP_LEAF, EvalConfig, KleeneResult, Label, Mo
                     mu_extent, mu_extent_result, nu_extent, nu_extent_result,
                     parse_formula, parse_fragment, parse_model, semiring_for, tr_approx)
 from semimc import evaluator
-from semimc._linear import _RHS, _bareiss
+from semimc._linear import _RHS, _eliminate
 from conftest import leq_pointwise, load_corpus_model
 from test_kernel import naive_step
 from randgen import (DESCRIPTORS, _prob_weights, carrier_values, random_model,
@@ -216,8 +216,9 @@ def test_prob_linear_extent_matches_kleene(seed):
 
 
 def _min_rule_bareiss(rows):
-    """The reference: `_linear._bareiss` with each pivot picked by `min`
-    over every remaining column, as before it kept a heap."""
+    """The reference: the Bareiss kernel that `_linear._eliminate` replaced,
+    with each pivot picked by `min` over every remaining column, as before
+    it kept a heap."""
     cols = {i: set() for i in rows}
     for i, row in rows.items():
         for j in row:
@@ -270,7 +271,7 @@ def _min_rule_bareiss(rows):
 
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=200, deadline=None)
-def test_bareiss_pivot_order_matches_min_rule(seed):
+def test_elimination_pivot_order_matches_min_rule(seed):
     # random sparse strictly substochastic systems: D x = A x + b with row
     # sums of A below D, so I - A/D is a nonsingular M-matrix; small row
     # counts make Markowitz cost ties, which go to the smaller key
@@ -286,7 +287,7 @@ def test_bareiss_pivot_order_matches_min_rule(seed):
         eq[i] = eq.get(i, 0) + den
         eq[_RHS] = rng.randint(0, 3)
         rows[i] = eq
-    got = _bareiss({i: dict(r) for i, r in rows.items()})
+    got = _eliminate({i: dict(r) for i, r in rows.items()})
     want = _min_rule_bareiss({i: dict(r) for i, r in rows.items()})
     # both list the unknowns in reverse pivot order
     assert list(got.items()) == list(want.items())
@@ -373,7 +374,7 @@ def test_affine_binders_match_kleene(seed):
 
 def test_grid_test_sees_solver_values_in_lowest_terms():
     # a 60-state ring, each state 1/2 a -> next and 1/6 e: the extent is
-    # exactly 1/3 in both directions, but the Bareiss determinant
+    # exactly 1/3 in both directions, but the solver's determinant
     # 6^60 - 3^60 exceeds the 2^128 grid.  T reaches the fixpoints below
     # unchanged, so an unreduced solver pair would be snapped to the grid
     # (mu X. T would then stop below 1/3)

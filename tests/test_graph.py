@@ -1,5 +1,7 @@
-"""The qualitative graph layer (`semimc._graph`) and the liveness that
-`_linear.least_solution` decides in its SCC pass."""
+"""The qualitative graph layer (`semimc._graph`), the liveness that
+`_linear.least_solution` decides in its SCC pass, and its one elimination
+over the live states, checked against the per-component Bareiss solver it
+replaced (`tests/linear_reference.py`)."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from semimc._graph import sccs
 from semimc._linear import least_solution
+import linear_reference
 
 
 def _reach(succ: list[list[int]]) -> list[set[int]]:
@@ -94,3 +97,37 @@ def test_least_solution_liveness_matches_reverse_search(seed):
     for i in range(n):
         assert scale[i] * value[i] == sum(v * value[j] for j, v in moves[i].items()) + const[i]
     assert all(type(v) is Fraction for v in value)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_least_solution_matches_per_component_bareiss(seed):
+    # scale * x = A x + b with 1-3 moves per state and A 1 + b <= scale,
+    # so the chain from 0 is bounded: a run of singleton components (each
+    # state moving on to the next), states moving anywhere, and a closed
+    # tail that moves only inside itself with no constant and is dead;
+    # most constants are 0, and full rows leave cycles that reach no
+    # constant dead as well
+    rng = random.Random(seed)
+    n = rng.randint(1, 80)
+    chain_end = rng.randint(0, n)
+    tail = rng.randint(chain_end, n)
+    scale, moves, const = [], [], []
+    for i in range(n):
+        den = rng.randint(2, 23)
+        if i < chain_end:
+            targets = [i + 1] if i + 1 < n else [i]
+        else:
+            lo = tail if i >= tail else 0
+            targets = rng.sample(range(lo, n), min(n - lo, rng.randint(1, 3)))
+        k = min(len(targets), den)
+        mass = rng.choice([den, rng.randint(k, den)])
+        cuts = sorted(rng.sample(range(1, mass), k - 1))
+        row = {j: b - a for j, a, b in zip(targets, [0, *cuts], [*cuts, mass])}
+        scale.append(den)
+        moves.append(row)
+        room = den - mass
+        const.append(rng.randint(1, room) if room and i < tail and rng.random() < 0.2 else 0)
+    got = least_solution(scale, moves, const)
+    assert got == linear_reference.least_solution(scale, moves, const)
+    assert all(type(v) is Fraction for v in got[0])

@@ -95,6 +95,17 @@ def test_validate_reports_programmatic_breakage(extent_prob):
     assert any("undeclared successor" in m for m in msgs)
 
 
+@pytest.mark.parametrize("weight", ["1", None])
+@pytest.mark.parametrize("semiring", ["bool", "prob", "trop", "trop[5]"])
+def test_validate_reports_weight_that_is_not_a_number(semiring, weight):
+    # a model built in Python may hold any value as a weight; validate
+    # reports it, as it does an offset, instead of raising from the sums
+    m = parse_model(f"semiring {semiring} label a/1 label b/1 state x {{ 1 a -> x }}")
+    bad = Model(m.descriptor, m.signature, m.states,
+                {"x": [Transition(weight, "b", ("x",)), *m.transitions["x"]]}, m.offsets)
+    assert [d.render() for d in validate(bad)] == ["error: state 'x': weight outside the carrier"]
+
+
 def test_model_is_frozen_with_one_semiring(extent_prob):
     with pytest.raises(AttributeError, match="cannot assign to field 'states'"):
         extent_prob.states = ()
