@@ -1,4 +1,4 @@
-"""Golden front-end errors: exact exception type, message, line and column.
+"""Golden front-end errors, and golden command-line output.
 
 Every malformed input below is pinned to what the model, formula and
 fragment parsers report for it, so a rewrite of the tokenizer or the
@@ -8,11 +8,13 @@ out a line and column only when an error is raised, so every case here
 also checks that rescan.  Columns count characters: a tab and a carriage
 return are one column each.  Identifiers and digits are ASCII only.  The corpus
 models pin their `validate` diagnostics and a byte-identical
-`render_model` after a reparse.
+`render_model` after a reparse.  Every command pins its exact exit code,
+stdout and stderr in both output formats, its error exits included.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -424,3 +426,140 @@ HAND_BUILT_DIAGNOSTICS = {
 def test_validate_golden_on_hand_built_models():
     for name, m in _hand_built().items():
         assert [d.render() for d in validate(m)] == HAND_BUILT_DIAGNOSTICS[name], name
+
+
+# the command line end to end: exact exit code, stdout and stderr of every
+# command in both formats.  Each case gives the text output and the JSON
+# payload; a command prints its output on stdout, except that an error exit
+# from `main` prints its payload (the one with "error") on stderr.  JSON is
+# pinned to the bytes of `json.dumps(payload, indent=2)`, so key order counts.
+FORMULA = "mu X. ([a](T) | [b](X) | [c](X))"
+P, T, C = "extent-example.prob.model", "extent-example.trop.model", "counterexample.prob.model"
+BAD_MODELS = {
+    "parse-error.model": "semiring bool label a/1\nstate x { 1 b -> x }\n",
+    "row-mass.model": "semiring prob label a/1 label b/1\nstate x { 3/4 a -> y; 1/2 b -> x }\n"
+                      "state y { 1/2 a -> x; 1/3 a -> y; 3/4 b -> y }\n",
+    "no-labels.model": "semiring bool state x { }\n",
+}
+SUM_UNDEFINED = ["error: state 'x': outgoing weight sum is undefined",
+                 "error: state 'y': outgoing weight sum is undefined"]
+
+
+def _values(command, semiring, values, **extra):
+    return {"command": command, "semiring": semiring, **extra, "values": values,
+            "diagnostics": []}
+
+
+def _error(command, message, code):
+    return {"command": command, "error": message, "exit": code}
+
+
+def _oracle(semiring, values, distance):
+    return {"command": "oracle", "semiring": semiring, "report": {
+        "semiring": semiring, "unroll": 2, "depth": 2, "tolerance": "0",
+        "max_discrepancy": "0", "approximant_distance": distance, "ok": True,
+        "rows": [{"state": s, "stepwise": v, "oracle": v, "difference": "0", "verdict": "ok"}
+                 for s, v in values.items()]}, "diagnostics": []}
+
+
+def _oracle_text(values, distance):
+    return "\n".join(["semantics cross-check (unroll 2, depth 2, tolerance 0)",
+                      *(f"  {s}: stepwise={v} oracle={v} diff=0 ok" for s, v in values.items()),
+                      "  max discrepancy: 0",
+                      f"  approximant vs fixpoint distance (diagnostic): {distance}"])
+
+
+COMMAND_GOLDENS = [
+    ("check-warnings", ("check", "deadlock.bool.model"), 0, "warning: deadlock: y",
+     {"command": "check", "semiring": "bool", "diagnostics": ["warning: deadlock: y"]}),
+    ("check-ok", ("check", T), 0, "ok",
+     {"command": "check", "semiring": "trop", "diagnostics": []}),
+    ("check-parse-error", ("check", "BAD/parse-error.model"), 1,
+     "error: 2:13: unknown label 'b'",
+     {"command": "check", "diagnostics": ["error: 2:13: unknown label 'b'"]}),
+    ("check-invalid", ("check", "BAD/row-mass.model"), 1, "\n".join(SUM_UNDEFINED),
+     {"command": "check", "diagnostics": SUM_UNDEFINED}),
+    ("check-no-labels", ("check", "BAD/no-labels.model"), 1, "error: model declares no labels",
+     {"command": "check", "diagnostics": ["error: model declares no labels"]}),
+    ("eval-prob", ("eval", P, FORMULA), 0, "x = 2/5\ny = 1/10\nz = 1/5",
+     _values("eval", "prob", {"x": "2/5", "y": "1/10", "z": "1/5"})),
+    ("eval-trop", ("eval", T, FORMULA), 0, "x = 3\ny = 3\nz = 3",
+     _values("eval", "trop", {"x": "3", "y": "3", "z": "3"})),
+    ("extent-mu-prob", ("extent", "--mu", P), 0, "x = 2/5\ny = 3/5\nz = 1/5",
+     _values("extent", "prob", {"x": "2/5", "y": "3/5", "z": "1/5"}, kind="mu")),
+    ("extent-mu-trop", ("extent", "--mu", T), 0, "x = 4\ny = 2\nz = 4",
+     _values("extent", "trop", {"x": "4", "y": "2", "z": "4"}, kind="mu")),
+    ("extent-nu-trop", ("extent", T), 0, "x = 1\ny = 1\nz = 0",
+     _values("extent", "trop", {"x": "1", "y": "1", "z": "0"}, kind="nu")),
+    ("extent-iteration-cap", ("extent", "--mu", "branching.prob.model", "--max-iters", "3"), 2,
+     "error: no fixpoint after 3 iterations",
+     _error("extent", "no fixpoint after 3 iterations", 2)),
+    ("lt-prob", ("lt", C, "a(T)", "--state", "x"), 0, "x = 1/2",
+     _values("lt", "prob", {"x": "1/2"}, fragment="a(T)")),
+    ("lt-trop", ("lt", T, "b(c(T))", "--state", "x"), 0, "x = 1",
+     _values("lt", "trop", {"x": "1"}, fragment="b(c(T))")),
+    ("lt-unknown-state", ("lt", P, "a(T)", "--state", "nope"), 1, "error: unknown state 'nope'",
+     _error("lt", "unknown state 'nope'", 1)),
+    ("ftr-prob", ("ftr", P, "a(*)", "--state", "x"), 0, "x = 1/4",
+     _values("ftr", "prob", {"x": "1/4"}, fragment="a(*)")),
+    ("ftr-offsets", ("ftr", "offset-s.trop.model", "a(*)", "--state", "s"), 1,
+     "error: finite_tr requires a model without offsets",
+     _error("ftr", "finite_tr requires a model without offsets", 1)),
+    ("tr-fragment-depth", ("tr", P, "b(c(T))", "--state", "x"), 0, "x = 3/8",
+     _values("tr", "prob", {"x": "3/8"}, fragment="b(c(T))", n=2)),
+    ("tr-n", ("tr", P, "a(*)", "--state", "x", "--n", "3"), 0, "x = 1/4",
+     _values("tr", "prob", {"x": "1/4"}, fragment="a(*)", n=3)),
+    ("equiv-not", ("equiv", C, "x", "u"), 0, "not equivalent: witness a(T) (x: 1/2, u: 1/4)",
+     {"command": "equiv", "semiring": "prob", "kind": "lt", "depth": 2, "equivalent": False,
+      "witness": "a(T)", "left_value": "1/2", "right_value": "1/4", "diagnostics": []}),
+    ("equiv-yes", ("equiv", C, "x", "u", "--depth", "0"), 0,
+     "equivalent up to depth 0 (1 fragments)",
+     {"command": "equiv", "semiring": "prob", "kind": "lt", "depth": 0, "equivalent": True,
+      "diagnostics": []}),
+    ("equiv-tr-trop", ("equiv", T, "x", "z", "--kind", "tr", "--depth", "1"), 0,
+     "not equivalent: witness a(T) (x: 2, z: inf)",
+     {"command": "equiv", "semiring": "trop", "kind": "tr", "depth": 1, "equivalent": False,
+      "witness": "a(T)", "left_value": "2", "right_value": "inf", "diagnostics": []}),
+    ("equiv-cap", ("equiv", C, "x", "x", "--depth", "3", "--enum-cap", "5"), 2,
+     "error: fragment enumeration exceeds cap 5 at depth 2",
+     _error("equiv", "fragment enumeration exceeds cap 5 at depth 2", 2)),
+    ("equiv-unknown-state", ("equiv", P, "x", "nope"), 1, "error: unknown state 'nope'",
+     _error("equiv", "unknown state 'nope'", 1)),
+    ("oracle-prob", ("oracle", P, FORMULA), 0,
+     _oracle_text({"x": "3/10", "y": "3/40", "z": "3/40"}, "1/8"),
+     _oracle("prob", {"x": "3/10", "y": "3/40", "z": "3/40"}, "1/8")),
+    ("oracle-trop", ("oracle", T, FORMULA), 0,
+     _oracle_text({"x": "3", "y": "3", "z": "3"}, "0"),
+     _oracle("trop", {"x": "3", "y": "3", "z": "3"}, "0")),
+    ("info-prob", ("info", P), 0, "semiring: prob\nstates: 3\ntransitions: 6\n"
+     "labels: */0, a/1, b/1, c/1\ndeadlocks: none\nplain: yes",
+     {"command": "info", "semiring": "prob", "stats": {
+         "states": 3, "transitions": 6, "labels": {"*": 0, "a": 1, "b": 1, "c": 1},
+         "deadlocks": [], "plain": True}, "diagnostics": []}),
+    ("info-trop", ("info", "offset-s.trop.model"), 0, "semiring: trop\nstates: 2\n"
+     "transitions: 3\nlabels: */0, a/1, b/1\ndeadlocks: none\nplain: no",
+     {"command": "info", "semiring": "trop", "stats": {
+         "states": 2, "transitions": 3, "labels": {"*": 0, "a": 1, "b": 1},
+         "deadlocks": [], "plain": False}, "diagnostics": []}),
+    ("info-deadlock", ("info", "deadlock.bool.model"), 0, "semiring: bool\nstates: 2\n"
+     "transitions: 1\nlabels: a/1, b/1\ndeadlocks: y\nplain: yes",
+     {"command": "info", "semiring": "bool", "stats": {
+         "states": 2, "transitions": 1, "labels": {"a": 1, "b": 1},
+         "deadlocks": ["y"], "plain": True}, "diagnostics": []}),
+    ("missing-model", ("info", "missing.model"), 3,
+     "error: [Errno 2] No such file or directory: 'missing.model'",
+     _error("info", "[Errno 2] No such file or directory: 'missing.model'", 3)),
+]
+
+
+@pytest.mark.parametrize("name,argv,code,text,payload", COMMAND_GOLDENS,
+                         ids=[case[0] for case in COMMAND_GOLDENS])
+def test_command_golden(capsys, monkeypatch, tmp_path, name, argv, code, text, payload):
+    for fname, model in BAD_MODELS.items():
+        (tmp_path / fname).write_text(model)
+    monkeypatch.chdir(corpus_path(""))  # the corpus models are named relative to it
+    argv = [a.replace("BAD", str(tmp_path)) for a in argv]
+    for fmt, expected in (("text", text), ("json", json.dumps(payload, indent=2))):
+        assert cli.main([*argv, "--format", fmt]) == code
+        out, err = capsys.readouterr()
+        assert (out, err) == (("", expected + "\n") if "error" in payload else (expected + "\n", ""))
