@@ -1,10 +1,12 @@
 """Print one ``qid sha256`` line per query of a benchmark workload.
 
-    python scripts/output_digests.py SRC_DIR WORKLOAD SEED
+    python scripts/output_digests.py SRC_DIR WORKLOAD SEED [--format text|json]
 
 Builds the workload for SEED with ``perfbench/workloads.py`` (read only),
 writes its model files to a temporary directory and runs every query once,
-in-process, through ``semimc.cli.main`` imported from SRC_DIR.  Each digest
+in-process, through ``semimc.cli.main`` imported from SRC_DIR.  Every
+workload query ends in ``--format json``; ``--format text`` runs each one
+with ``--format text`` instead, so the text output is compared too.  Each digest
 covers the query's argv, exit code, standard output and standard error, so
 two source trees print the same lines exactly when they answer every query
 the same way.  To compare a change with its parent checked out next to it:
@@ -50,6 +52,8 @@ def main(argv=None) -> int:
     p.add_argument("src", help="directory that holds the semimc package to run")
     p.add_argument("workload", help="perfbench workload name")
     p.add_argument("seed", type=int)
+    p.add_argument("--format", choices=("text", "json"), default="json",
+                   help="output format each query is run with (default: json, as the workload)")
     args = p.parse_args(argv)
 
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
@@ -67,8 +71,11 @@ def main(argv=None) -> int:
         os.chdir(tmp)  # the queries name their model files relative to it
         try:
             for q in b.queries:
-                code, out, err = run_query(cli.main, q.argv)
-                blob = json.dumps([q.argv, code, out, err]).encode()
+                if q.argv[-2] != "--format":
+                    return f"{q.qid} does not end in a --format option: {q.argv}"
+                argv = q.argv[:-1] + [args.format]
+                code, out, err = run_query(cli.main, argv)
+                blob = json.dumps([argv, code, out, err]).encode()
                 print(q.qid, hashlib.sha256(blob).hexdigest())
         finally:
             os.chdir(cwd)

@@ -10,9 +10,12 @@ rational within the configured epsilon of the computed value.
 `main` parses argv against one command table, built by `build_parser` on
 import, which also gives each command's usage line and help.  Options are
 written as for argparse: `--opt text`, `--opt=text` or a unique prefix.
+Each command handler then makes one library call, which checks what it is
+given (state names included), and fills one `_Output`, printed as a JSON
+payload or as the same content in text lines.
 
 Exit codes: 0 success, 1 validation or usage errors, 2 non-convergence or
-enumeration caps, 3 I/O errors.
+enumeration caps, 3 I/O errors; `main` maps each error class to its code.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .errors import (EvaluationError, NonConvergence, OffsetUnsupported,
-                     ParseError, SemimcError, SizingError, ValidationError, quote)
+from .errors import (NonConvergence, ParseError, SemimcError, SizingError, ValidationError,
+                     quote)
 from .evaluator import (EvalConfig, eval_with_certificate, mu_extent_result,
                         nu_extent_result)
 from .logic import parse_formula
@@ -34,10 +37,7 @@ from .semiring import _EXP_LIMIT, _EXPONENT, render_certified
 from .traces import (depth as fragment_depth, equiv_upto, finite_tr, lt,
                      parse_fragment, render_fragment, tr_approx)
 
-EXIT_OK = 0
-EXIT_USER = 1
-EXIT_LIMIT = 2
-EXIT_IO = 3
+EXIT_OK, EXIT_USER, EXIT_LIMIT, EXIT_IO = 0, 1, 2, 3
 
 
 def _read_text(path: str) -> str:
@@ -46,9 +46,7 @@ def _read_text(path: str) -> str:
 
 
 def _inline_or_file(arg: str) -> str:
-    if os.path.exists(arg):
-        return _read_text(arg)
-    return arg
+    return _read_text(arg) if os.path.exists(arg) else arg
 
 
 def _positive_rational(text: str) -> Fraction:
@@ -79,24 +77,20 @@ def _int_at_least(low: int):
     return parse
 
 
-_CONFIG_FIELDS = ("epsilon", "max_iterations", "promote_bound", "enum_cap")
-
-
 def _config(args) -> EvalConfig:
-    """The EvalConfig set by the solver options on the command line; an
-    option the user left out (or the command does not offer) keeps its
-    EvalConfig default."""
-    return EvalConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
+    """The EvalConfig of the solver options given; an option left out (or
+    not offered by the command) keeps its EvalConfig default."""
+    return EvalConfig(**{k: v for k, v in vars(args).items() if k in EvalConfig._fields})
 
 
 class _Output:
+    """What a command prints: one JSON payload, or the same content as text."""
+
     def __init__(self, command: str, model: Model | None, fmt: str):
-        self.fmt = fmt
+        self.fmt, self.model, self.lines, self.code = fmt, model, [], EXIT_OK
         self.payload = {"command": command}
         if model is not None:
             self.payload["semiring"] = model.descriptor.short_name
-        self.model = model
-        self.lines: list[str] = []
 
     def _renderer(self, cfg: EvalConfig | None):
         """Certified to cfg.epsilon on prob when a cfg is given, exact
@@ -106,21 +100,14 @@ class _Output:
             return m.semiring.render
         return lambda v: render_certified(v, m.descriptor, cfg.epsilon)
 
-    def values(self, pred: dict, cfg: EvalConfig):
+    def values(self, pred: dict, cfg: EvalConfig | None = None):
         render = self._renderer(cfg)
-        rendered = {s: render(pred[s]) for s in self.model.states}
-        self.payload["values"] = rendered
-        for s, v in rendered.items():
-            self.lines.append(f"{s} = {v}")
+        self.payload["values"] = rendered = {s: render(v) for s, v in pred.items()}
+        self.lines += (f"{s} = {v}" for s, v in rendered.items())
 
-    def value(self, state: str, v, cfg: EvalConfig | None = None):
-        rendered = self._renderer(cfg)(v)
-        self.payload["values"] = {state: rendered}
-        self.lines.append(f"{state} = {rendered}")
-
-    def diagnostics(self, diags):
-        self.payload["diagnostics"] = [d.render() for d in diags]
-        self.lines.extend(d.render() for d in diags)
+    def diagnostics(self, rendered: list[str]):
+        self.payload["diagnostics"] = rendered
+        self.lines += rendered
 
     def extra(self, key, value, line: str | None = None):
         self.payload[key] = value
@@ -139,21 +126,20 @@ def _load_model(path: str) -> Model:
     return parse_model(_read_text(path))
 
 
-def _cmd_check(args) -> tuple[int, _Output]:
+def _cmd_check(args) -> _Output:
     try:
-        model = parse_model(_read_text(args.model))
+        model = _load_model(args.model)
     except (ParseError, ValidationError) as e:
         out = _Output("check", None, args.format)
-        diags = getattr(e, "diagnostics", [])
-        out.extra("diagnostics", [d.render() for d in diags] or [f"error: {e}"])
-        out.lines.extend([d.render() for d in diags] or [f"error: {e}"])
-        return EXIT_USER, out
+        out.diagnostics([d.render() for d in getattr(e, "diagnostics", [])] or [f"error: {e}"])
+        out.code = EXIT_USER
+        return out
     out = _Output("check", model, args.format)
-    out.diagnostics(validate(model))
-    return EXIT_OK, out
+    out.diagnostics([d.render() for d in validate(model)])
+    return out
 
 
-def _cmd_eval(args) -> tuple[int, _Output]:
+def _cmd_eval(args) -> _Output:
     model = _load_model(args.model)
     cfg = _config(args)
     formula = parse_formula(_inline_or_file(args.formula), model.signature,
@@ -161,110 +147,95 @@ def _cmd_eval(args) -> tuple[int, _Output]:
     values, _ = eval_with_certificate(model, formula, cfg=cfg)
     out = _Output("eval", model, args.format)
     out.values(values, cfg)
-    return EXIT_OK, out
+    return out
 
 
-def _cmd_extent(args) -> tuple[int, _Output]:
+def _cmd_extent(args) -> _Output:
     model = _load_model(args.model)
     cfg = _config(args)
     res = mu_extent_result(model, cfg) if args.mu else nu_extent_result(model, cfg)
     out = _Output("extent", model, args.format)
     out.extra("kind", "mu" if args.mu else "nu")
     out.values(res.values, cfg)
-    return EXIT_OK, out
+    return out
 
 
-def _cmd_lt(args) -> tuple[int, _Output]:
+def _fragment_command(args):
+    """The front half of lt, ftr and tr: the model, the fragment, the output."""
     model = _load_model(args.model)
+    frag = parse_fragment(_inline_or_file(args.fragment), model.signature)
+    out = _Output(args.command, model, args.format)
+    out.extra("fragment", render_fragment(frag))
+    return model, frag, out
+
+
+def _cmd_lt(args) -> _Output:
+    model, frag, out = _fragment_command(args)
     cfg = _config(args)
-    frag = parse_fragment(_inline_or_file(args.fragment), model.signature)
-    _need_state(model, args.state)
-    v = lt(model, args.state, frag, cfg)
-    out = _Output("lt", model, args.format)
-    out.extra("fragment", render_fragment(frag))
-    out.value(args.state, v, cfg)
-    return EXIT_OK, out
+    out.values({args.state: lt(model, args.state, frag, cfg)}, cfg)
+    return out
 
 
-def _cmd_ftr(args) -> tuple[int, _Output]:
-    model = _load_model(args.model)
-    frag = parse_fragment(_inline_or_file(args.fragment), model.signature)
-    _need_state(model, args.state)
-    v = finite_tr(model, args.state, frag)
-    out = _Output("ftr", model, args.format)
-    out.extra("fragment", render_fragment(frag))
-    out.value(args.state, v)
-    return EXIT_OK, out
+def _cmd_ftr(args) -> _Output:
+    model, frag, out = _fragment_command(args)
+    out.values({args.state: finite_tr(model, args.state, frag)})
+    return out
 
 
-def _cmd_tr(args) -> tuple[int, _Output]:
-    model = _load_model(args.model)
-    frag = parse_fragment(_inline_or_file(args.fragment), model.signature)
-    _need_state(model, args.state)
+def _cmd_tr(args) -> _Output:
+    model, frag, out = _fragment_command(args)
     n = args.n if args.n is not None else fragment_depth(frag)
-    v = tr_approx(model, args.state, frag, n)
-    out = _Output("tr", model, args.format)
-    out.extra("fragment", render_fragment(frag))
     out.extra("n", n)
-    out.value(args.state, v)
-    return EXIT_OK, out
+    out.values({args.state: tr_approx(model, args.state, frag, n)})
+    return out
 
 
-def _cmd_equiv(args) -> tuple[int, _Output]:
+def _cmd_equiv(args) -> _Output:
     model = _load_model(args.model)
     cfg = _config(args)
-    _need_state(model, args.left)
-    _need_state(model, args.right)
     res = equiv_upto(model, args.left, args.right, args.depth, args.kind, cfg)
     out = _Output("equiv", model, args.format)
     out.extra("kind", args.kind)
     out.extra("depth", args.depth)
-    out.extra("equivalent", res.equivalent)
     if res.equivalent:
-        out.lines.append(f"equivalent up to depth {args.depth} "
-                         f"({res.fragments_checked} fragments)")
-    else:
-        wit = render_fragment(res.witness)
-        left, right = map(out._renderer(cfg), (res.left_value, res.right_value))
-        out.extra("witness", wit)
-        out.extra("left_value", left)
-        out.extra("right_value", right)
-        out.lines.append(f"not equivalent: witness {wit} "
-                         f"({args.left}: {left}, {args.right}: {right})")
-    return EXIT_OK, out
+        out.extra("equivalent", True,
+                  f"equivalent up to depth {args.depth} ({res.fragments_checked} fragments)")
+        return out
+    wit = render_fragment(res.witness)
+    left, right = map(out._renderer(cfg), (res.left_value, res.right_value))
+    out.extra("equivalent", False,
+              f"not equivalent: witness {wit} ({args.left}: {left}, {args.right}: {right})")
+    for key, value in (("witness", wit), ("left_value", left), ("right_value", right)):
+        out.extra(key, value)
+    return out
 
 
-def _cmd_oracle(args) -> tuple[int, _Output]:
+def _cmd_oracle(args) -> _Output:
     model = _load_model(args.model)
     cfg = _config(args)
     formula = parse_formula(_inline_or_file(args.formula), model.signature,
                             model.descriptor, require_closed=True)
     rep = compare_semantics(model, formula, args.unroll, cfg)
     out = _Output("oracle", model, args.format)
-    out.extra("report", rep.to_dict(model.descriptor))
-    out.lines.append(rep.to_text(model.descriptor))
-    return EXIT_OK, out
+    out.extra("report", rep.to_dict(model.descriptor), rep.to_text(model.descriptor))
+    return out
 
 
-def _cmd_info(args) -> tuple[int, _Output]:
+def _cmd_info(args) -> _Output:
     model = _load_model(args.model)
+    labels, deadlocks = model.signature.labels, model.deadlock_states()
+    stats = {"states": len(model.states),
+             "transitions": sum(len(ts) for ts in model.transitions.values()),
+             "labels": {l.name: l.arity for l in labels}, "deadlocks": deadlocks,
+             "plain": model.is_plain}
     out = _Output("info", model, args.format)
-    n_trans = sum(len(ts) for ts in model.transitions.values())
-    stats = {
-        "states": len(model.states),
-        "transitions": n_trans,
-        "labels": {l.name: l.arity for l in model.signature.labels},
-        "deadlocks": model.deadlock_states(),
-        "plain": model.is_plain,
-    }
-    out.extra("stats", stats)
-    out.lines.append(f"semiring: {model.descriptor.short_name}")
-    out.lines.append(f"states: {len(model.states)}")
-    out.lines.append(f"transitions: {n_trans}")
-    out.lines.append("labels: " + ", ".join(f"{l.name}/{l.arity}" for l in model.signature.labels))
-    out.lines.append("deadlocks: " + (", ".join(model.deadlock_states()) or "none"))
-    out.lines.append(f"plain: {'yes' if model.is_plain else 'no'}")
-    return EXIT_OK, out
+    out.extra("stats", stats, "\n".join([
+        f"semiring: {model.descriptor.short_name}", f"states: {stats['states']}",
+        f"transitions: {stats['transitions']}",
+        "labels: " + ", ".join(f"{l.name}/{l.arity}" for l in labels),
+        "deadlocks: " + (", ".join(deadlocks) or "none"),
+        f"plain: {'yes' if model.is_plain else 'no'}"]))
+    return out
 
 
 # the default of an option whose field is set only when it is given, and of a required one
@@ -402,11 +373,6 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 _COMMANDS = build_parser()
 
 
-def _need_state(model: Model, state: str):
-    if state not in model.states:
-        raise ValidationError(f"unknown state {quote(state)}")
-
-
 def _error_payload(command: str, fmt: str, message: str, code: int) -> str:
     if fmt == "json":
         import json
@@ -424,23 +390,19 @@ def main(argv: list[str] | None = None) -> int:
               sep="\n", file=sys.stderr)
         return EXIT_USER
     try:
-        code, out = _COMMANDS[args.command][0](args)
+        out = _COMMANDS[args.command][0](args)
         print(out.emit())
-        return code
+        return out.code
     except (NonConvergence, SizingError) as e:
-        print(_error_payload(args.command, args.format, str(e), EXIT_LIMIT), file=sys.stderr)
-        return EXIT_LIMIT
-    except (ParseError, ValidationError, EvaluationError, OffsetUnsupported, SemimcError) as e:
-        print(_error_payload(args.command, args.format, str(e), EXIT_USER), file=sys.stderr)
-        return EXIT_USER
+        code, message = EXIT_LIMIT, str(e)
+    except SemimcError as e:  # after its subclasses NonConvergence and SizingError
+        code, message = EXIT_USER, str(e)
     except OSError as e:
-        print(_error_payload(args.command, args.format, str(e), EXIT_IO), file=sys.stderr)
-        return EXIT_IO
-    except RecursionError:
-        # the parsers stop at _lex.MAX_DEPTH; formula walks still recurse
-        print(_error_payload(args.command, args.format, "input nested too deeply", EXIT_USER),
-              file=sys.stderr)
-        return EXIT_USER
+        code, message = EXIT_IO, str(e)
+    except RecursionError:  # the parsers stop at _lex.MAX_DEPTH; formula walks still recurse
+        code, message = EXIT_USER, "input nested too deeply"
+    print(_error_payload(args.command, args.format, message, code), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -178,6 +178,14 @@ def _truncs(signature: Signature, n: int) -> Iterator[TraceFragment]:
     return level
 
 
+def _state_id(model: Model, state: str) -> int:
+    """The id of `state`.  Every entry point resolves its state names
+    first, so an unknown one is reported before any other check."""
+    if state not in model.states:
+        raise ValidationError(f"unknown state {quote(state)}")
+    return model.states.index(state)
+
+
 def _require_plain(model: Model, op: str):
     if not model.is_plain:
         raise OffsetUnsupported(f"{op} requires a model without offsets")
@@ -209,20 +217,21 @@ def _behaviour(model: Model, fragment: TraceFragment, leaf: list | None) -> list
 
 def lt(model: Model, state: str, fragment: TraceFragment, cfg: EvalConfig | None = None):
     """Linear-time behaviour of `state` on `fragment`."""
+    i = _state_id(model, state)
     check_fragment(fragment, model.signature)
     ext = nu_extent(model, cfg)
-    vec = _behaviour(model, fragment, [ext[s] for s in model.states])
-    return vec[model.compiled.states.index(state)]
+    return _behaviour(model, fragment, [ext[s] for s in model.states])[i]
 
 
 def finite_tr(model: Model, state: str, trace: TraceFragment):
     """Completed-trace behaviour; requires a plain model and a completed
     trace (no top leaves)."""
+    i = _state_id(model, state)
     _require_plain(model, "finite_tr")
     check_fragment(trace, model.signature)
     if not is_completed(trace):
         raise ValidationError("finite_tr needs a completed trace (no T leaves)")
-    return _behaviour(model, trace, None)[model.compiled.states.index(state)]
+    return _behaviour(model, trace, None)[i]
 
 
 def _check_truncation(b: TraceFragment, n: int):
@@ -244,11 +253,11 @@ def tr_approx(model: Model, state: str, truncation: TraceFragment, n: int):
     n nodes and branches may complete earlier through nullary labels.  The
     base approximant is constant one, so the top leaves are worth one.
     """
+    i = _state_id(model, state)
     _require_plain(model, "tr_approx")
     check_fragment(truncation, model.signature)
     _check_truncation(truncation, n)
-    vec = _behaviour(model, truncation, [model.semiring.one] * len(model.states))
-    return vec[model.compiled.states.index(state)]
+    return _behaviour(model, truncation, [model.semiring.one] * len(model.states))[i]
 
 
 class EquivResult(Record, witness=None, left_value=None, right_value=None,
@@ -268,6 +277,7 @@ def equiv_upto(model: Model, c: str, d: str, max_depth: int,
     models (both sides share one extent table, so equal behaviours agree
     exactly there too).
     """
+    i, j = _state_id(model, c), _state_id(model, d)
     cfg = cfg or EvalConfig()
     semiring = model.semiring
     checked = 0
@@ -288,7 +298,6 @@ def equiv_upto(model: Model, c: str, d: str, max_depth: int,
         leaf = [semiring.one] * len(model.states)
         frags = (frag for n in range(max_depth + 1)
                  for frag in truncations(model.signature, n, cfg.enum_cap))
-    i, j = model.compiled.states.index(c), model.compiled.states.index(d)
     for frag in frags:
         checked += 1
         vec = _behaviour(model, frag, leaf)

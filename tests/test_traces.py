@@ -156,6 +156,37 @@ def test_finite_tr_rejects_offsets(corpus_models):
         equiv_upto(m, "s", "t", 1, "tr")
 
 
+def _unknown_state_calls(model, frag, n):
+    """Every public entry point, called with the unknown state 'nope' on
+    each side it takes a state."""
+    return [lambda: lt(model, "nope", frag), lambda: finite_tr(model, "nope", frag),
+            lambda: tr_approx(model, "nope", frag, n)] + [
+        lambda c=c, d=d, kind=kind: equiv_upto(model, c, d, 1, kind)
+        for kind in ("lt", "tr") for c, d in ((model.states[0], "nope"), ("nope", "nope"))]
+
+
+def test_unknown_state_is_a_validation_error(extent_prob, monkeypatch):
+    # the name is checked first: before any extent, and before the fragment
+    def no_extent(*args, **kwargs):
+        raise AssertionError("extent computed before the state name was checked")
+
+    monkeypatch.setattr("semimc.traces.nu_extent", no_extent)
+    for frag in (parse_fragment("a(*)", extent_prob.signature), TraceNode("q", (TOP_LEAF,))):
+        for call in _unknown_state_calls(extent_prob, frag, 2):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == "unknown state 'nope'"
+    with pytest.raises(ValidationError, match=r"^unknown state '" + "s" * 32 + r"'\.\.\. "):
+        lt(extent_prob, "s" * 40, TOP_LEAF)
+
+
+def test_unknown_state_comes_before_offset_check(corpus_models):
+    m = corpus_models["offset-s.trop.model"]
+    for call in _unknown_state_calls(m, parse_fragment("a(*)", m.signature), 2):
+        with pytest.raises(ValidationError, match="^unknown state 'nope'$"):
+            call()
+
+
 def _bool_path_search(model, state, trace) -> bool:
     """Existence of a completed run matching `trace`, by explicit search
     over transition choices."""
