@@ -84,7 +84,7 @@ def _config(args) -> EvalConfig:
 
 
 class _Output:
-    """What a command prints: one JSON payload, or the same content as text."""
+    """What a command prints (one JSON payload, or the same content as text) and its exit code."""
 
     def __init__(self, command: str, model: Model | None, fmt: str):
         self.fmt, self.model, self.lines, self.code = fmt, model, [], EXIT_OK

@@ -22,7 +22,7 @@ import pytest
 from semimc import (INF, Model, ParseError, Transition, ValidationError, cli,
                     parse_formula, parse_fragment, parse_model, render_model,
                     validate)
-from conftest import corpus_path
+from conftest import CORPUS, corpus_path
 
 
 MODEL_ERRORS = [
@@ -557,9 +557,10 @@ COMMAND_GOLDENS = [
 def test_command_golden(capsys, monkeypatch, tmp_path, name, argv, code, text, payload):
     for fname, model in BAD_MODELS.items():
         (tmp_path / fname).write_text(model)
-    monkeypatch.chdir(corpus_path(""))  # the corpus models are named relative to it
+    monkeypatch.chdir(CORPUS)  # the corpus models are named relative to it
     argv = [a.replace("BAD", str(tmp_path)) for a in argv]
     for fmt, expected in (("text", text), ("json", json.dumps(payload, indent=2))):
         assert cli.main([*argv, "--format", fmt]) == code
         out, err = capsys.readouterr()
-        assert (out, err) == (("", expected + "\n") if "error" in payload else (expected + "\n", ""))
+        printed = expected + "\n"
+        assert (out, err) == (("", printed) if "error" in payload else (printed, ""))
