@@ -103,7 +103,7 @@ class _Output:
     def values(self, pred: dict, cfg: EvalConfig | None = None):
         render = self._renderer(cfg)
         self.payload["values"] = rendered = {s: render(v) for s, v in pred.items()}
-        self.lines += (f"{s} = {v}" for s, v in rendered.items())
+        self.lines += [f"{s} = {v}" for s, v in rendered.items()]
 
     def diagnostics(self, rendered: list[str]):
         self.payload["diagnostics"] = rendered
