@@ -1,5 +1,6 @@
-"""The number-free searches over ``CompiledModel.rows`` and the linear
-solver's moves; imported on first use, as ``_linear`` is."""
+"""The number-free searches over ``CompiledModel.rows``, the linear
+solver's moves and the terms of a polynomial system; imported on first
+use, as ``_linear`` and ``_qualitative`` are."""
 
 from __future__ import annotations
 
@@ -43,6 +44,34 @@ def zero_cost_states(owner: list, weight: list, uses: list) -> list[int]:
                 if not live[owner[t]]:
                     removed.append(owner[t])
     return [s for s in range(n) if live[s]]
+
+
+def productive(monomials) -> list[bool]:
+    """The least set of states with a term whose variables are all in it:
+    `monomials[i]` lists state i's terms as tuples of state ids, a
+    constant term as the empty tuple.  `waiting[t]` counts the variables
+    of term t not yet in the set, once per occurrence."""
+    owner, waiting, ready = [], [], []
+    uses = [[] for _ in monomials]
+    for i, row in enumerate(monomials):
+        for m in row:
+            if not m:
+                ready.append(i)
+            for s in m:
+                uses[s].append(len(owner))
+            owner.append(i)
+            waiting.append(len(m))
+    out = [False] * len(monomials)
+    while ready:
+        s = ready.pop()
+        if out[s]:
+            continue
+        out[s] = True
+        for t in uses[s]:
+            waiting[t] -= 1
+            if not waiting[t]:
+                ready.append(owner[t])
+    return out
 
 
 def sccs(succ) -> list[list[int]]:

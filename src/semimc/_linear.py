@@ -18,6 +18,10 @@ solution is the limit of that chain, and this module computes it exactly
   complements: every diagonal pivot order meets only positive pivots, and
   one elimination on sparse primitive integer rows solves all live states.
 
+The same elimination, stopped at the first pivot that is not positive,
+decides whether a Z-matrix is an M-matrix (``m_matrix``): the test
+``_qualitative`` makes on I - P'(1) for a polynomial system.
+
 The evaluator imports this module on first use, so commands that never
 solve such a system do not load it.
 """
@@ -58,23 +62,63 @@ _RHS = -1  # the column key of the right-hand side in `_eliminate` rows
 def _eliminate(rows: dict[int, dict[int, int]]) -> dict[int, Fraction]:
     """Solve the integer system whose equation for unknown i is
     sum_j rows[i][j] * x_j = rows[i][_RHS], by Gaussian elimination on
-    sparse primitive integer rows.
+    sparse primitive integer rows (`_reduce`), then back-substitution on
+    the integers X_i = D * x_i.  The matrix must be a nonsingular
+    M-matrix.  The result lists the unknowns in reverse pivot order.
+    """
+    order, num = _reduce(rows)
+    scaled = {}
+    for r in reversed(order):
+        row = rows[r]
+        acc = num * row.get(_RHS, 0)
+        for j, v in row.items():
+            if j != r and j != _RHS:
+                acc -= v * scaled[j]
+        scaled[r] = acc // row[r]
+    return {r: Fraction(x, num) for r, x in scaled.items()}
 
-    The matrix must be a nonsingular M-matrix, so every diagonal pivot
-    order meets only positive pivots; the next pivot is the remaining
-    diagonal entry of least Markowitz cost (row length - 1) * (column
-    length - 1), ties to the smaller key, which keeps fill-in low.  A heap
-    holds a (cost, key) entry for every cost a key has had; an entry whose
-    cost is no longer its key's is skipped when it comes up.  Pivot row r,
+
+def m_matrix(rows: dict[int, dict[int, int]]) -> bool:
+    """Whether the integer Z-matrix in `rows` (no positive entry off the
+    diagonal) is an M-matrix, singular or not: whether `_reduce`, which
+    eliminates `rows` in place, meets only positive pivots but the last,
+    which may be 0.
+
+    The pivots are the ratios of successive leading principal minors in
+    pivot order, times positive factors, so this is the test that every
+    proper leading principal minor is positive and the determinant is
+    not negative.  On an irreducible Z-matrix it is exact in any
+    symmetric order (Berman & Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, ch. 6): every proper principal submatrix of a
+    singular irreducible M-matrix is a nonsingular one.  On any Z-matrix
+    it is sufficient: with the leading block a nonsingular M-matrix and a
+    Schur complement s >= 0, adding e > 0 to the diagonal keeps every
+    pivot positive.
+    """
+    return _reduce(rows) is not None
+
+
+def _reduce(rows: dict[int, dict[int, int]]) -> tuple[list[int], int] | None:
+    """Forward elimination of `rows` (keyed by unknown, and by `_RHS` for
+    the right-hand side) in place: the pivot order and the determinant
+    D, or None at the first pivot that is not positive, unless it is the
+    last and 0 (then D = 0).  A nonsingular M-matrix meets only positive
+    pivots in every diagonal pivot order.
+
+    The next pivot is the remaining diagonal entry of least Markowitz
+    cost (row length - 1) * (column length - 1), ties to the smaller
+    key, which keeps fill-in low.  A heap holds a (cost, key) entry for
+    every cost a key has had; an entry whose cost is no longer its key's
+    is skipped when it comes up.  Pivot row r,
     with pivot p, clears column r from a row i holding f there as
     (p/g) * row_i - (f/g) * row_r, g = gcd(p, f), and row i is then
     divided by its content (the gcd of its entries): entries stay as small
     as the row's own equation allows, where Bareiss (Math. Comp. 1968)
-    makes each a minor of the whole eliminated block.  The determinant D
-    is the product of the pivots and the contents over that of the
-    factors p/g, kept as a fraction reduced after every pivot; it ends an
-    integer.  Back-substitution runs on the integers X_i = D * x_i.  The
-    result lists the unknowns in reverse pivot order.
+    makes each a minor of the whole eliminated block.  Every factor is
+    positive, so each pivot has the sign of the pivot of plain Gaussian
+    elimination.  The determinant D is the product of the pivots and the
+    contents over that of the factors p/g, kept as a fraction reduced
+    after every pivot; it ends an integer.
     """
     cols = {i: set() for i in rows}
     for i, row in rows.items():
@@ -92,6 +136,8 @@ def _eliminate(rows: dict[int, dict[int, int]]) -> dict[int, Fraction]:
             c, r = heapq.heappop(heap)
         row_r = rows[r]
         p = row_r[r]
+        if p < 0 or (p == 0 and len(order) + 1 < len(rows)):
+            return None
         others = [(j, v) for j, v in row_r.items() if j != r]
         for j, _ in others:
             if j != _RHS:
@@ -111,7 +157,7 @@ def _eliminate(rows: dict[int, dict[int, int]]) -> dict[int, Fraction]:
                     new[j] = -f * v
                     if j != _RHS:
                         cols[j].add(i)
-            content = gcd(*new.values())
+            content = gcd(*new.values()) or 1  # 0: a singular row, left as it is
             rows[i] = {j: v // content for j, v in new.items()} if content != 1 else new
             num *= content
             den *= a
@@ -121,12 +167,4 @@ def _eliminate(rows: dict[int, dict[int, int]]) -> dict[int, Fraction]:
         # the rows updated and the columns of row r changed their lengths
         for k in below.union(j for j, _ in others if j != _RHS):
             heapq.heappush(heap, (cost(k), k))
-    scaled = {}  # den is 1 now, and num is D
-    for r in reversed(order):
-        row = rows[r]
-        acc = num * row.get(_RHS, 0)
-        for j, v in row.items():
-            if j != r and j != _RHS:
-                acc -= v * scaled[j]
-        scaled[r] = acc // row[r]
-    return {r: Fraction(x, num) for r, x in scaled.items()}
+    return order, num  # den is 1 now, and num is D

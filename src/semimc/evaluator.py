@@ -30,13 +30,24 @@ Two kinds of fixpoint block are not iterated, so they never depend on
   components, then one elimination over all live states on primitive
   integer rows).  The extent's block has the variable in every argument
   position; a binder's is built by ``_eval``, with the variable bound to
-  an ``_Affine`` identity, and is affine unless a transition has two
-  successors that depend on the variable or an inner binder mentions it.
+  a ``_Poly`` identity (terms with monomials in the variable), and is
+  affine unless a transition has two successors that depend on the
+  variable or an inner binder mentions it.
 
-The graph searches of both (SCCs, zero-cost states, the transition
-index) are in ``_graph``.  Kleene iteration remains for tropical and
-probabilistic models with offsets (truncated subtraction is not a
-superior function, and the probabilistic offset divides), for
+A probabilistic ``mu`` block of degree 2 or more on an offset-free model
+(a branching extent, or a binder such as ``mu X. ([s](X, X) | [e])``) is
+a polynomial system x = P(x).  ``_qualitative.one_states`` decides its
+states of value 0 (not productive) and of value 1 (by the spectral
+radius of P'(1) on each strongly connected component) exactly, and its
+chain starts from the indicator of the value-1 states: a pre-fixpoint
+below the lfp, so the chain keeps its checks and its limit, and the
+value-0 and value-1 states are exact (``_solve_block``).  The other
+states converge at Kleene's rate.
+
+The graph searches (SCCs, zero-cost and productive states, the
+transition index) are in ``_graph``.  Kleene iteration remains for
+tropical and probabilistic models with offsets (truncated subtraction
+is not a superior function, and the probabilistic offset divides), for
 the other probabilistic blocks and the other semirings' formula
 fixpoints; ``kleene`` stays the reference both solvers are tested
 against.  No setting chooses between solver and chain: the shape of the
@@ -322,38 +333,49 @@ def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
     return KleeneResult(value, KleeneReport(settled, promoted=promoted))
 
 
-class _Affine(list):
-    """A prob value affine in the variable x of the binder being solved:
-    per state, terms (n, d, j) for n/d * x_j (j = -1: the constant n/d)."""
+class _Poly(list):
+    """A prob value polynomial in the variable x of the binder being
+    solved: per state, terms (n, d, m) for n/d * x_m1 * ... * x_mk, the
+    monomial m a sorted tuple of state ids (m = (): the constant n/d)."""
 
 
-class _NotAffine(Exception):
-    """Ends the attempt to solve a binder exactly; its chain runs instead.
-    The args name the variable when an inner binder mentions it."""
+class _NotPoly(Exception):
+    """Ends the attempt to solve a binder from its terms; its chain runs
+    from the plain start instead.  The args name the variable when an
+    inner binder mentions it."""
 
 
 _ENCLOSING = object()  # an enclosing binder's variable, inside an inner binder
 
+# The most terms `_step_terms` forms as one transition's product of
+# polynomial successors.  Modalities nested in a binder body could
+# otherwise multiply the terms of a row at every level.  A block past the
+# cap runs its chain from the plain start (0 for mu, T for nu), undecided.
+_PRODUCT_CAP = 64
 
-def _affine(rows: list) -> _Affine:
-    """`rows` as an affine value, with one nonzero term per j in a row.
-    Ends the attempt when a row exceeds 1 at x = 1 (only on a model or
-    formula validation rejects): the chain runs and raises at its sum."""
-    out = _Affine()
+
+def _poly(rows: list) -> _Poly:
+    """`rows` as a polynomial value, with one nonzero term per monomial in
+    a row.  Ends the attempt when a row exceeds 1 at x = 1 (only on a
+    model or formula validation rejects): the chain runs and raises at
+    its sum."""
+    out = _Poly()
     for row in rows:
         lcd, merged = lcm(*(d for _, d, _ in row)), {}
-        for n, d, j in row:
-            merged[j] = merged.get(j, 0) + n * (lcd // d)
+        for n, d, m in row:
+            merged[m] = merged.get(m, 0) + n * (lcd // d)
         if sum(merged.values()) > lcd:
-            raise _NotAffine
-        out.append([(n, lcd, j) for j, n in merged.items() if n])
+            raise _NotPoly
+        out.append([(n, lcd, m) for m, n in merged.items() if n])
     return out
 
 
 def _step_terms(cm: CompiledModel, args: list) -> list:
-    """`cm.step(args)` where some arguments are affine values (`_Affine`),
-    as rows of terms (see `_affine`).  Ends the attempt when a transition
-    has two affine successors, which makes the map quadratic."""
+    """`cm.step(args)` where some arguments are polynomial values
+    (`_Poly`), as rows of terms (see `_poly`): a transition with several
+    polynomial successors contributes the product of their terms.  Ends
+    the attempt when a product would have more than `_PRODUCT_CAP`
+    terms."""
     out = []
     for row in cm.rows:
         terms = []
@@ -361,44 +383,49 @@ def _step_terms(cm: CompiledModel, args: list) -> list:
             preds = args[lid]
             if preds is None:
                 continue
-            sub = None  # the affine successor's terms
+            sub = None  # the product of the polynomial successors' terms
             for k, s in succs:
-                if type(preds[k]) is _Affine:
-                    if sub is not None:
-                        raise _NotAffine
-                    sub = preds[k][s]
+                if type(preds[k]) is _Poly:
+                    p = preds[k][s]
+                    if sub is None:
+                        sub = p
+                    elif len(sub) * len(p) > _PRODUCT_CAP:
+                        raise _NotPoly
+                    else:
+                        sub = [(a * b, c * e, tuple(sorted(m + q)))
+                               for a, c, m in sub for b, e, q in p]
                 else:
                     vn, vd = preds[k][s]
                     n *= vn
                     d *= vd
             if n:
-                terms += [(n, d, -1)] if sub is None else [(n * m, d * e, j) for m, e, j in sub]
+                terms += [(n, d, ())] if sub is None else [(n * a, d * c, m) for a, c, m in sub]
         out.append(terms)
     return out
 
 
-def _sum_terms(terms: list) -> _Affine:
-    """`Semiring.weighted_sum` on prob where some operands are affine values."""
+def _sum_terms(terms: list) -> _Poly:
+    """`Semiring.weighted_sum` on prob where some operands are polynomial values."""
     out = [[] for _ in terms[0][1]]
     for c, p in terms:
         a, b = c.as_integer_ratio()
-        for row, v in zip(out, p if type(p) is _Affine else ([(n, d, -1)] for n, d in p)):
-            row += [(a * n, b * d, j) for n, d, j in v]
-    return _affine(out)
+        for row, v in zip(out, p if type(p) is _Poly else ([(n, d, ())] for n, d in p)):
+            row += [(a * n, b * d, m) for n, d, m in v]
+    return _poly(out)
 
 
 def _affine_fixpoint(terms: list, top: list | None) -> tuple[list, int] | None:
     """The fixpoint of the prob affine map f(x) = A x + c in `terms`
-    (rows of nonzero terms, see `_affine`), exactly: the least when `top`
-    is None, else the greatest below `top`.  Returns pairs and the states
-    solved by elimination, or None when the check fails and the chain
-    must run.
+    (rows of nonzero terms of degree at most 1, see `_poly`), exactly:
+    the least when `top` is None, else the greatest below `top`.  Returns
+    pairs and the states solved by elimination, or None when the check
+    fails and the chain must run.
 
     The lfp solves x = A x + c, if A 1 + c <= 1 (the chain from 0 stays
     in [0, 1]).  The gfp is top - y, y the lfp of y = A y + top - f(top),
     if top - f(top) >= 0 (else the chain from `top` rises); its chain
     stays below `top`.  Both chains are bounded, as `least_solution`
-    needs.  Sums inside f are checked as `_affine` builds them.
+    needs.  Sums inside f are checked as `_poly` builds them.
     """
     # imported on first use: with no bytecode cache, every process that
     # imports semimc would otherwise compile the solver; a relative import is slower
@@ -410,14 +437,15 @@ def _affine_fixpoint(terms: list, top: list | None) -> tuple[list, int] | None:
             lcd, b = lcm(*(d for _, d, _ in row)), 0
         else:  # the y system: the same moves, constant top - f(top)
             tn, td = top[i]
-            lcd = lcm(td, *(d * top[j][1] if j >= 0 else d for _, d, j in row))
+            lcd = lcm(td, *(d * top[m[0]][1] if m else d for _, d, m in row))
             b = tn * (lcd // td)
         out = {}
-        for n, d, j in row:
+        for n, d, m in row:
             v = n * (lcd // d)
-            if j < 0:
+            if not m:
                 b += v if top is None else -v
             else:
+                j = m[0]
                 out[j] = out.get(j, 0) + v
                 if top is not None:  # d * top[j][1] divides lcd
                     tn, td = top[j]
@@ -436,6 +464,28 @@ def _affine_fixpoint(terms: list, top: list | None) -> tuple[list, int] | None:
             g = gcd(n, d)
             pairs[i] = n // g, d // g
     return pairs, solved
+
+
+def _solve_block(terms: list | None, start: list, direction: str,
+                 chain: Callable[[list], KleeneResult]) -> KleeneResult:
+    """A fixpoint block: the extent's, or a binder's.  On an offset-free
+    prob model `terms` is its body as rows of terms in its variable (see
+    `_step_terms`), else None.  A body of degree at most 1 is solved
+    exactly by `_affine_fixpoint` when its check passes.  Otherwise
+    `chain(start)` runs (the block's Kleene chain), for an lfp of degree
+    2 or more from the indicator of its states of value 1
+    (`_qualitative.one_states`): a pre-fixpoint below the lfp, so the
+    chain keeps its checks and limit, and where every state has value 0
+    or 1 it stabilises on its first step."""
+    if terms is not None:
+        if all(len(m) < 2 for row in terms for _, _, m in row):
+            res = _affine_fixpoint(terms, start if direction == "gfp" else None)
+            if res:
+                return KleeneResult(res[0], KleeneReport(res[1], Fraction(0), Fraction(0)))
+        elif direction == "lfp":
+            import semimc._qualitative as qualitative  # loaded on first use, as `_linear` is
+            start = [(1, 1) if one else (0, 1) for one in qualitative.one_states(terms)]
+    return chain(start)
 
 
 def default_promote_bound(model: Model, formula_size: int = 0) -> int:
@@ -460,22 +510,21 @@ def _extent(model: Model, cfg: EvalConfig, direction: str) -> KleeneResult:
     """The extent with list values: the routine behind the public extent
     functions and behind T."""
     cm, semiring = model.compiled, model.semiring
-    if not cm.offset_ids:  # always so on bool, see `Model.compiled`
-        if semiring.kind != "probabilistic":
-            return _trop_extent(cm, direction)
-        # the block whose body is every label with the variable in every position
-        x = _Affine([(1, 1, i)] for i in range(len(cm.states)))
-        top = [(1, 1)] * len(cm.states) if direction == "gfp" else None
-        try:
-            terms = _step_terms(cm, [(x,) * cm.max_arity] * len(cm.label_ids))
-        except _NotAffine:
-            terms = None
-        res = terms is not None and _affine_fixpoint(terms, top)
-        if res:
-            return KleeneResult(res[0], KleeneReport(res[1], Fraction(0), Fraction(0)))
+    if not cm.offset_ids and semiring.kind != "probabilistic":  # bool has no offsets
+        return _trop_extent(cm, direction)
     start = semiring.pack([semiring.one if direction == "gfp" else semiring.zero] * len(cm.states))
-    bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)
-    return kleene(semiring, cm.extent_step, start, direction, cfg, bound, names=cm.states)
+
+    def chain(start: list) -> KleeneResult:
+        bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)
+        return kleene(semiring, cm.extent_step, start, direction, cfg, bound, names=cm.states)
+
+    terms = None
+    if not cm.offset_ids:
+        # the block whose body is every label with the variable in every
+        # position: one term per transition, so no product reaches the cap
+        x = _Poly([(1, 1, (i,))] for i in range(len(cm.states)))
+        terms = _step_terms(cm, [(x,) * cm.max_arity] * len(cm.label_ids))
+    return _solve_block(terms, start, direction, chain)
 
 
 def _extent_result(model: Model, cfg: EvalConfig | None, direction: str) -> KleeneResult:
@@ -520,45 +569,45 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
         if v is None:
             raise EvaluationError(f"unbound variable {quote(f.name)}")
         if v is _ENCLOSING:
-            raise _NotAffine(f.name)
+            raise _NotPoly(f.name)
         return v
     if isinstance(f, WeightedSum):
         terms = [(c, _eval(ctx, op, env, nested)) for c, op in f.terms]
-        affine = any(type(p) is _Affine for _, p in terms)
-        return _sum_terms(terms) if affine else semiring.weighted_sum(cm, terms)
+        poly = any(type(p) is _Poly for _, p in terms)
+        return _sum_terms(terms) if poly else semiring.weighted_sum(cm, terms)
     if isinstance(f, Modal):
-        args, affine = [None] * len(cm.label_ids), False
+        args, poly = [None] * len(cm.label_ids), False
         for lbl, arglist in f.disjuncts:
             preds = tuple(_eval(ctx, a, env, nested) for a in arglist)
-            affine = affine or _Affine in map(type, preds)
+            poly = poly or _Poly in map(type, preds)
             if lbl in cm.label_ids:  # other labels have no transitions
                 args[cm.label_ids[lbl]] = preds
-        return _affine(_step_terms(cm, args)) if affine else cm.step(args)
+        return _poly(_step_terms(cm, args)) if poly else cm.step(args)
     if isinstance(f, (Mu, Nu)):
         if isinstance(f, Mu):
             direction, start = "lfp", semiring.pack([semiring.zero] * len(cm.states))
         else:
             direction, start = "gfp", _eval(ctx, TOP, env)
+        body = None
         if semiring.kind == "probabilistic" and not cm.offset_ids:
             # the body at the identity, as terms (_sum_terms) even without f.var;
             # an enclosing binder's variable used here ends that binder's attempt
-            env = {k: _ENCLOSING if type(v) is _Affine else v for k, v in env.items()}
-            x = _Affine([(1, 1, i)] for i in range(len(cm.states)))
+            env = {k: _ENCLOSING if type(v) is _Poly else v for k, v in env.items()}
+            x = _Poly([(1, 1, (i,))] for i in range(len(cm.states)))
             try:
                 body = _sum_terms([(1, _eval(ctx, f.body, {**env, f.var: x}, True))])
-            except _NotAffine as e:
+            except _NotPoly as e:
                 if e.args and e.args[0] != f.var:
                     raise
-            else:
-                res = _affine_fixpoint(body, start if direction == "gfp" else None)
-                if res:
-                    return res[0]
 
         def op(p: list) -> list:
             return _eval(ctx, f.body, {**env, f.var: p}, True)
 
-        return kleene(semiring, op, start, direction, ctx.cfg, ctx.promote_bound,
-                      force_exact=nested, names=cm.states).values
+        def chain(start: list) -> KleeneResult:
+            return kleene(semiring, op, start, direction, ctx.cfg, ctx.promote_bound,
+                          force_exact=nested, names=cm.states)
+
+        return _solve_block(body, start, direction, chain).values
     raise TypeError(f"not a formula: {f!r}")
 
 

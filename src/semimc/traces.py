@@ -272,12 +272,14 @@ def equiv_upto(model: Model, c: str, d: str, max_depth: int,
 
     kind "lt" ranges over all trace fragments; kind "tr" ranges over
     depth-n truncations for each n up to `max_depth` and compares the
-    matching approximants (plain models only).  Values are compared
-    exactly on finite carriers and up to cfg.epsilon on probabilistic
-    models (both sides share one extent table, so equal behaviours agree
-    exactly there too).
+    matching approximants (plain models only); any other kind is a
+    ValidationError.  Values are compared exactly on finite carriers and
+    up to cfg.epsilon on probabilistic models (both sides share one
+    extent table, so equal behaviours agree exactly there too).
     """
     i, j = _state_id(model, c), _state_id(model, d)
+    if kind not in ("lt", "tr"):
+        raise ValidationError(f"unknown kind {quote(kind)}; expected 'lt' or 'tr'")
     cfg = cfg or EvalConfig()
     semiring = model.semiring
     checked = 0

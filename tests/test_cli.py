@@ -130,10 +130,14 @@ def test_oracle_report(capsys):
 
 def test_oracle_report_without_fixpoint_distance(tmp_path, capsys):
     # the formula's own chain does not converge; the approximant's check
-    # still succeeds, with the diagnostic distance reported as unavailable
-    critical = tmp_path / "critical.model"
-    critical.write_text("semiring prob label s/2 label e/0 state x { 1/2 s -> x x; 1/2 e }")
-    argv = ("oracle", str(critical), "mu X. ([s](X, X) | [e])", "--unroll", "2",
+    # still succeeds, with the diagnostic distance reported as unavailable.
+    # Under [s] and [e], x = x^2/2 + 1/2 - 10^-12: x loses mass, so its
+    # value is below 1 and its chain rises like 1/n from 0 for about 10^6
+    # steps; the extent (x = 1, with the a-move) converges on its first
+    near = tmp_path / "near-critical.model"
+    near.write_text("semiring prob label s/2 label a/1 label e/0 state x { 1/2 s -> x x; "
+                    "1/1000000000000 a -> y; 499999999999/1000000000000 e } state y { 1 e }")
+    argv = ("oracle", str(near), "mu X. ([s](X, X) | [e])", "--unroll", "2",
             "--max-iters", "200")
     code, payload = run_json(capsys, *argv)
     assert code == 0 and payload["report"]["ok"] is True

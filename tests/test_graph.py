@@ -11,8 +11,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimc._graph import sccs
-from semimc._linear import least_solution
+from semimc._graph import productive, sccs
+from semimc._linear import least_solution, m_matrix
 import linear_reference
 
 
@@ -131,3 +131,65 @@ def test_least_solution_matches_per_component_bareiss(seed):
     got = least_solution(scale, moves, const)
     assert got == linear_reference.least_solution(scale, moves, const)
     assert all(type(v) is Fraction for v in got[0])
+
+
+@st.composite
+def monomial_rows(draw):
+    """Random rows of monomials on up to 8 states: tuples of up to 3 ids."""
+    n = draw(st.integers(1, 8))
+    mono = st.lists(st.integers(0, n - 1), max_size=3).map(tuple)
+    return [draw(st.lists(mono, max_size=3)) for _ in range(n)]
+
+
+@given(monomial_rows())
+@settings(max_examples=300, deadline=None)
+def test_productive_is_the_least_closed_set(rows):
+    # brute force: grow the set until no state has a term inside it
+    inside = set()
+    while True:
+        more = {i for i, row in enumerate(rows) if any(set(m) <= inside for m in row)}
+        if more <= inside:
+            break
+        inside |= more
+    assert productive(rows) == [i in inside for i in range(len(rows))]
+
+
+def _leading_minors(a: list[list[Fraction]]) -> list[Fraction]:
+    """The leading principal minors of `a`, by Gaussian elimination with
+    row swaps inside each leading block (Fractions, no pivot order)."""
+    out = []
+    for k in range(1, len(a) + 1):
+        m = [row[:k] for row in a[:k]]
+        det = Fraction(1)
+        for c in range(k):
+            r = next((r for r in range(c, k) if m[r][c]), None)
+            if r is None:
+                det = Fraction(0)
+                break
+            if r != c:
+                m[c], m[r] = m[r], m[c]
+                det = -det
+            det *= m[c][c]
+            for i in range(c + 1, k):
+                f = m[i][c] / m[c][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+        out.append(det)
+    return out
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_m_matrix_matches_the_leading_minors_on_irreducible_matrices(seed):
+    # I - B for a nonnegative B with a cycle through every state, so it is
+    # irreducible; entries are multiples of 1/4 so that rho(B) = 1 (a
+    # singular M-matrix) comes up as well as rho(B) < 1 and > 1
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    b = [[Fraction(rng.choice([0, 0, 1, 2]), 4) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        b[i][(i + 1) % n] += Fraction(rng.randint(1, 4), 4)
+    a = [[(i == j) - b[i][j] for j in range(n)] for i in range(n)]
+    minors = _leading_minors(a)
+    expected = all(d > 0 for d in minors[:-1]) and minors[-1] >= 0
+    rows = {i: {j: int(4 * v) for j, v in enumerate(row) if v or i == j} for i, row in enumerate(a)}
+    assert m_matrix(rows) == expected

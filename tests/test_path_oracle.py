@@ -255,17 +255,20 @@ def test_compare_report_serialises(extent_trop):
     assert "max discrepancy" in text
 
 
-CRITICAL = "semiring prob label s/2 label e/0 state x { 1/2 s -> x x; 1/2 e }"
+NEAR_CRITICAL = ("semiring prob label s/2 label a/1 label e/0 state x { 1/2 s -> x x; "
+                 "1/1000000000000 a -> y; 499999999999/1000000000000 e } state y { 1 e }")
 
 
 def test_compare_keeps_its_verdict_when_the_fixpoint_does_not_converge():
-    # x = 1/2 x^2 + 1/2 has the double root 1, so the formula's own chain
-    # finds no fixpoint in 200 iterations; its 2-step approximant is 5/8
-    # both ways, and only the diagnostic distance is unavailable
-    m = parse_model(CRITICAL)
+    # under [s] and [e], x = 1/2 x^2 + c with c = 1/2 - 10^-12 loses mass,
+    # so its value is below 1 and the formula's own chain, rising like 1/n
+    # from 0, finds no fixpoint in 200 iterations; its 2-step approximant
+    # is c^2/2 + c both ways, and only the diagnostic distance is unavailable
+    m = parse_model(NEAR_CRITICAL)
     phi = parse_formula("mu X. ([s](X, X) | [e])", m.signature, m.descriptor)
     rep = compare_semantics(m, phi, 2, EvalConfig(max_iterations=200))
-    assert rep.ok and rep.rows[0].stepwise == rep.rows[0].oracle == Fraction(5, 8)
+    c = Fraction(499999999999, 10**12)
+    assert rep.ok and rep.rows[0].stepwise == rep.rows[0].oracle == c * c / 2 + c
     assert rep.approximant_distance is None
     assert rep.to_dict(m.descriptor)["approximant_distance"] is None
     assert rep.to_text(m.descriptor).endswith("approximant vs fixpoint distance (diagnostic): n/a")

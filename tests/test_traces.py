@@ -156,6 +156,19 @@ def test_finite_tr_rejects_offsets(corpus_models):
         equiv_upto(m, "s", "t", 1, "tr")
 
 
+def test_unknown_equiv_kind_is_a_validation_error(corpus_models, monkeypatch):
+    # checked before any extent: neither kind's work starts, and "LT" is
+    # not read as "tr" on a model with offsets
+    def no_extent(*args, **kwargs):
+        raise AssertionError("extent computed before the kind was checked")
+
+    monkeypatch.setattr("semimc.traces.nu_extent", no_extent)
+    for name, c, d in (("extent-example.prob.model", "x", "z"), ("offset-s.trop.model", "s", "t")):
+        for kind in ("bogus", "LT"):
+            with pytest.raises(ValidationError, match="unknown kind"):
+                equiv_upto(corpus_models[name], c, d, 1, kind)
+
+
 def _unknown_state_calls(model, frag, n):
     """Every public entry point, called with the unknown state 'nope' on
     each side it takes a state."""
