@@ -468,15 +468,15 @@ def _affine_fixpoint(terms: list, top: list | None) -> tuple[list, int] | None:
 
 def _solve_block(terms: list | None, start: list, direction: str,
                  chain: Callable[[list], KleeneResult]) -> KleeneResult:
-    """A fixpoint block: the extent's, or a binder's.  On an offset-free
-    prob model `terms` is its body as rows of terms in its variable (see
-    `_step_terms`), else None.  A body of degree at most 1 is solved
-    exactly by `_affine_fixpoint` when its check passes.  Otherwise
-    `chain(start)` runs (the block's Kleene chain), for an lfp of degree
-    2 or more from the indicator of its states of value 1
-    (`_qualitative.one_states`): a pre-fixpoint below the lfp, so the
-    chain keeps its checks and limit, and where every state has value 0
-    or 1 it stabilises on its first step."""
+    """A fixpoint block: the extent's, or a binder's.  `terms` is its body
+    as rows of terms in its variable (see `_step_terms`), or None off an
+    offset-free prob model or when building them ended (`_NotPoly`).  A
+    body of degree at most 1 is solved exactly by `_affine_fixpoint` when
+    its check passes.  Otherwise `chain(start)` runs (the block's Kleene
+    chain), for an lfp of degree 2 or more from the indicator of its
+    states of value 1 (`_qualitative.one_states`): a pre-fixpoint below
+    the lfp, so the chain keeps its checks and limit, and where every
+    state has value 0 or 1 it stabilises on its first step."""
     if terms is not None:
         if all(len(m) < 2 for row in terms for _, _, m in row):
             res = _affine_fixpoint(terms, start if direction == "gfp" else None)
