@@ -1,8 +1,14 @@
-"""The number-free searches over ``CompiledModel.rows``, the linear
-solver's moves and the terms of a polynomial system; imported on first
-use, as ``_linear`` and ``_qualitative`` are."""
+"""The searches over ``CompiledModel.rows``, the linear solver's moves
+and the terms of a polynomial system: the transition index, Knuth's
+least-solution loop over it (``settle``), the zero-cost and productive
+states and the SCCs; imported on first use, as ``_linear`` and
+``_qualitative`` are."""
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+
+from .semiring import INF
 
 
 def transitions(rows) -> tuple[list, list, list, list]:
@@ -46,32 +52,49 @@ def zero_cost_states(owner: list, weight: list, uses: list) -> list[int]:
     return [s for s in range(n) if live[s]]
 
 
+def settle(owner: list, weight: list, waiting: list, uses: list,
+           seeds: list, bound) -> list:
+    """Knuth's generalisation of Dijkstra's algorithm (IPL 1977): the least
+    solution of x_i = min over the transitions t of i of weight[t] plus
+    the sum of x over t's successors (a superior function), on the index
+    `transitions` builds, with `seeds` ((value, state) pairs) offered too.
+    States settle in order of value: arity-0 transitions and the seeds are
+    offered first, and once every successor of a transition has settled it
+    offers its owner its weight plus their values; an offer above `bound`
+    is dropped, and states never settled are INF.  Uses up `waiting`."""
+    heap = [(w, i) for w, i, k in zip(weight, owner, waiting) if not k] + seeds
+    heapify(heap)
+    value = [INF] * len(uses)
+    partial = [0] * len(owner)
+    while heap:
+        v, s = heappop(heap)
+        if value[s] != INF:
+            continue
+        value[s] = v
+        for t in uses[s]:
+            partial[t] += v
+            waiting[t] -= 1
+            if not waiting[t]:
+                offer = weight[t] + partial[t]
+                if offer <= bound and value[owner[t]] == INF:
+                    heappush(heap, (offer, owner[t]))
+    return value
+
+
 def productive(monomials) -> list[bool]:
     """The least set of states with a term whose variables are all in it:
     `monomials[i]` lists state i's terms as tuples of state ids, a
-    constant term as the empty tuple.  `waiting[t]` counts the variables
-    of term t not yet in the set, once per occurrence."""
-    owner, waiting, ready = [], [], []
+    constant term as the empty tuple.  `settle` with every weight 0 finds
+    it; a variable counts once per occurrence."""
+    owner, waiting = [], []
     uses = [[] for _ in monomials]
     for i, row in enumerate(monomials):
         for m in row:
-            if not m:
-                ready.append(i)
             for s in m:
                 uses[s].append(len(owner))
             owner.append(i)
             waiting.append(len(m))
-    out = [False] * len(monomials)
-    while ready:
-        s = ready.pop()
-        if out[s]:
-            continue
-        out[s] = True
-        for t in uses[s]:
-            waiting[t] -= 1
-            if not waiting[t]:
-                ready.append(owner[t])
-    return out
+    return [v == 0 for v in settle(owner, [0] * len(owner), waiting, uses, [], 0)]
 
 
 def sccs(succ) -> list[list[int]]:

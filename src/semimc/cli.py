@@ -33,7 +33,7 @@ from .evaluator import (EvalConfig, eval_with_certificate, mu_extent_result,
 from .logic import parse_formula
 from .model import Model, parse_model, validate
 from .path_oracle import compare_semantics
-from .semiring import _EXP_LIMIT, _EXPONENT, render_certified
+from .semiring import _EXP_LIMIT, _fraction, render_certified
 from .traces import (depth as fragment_depth, equiv_upto, finite_tr, lt,
                      parse_fragment, render_fragment, tr_approx)
 
@@ -50,13 +50,11 @@ def _inline_or_file(arg: str) -> str:
 
 
 def _positive_rational(text: str) -> Fraction:
-    m = _EXPONENT.search(text)  # Fraction builds 10**exponent: bound it as parse_scalar does
     try:
-        huge = m and len(m[1]) > 5 and abs(int(m[1])) > max(_EXP_LIMIT, len(text))
-        value = 0 if huge else Fraction(text)
+        value = _fraction(text)  # Fraction builds 10**exponent: bound it as parse_scalar does
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a rational: {quote(text)}") from None
-    if huge:
+    if value is None:
         raise ValueError(f"must be written with |exponent| <= {_EXP_LIMIT}, got {quote(text)}")
     if value <= 0:
         raise ValueError(f"must be positive, got {quote(text)}")

@@ -45,7 +45,8 @@ value-0 and value-1 states are exact (``_solve_block``).  The other
 states converge at Kleene's rate.
 
 The graph searches (SCCs, zero-cost and productive states, the
-transition index) are in ``_graph``.  Kleene iteration remains for
+transition index and ``settle``, the Knuth loop behind ``_trop_extent``
+and ``productive``) are in ``_graph``.  Kleene iteration remains for
 tropical and probabilistic models with offsets (truncated subtraction
 is not a superior function, and the probabilistic offset divides), for
 the other probabilistic blocks and the other semirings' formula
@@ -76,7 +77,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import ge, le
 
@@ -291,14 +291,11 @@ def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
     one; bool runs as trop[0], every weight 0 and its offsets the identity.
 
     A transition of weight w to successors x1 .. xk contributes
-    w + x1 + ... + xk, a superior function (Knuth, IPL 1977), so states
-    settle in order of value as in Dijkstra's algorithm: arity-0
-    transitions seed their owner at w, and once every successor of a
-    transition has settled it offers its owner w plus their values.  On
-    trop[B] an offer above B is infinity.  States never settled are
-    infinity.  This is the lfp, the cheapest finite run tree.  For the
-    gfp, run trees may be infinite: the states with a zero-cost run tree
-    are seeded at 0 as well.
+    w + x1 + ... + xk, so `_graph.settle` (Knuth's generalisation of
+    Dijkstra's algorithm) solves the extent over the transition index; on
+    trop[B] an offer above B is infinity.  This is the lfp, the cheapest
+    finite run tree.  For the gfp, run trees may be infinite: the states
+    with a zero-cost run tree are seeded at 0 as well.
 
     The report counts settled states as iterations; for the gfp off
     bool, `promoted` lists the infinite states.
@@ -307,30 +304,12 @@ def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
 
     bound = cm.semiring.bound
     owner, weight, waiting, uses = graph.transitions(cm.rows)
-    heap = [(w, i) for w, i, k in zip(weight, owner, waiting) if not k]
-    if direction == "gfp":
-        heap += [(0, s) for s in graph.zero_cost_states(owner, weight, uses)]
-    heapify(heap)
-    value = [INF] * len(cm.states)
-    partial = [0] * len(owner)
-    settled = 0
-    while heap:
-        v, s = heappop(heap)
-        if value[s] != INF:
-            continue
-        value[s] = v
-        settled += 1
-        for t in uses[s]:
-            partial[t] += v
-            waiting[t] -= 1
-            if not waiting[t]:
-                offer = weight[t] + partial[t]
-                if offer <= bound and value[owner[t]] == INF:
-                    heappush(heap, (offer, owner[t]))
+    zero = graph.zero_cost_states(owner, weight, uses) if direction == "gfp" else []
+    value = graph.settle(owner, weight, waiting, uses, [(0, s) for s in zero], bound)
     promoted = ()
     if direction == "gfp" and bound:  # bool (trop[0]) promotes nothing
         promoted = tuple(sorted(cm.states[s] for s, v in enumerate(value) if v == INF))
-    return KleeneResult(value, KleeneReport(settled, promoted=promoted))
+    return KleeneResult(value, KleeneReport(len(value) - value.count(INF), promoted=promoted))
 
 
 class _Poly(list):
@@ -466,17 +445,18 @@ def _affine_fixpoint(terms: list, top: list | None) -> tuple[list, int] | None:
     return pairs, solved
 
 
-def _solve_block(terms: list | None, start: list, direction: str,
-                 chain: Callable[[list], KleeneResult]) -> KleeneResult:
-    """A fixpoint block: the extent's, or a binder's.  `terms` is its body
-    as rows of terms in its variable (see `_step_terms`), or None off an
-    offset-free prob model or when building them ended (`_NotPoly`).  A
-    body of degree at most 1 is solved exactly by `_affine_fixpoint` when
-    its check passes.  Otherwise `chain(start)` runs (the block's Kleene
-    chain), for an lfp of degree 2 or more from the indicator of its
-    states of value 1 (`_qualitative.one_states`): a pre-fixpoint below
-    the lfp, so the chain keeps its checks and limit, and where every
-    state has value 0 or 1 it stabilises on its first step."""
+def _solve_block(cm: CompiledModel, op: Callable, terms: list | None, start: list,
+                 direction: str, cfg: EvalConfig, bound: int | None,
+                 nested: bool = False) -> KleeneResult:
+    """A fixpoint block of operator `op`: the extent's, or a binder's.
+    `terms` is its body as rows of terms in its variable (see
+    `_step_terms`), or None off an offset-free prob model or when building
+    them ended (`_NotPoly`).  A body of degree at most 1 is solved exactly
+    by `_affine_fixpoint` when its check passes.  Otherwise `kleene` runs
+    (`force_exact` when `nested`), for an lfp of degree 2 or more from the
+    indicator of its states of value 1 (`_qualitative.one_states`): a
+    pre-fixpoint below the lfp, so the chain keeps its checks and limit,
+    and where every state has value 0 or 1 it stabilises on its first step."""
     if terms is not None:
         if all(len(m) < 2 for row in terms for _, _, m in row):
             res = _affine_fixpoint(terms, start if direction == "gfp" else None)
@@ -485,12 +465,13 @@ def _solve_block(terms: list | None, start: list, direction: str,
         elif direction == "lfp":
             import semimc._qualitative as qualitative  # loaded on first use, as `_linear` is
             start = [(1, 1) if one else (0, 1) for one in qualitative.one_states(terms)]
-    return chain(start)
+    return kleene(cm.semiring, op, start, direction, cfg, bound,
+                  force_exact=nested, names=cm.states)
 
 
 def default_promote_bound(model: Model, formula_size: int = 0) -> int:
-    """Divergence cutoff for tropical Kleene chains: a state still
-    strictly growing past it is promoted to infinity.
+    """Divergence cutoff for the Kleene chains of a tropical model: a
+    state still strictly growing past it is promoted to infinity.
 
     A finite value is witnessed by a run tree, not a path, so the cutoff
     carries a branching factor for labels of arity up to A.  The factor
@@ -503,7 +484,19 @@ def default_promote_bound(model: Model, formula_size: int = 0) -> int:
     n = max(1, len(model.states))
     max_arity = max((l.arity for l in model.signature.labels), default=1)
     branching = max(1, max_arity) ** min(n, 6)
-    return n * (1 + model.max_finite_weight()) * (1 + formula_size) * branching
+    weight = max((w for row in model.compiled.rows for w, _, _ in row if w != INF), default=0)
+    return n * (1 + weight) * (1 + formula_size) * branching
+
+
+def _promote_bound(model: Model, cfg: EvalConfig, formula_size: int = 0) -> int | None:
+    """The promote bound of `model`'s Kleene chains: None off the tropical
+    kind, where no chain promotes (see `kleene`), else `cfg.promote_bound`
+    or, when that is unset, `default_promote_bound`."""
+    if model.descriptor.kind != "tropical":
+        return None
+    if cfg.promote_bound is not None:
+        return cfg.promote_bound
+    return default_promote_bound(model, formula_size)
 
 
 def _extent(model: Model, cfg: EvalConfig, direction: str) -> KleeneResult:
@@ -513,18 +506,14 @@ def _extent(model: Model, cfg: EvalConfig, direction: str) -> KleeneResult:
     if not cm.offset_ids and semiring.kind != "probabilistic":  # bool has no offsets
         return _trop_extent(cm, direction)
     start = semiring.pack([semiring.one if direction == "gfp" else semiring.zero] * len(cm.states))
-
-    def chain(start: list) -> KleeneResult:
-        bound = cfg.promote_bound if cfg.promote_bound is not None else default_promote_bound(model)
-        return kleene(semiring, cm.extent_step, start, direction, cfg, bound, names=cm.states)
-
     terms = None
     if not cm.offset_ids:
         # the block whose body is every label with the variable in every
         # position: one term per transition, so no product reaches the cap
         x = _Poly([(1, 1, (i,))] for i in range(len(cm.states)))
         terms = _step_terms(cm, [(x,) * cm.max_arity] * len(cm.label_ids))
-    return _solve_block(terms, start, direction, chain)
+    return _solve_block(cm, cm.extent_step, terms, start, direction, cfg,
+                        _promote_bound(model, cfg))
 
 
 def _extent_result(model: Model, cfg: EvalConfig | None, direction: str) -> KleeneResult:
@@ -603,11 +592,8 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
         def op(p: list) -> list:
             return _eval(ctx, f.body, {**env, f.var: p}, True)
 
-        def chain(start: list) -> KleeneResult:
-            return kleene(semiring, op, start, direction, ctx.cfg, ctx.promote_bound,
-                          force_exact=nested, names=cm.states)
-
-        return _solve_block(body, start, direction, chain).values
+        return _solve_block(cm, op, body, start, direction, ctx.cfg, ctx.promote_bound,
+                            nested).values
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -636,12 +622,7 @@ def eval_with_certificate(model: Model, formula: Formula,
     embedded extent computation (None when T never had to be computed)."""
     cfg = cfg or EvalConfig()
     _check_valuation(model, valuation)
-    bound = None
-    if model.descriptor.kind == "tropical":
-        bound = cfg.promote_bound
-        if bound is None:
-            bound = default_promote_bound(model, size(formula))
-    ctx = _EvalContext(model, cfg, bound)
+    ctx = _EvalContext(model, cfg, _promote_bound(model, cfg, size(formula)))
     states, semiring = model.compiled.states, model.semiring
     env = {name: semiring.pack([pred[s] for s in states])
            for name, pred in (valuation or {}).items()}

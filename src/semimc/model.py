@@ -147,17 +147,6 @@ class Model(Record, frozen=True, offsets=None):
                 return t.weight
         return None
 
-    def max_finite_weight(self):
-        """Largest finite transition weight; 0 when there are none."""
-        zero = self.semiring.zero
-        best = 0
-        for ts in self.transitions.values():
-            for t in ts:
-                w = t.weight
-                if w != zero and isinstance(w, int) and w > best:
-                    best = w
-        return best
-
     def with_offsets(self, offsets: dict[str, object]) -> "Model":
         new = dict(self.offsets)
         new.update(offsets)

@@ -48,6 +48,15 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 _EXP_LIMIT = 100_000
 
 
+def _fraction(text: str) -> Fraction | None:
+    """`Fraction(text)`, raising as it does, or None when the text's
+    decimal exponent is past both ``_EXP_LIMIT`` and the text's length."""
+    m = _EXPONENT.search(text)
+    if m is not None and len(m[1]) > 5 and abs(int(m[1])) > max(_EXP_LIMIT, len(text)):
+        return None
+    return Fraction(text)
+
+
 class _Undefined:
     """Singleton result of a partial sum falling outside the carrier."""
 
@@ -254,31 +263,20 @@ class ProbabilisticSemiring(Semiring):
                 n, d = int(num), int(den or 1)
                 if n <= d:  # in the carrier: built from integers, no Fraction(text)
                     return Fraction(n, d)
-            m = _EXPONENT.search(text)
-            if m is not None and len(m[1]) > 5:
-                v = self._parse_long_exponent(text, m)
-            else:
-                v = Fraction(text)
+            v = _fraction(text)
+            if v is None:  # the text with exponent 0: the same grammar, and its mantissa's value
+                m = _EXPONENT.search(text)
+                v = Fraction(text[:m.start(1)] + "0")
+                if v > 0 and int(m[1]) < 0:
+                    raise ParseError(
+                        f"exponent of probabilistic scalar {quote(text)} out of range")
+                if v > 0:  # at least 10**(exponent - len(text)) > 1: outside [0, 1]
+                    v = INF
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad probabilistic scalar {quote(text)}") from None
         if not 0 <= v <= 1:
             raise CarrierError(f"probability {quote(text)} outside [0, 1]")
         return v
-
-    @staticmethod
-    def _parse_long_exponent(text, m):
-        """`Fraction(text)` for a text ending in exponent ``m``, never
-        building a power of ten larger than the text or ``_EXP_LIMIT``."""
-        exp = int(m[1])
-        if abs(exp) <= max(_EXP_LIMIT, len(text)):
-            return Fraction(text)
-        # the text with exponent 0: the same grammar, and its mantissa's value
-        mantissa = Fraction(text[:m.start(1)] + "0")
-        if mantissa == 0:
-            return mantissa
-        if mantissa < 0 or exp > 0:  # negative, or at least 10**(exp - len(text)) > 1
-            raise CarrierError(f"probability {quote(text)} outside [0, 1]")
-        raise ParseError(f"exponent of probabilistic scalar {quote(text)} out of range")
 
     def render(self, v):
         return str(Fraction(v))

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from semimc import cli
+from semimc import ParseError, SemiringDescriptor, cli, parse_scalar
 from semimc.cli import main
 from conftest import corpus_path
 
@@ -249,6 +250,19 @@ def test_epsilon_flag_accepts_rational_and_scientific(capsys):
         code, payload = run_json(capsys, "eval", MODEL, FORMULA, "--epsilon", eps)
         assert code == 0
         assert payload["values"]["x"] == "2/5"
+
+
+def test_epsilon_and_scalars_share_the_exponent_bound(capsys):
+    # the largest exponent Fraction is handed whatever the text's length
+    prob = SemiringDescriptor("probabilistic")
+    assert parse_scalar("1e-100000", prob) == Fraction(1, 10**100000)
+    with pytest.raises(ParseError, match="exponent of .* out of range"):
+        parse_scalar("1e-100001", prob)
+    code, payload = run_json(capsys, "extent", MODEL, "--epsilon", "1e-100000")
+    assert code == 0 and payload["values"]["x"] == "2/5"
+    code, out, err = run(capsys, "extent", MODEL, "--epsilon", "1e-100001")
+    assert code == 1 and not out
+    assert "must be written with |exponent| <= 100000, got '1e-100001'" in err
 
 
 def test_text_output_shape(capsys):

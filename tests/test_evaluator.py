@@ -439,6 +439,19 @@ def test_kleene_without_bound_promotes_nothing():
     assert res.values == [2_000_000] and res.report.promoted == ()
 
 
+def test_prob_chains_never_work_out_a_promote_bound(monkeypatch):
+    # prob chains promote nothing, so their extents, with offsets or
+    # branching, run without the tropical cutoff
+    def no_bound(*args):
+        raise AssertionError("default_promote_bound called")
+
+    monkeypatch.setattr(evaluator, "default_promote_bound", no_bound)
+    m = parse_model("semiring prob label a/1 label e/0 state u { 1/2 a -> u; 1/4 e } "
+                    "offset u = 1/2")
+    assert mu_extent_result(m).values == nu_extent_result(m).values == {"u": 1}
+    mu_extent_result(load_corpus_model("branching.prob.model"))
+
+
 def test_kleene_non_convergence():
     with pytest.raises(NonConvergence) as info:
         _kleene_extent("semiring prob label go/1 label out/0 "

@@ -11,9 +11,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semimc import mu_extent
 from semimc._graph import productive, sccs
 from semimc._linear import least_solution, m_matrix
 import linear_reference
+from randgen import DESCRIPTORS, random_model
 
 
 def _reach(succ: list[list[int]]) -> list[set[int]]:
@@ -93,6 +95,8 @@ def test_least_solution_liveness_matches_reverse_search(seed):
     value, solved = least_solution(scale, moves, const)
     live = _live_states(moves, const)
     assert [v != 0 for v in value] == live
+    # the same set, least closed under a positive constant or a move into it
+    assert productive([[(j,) for j in moves[i]] + [()] * (const[i] > 0) for i in range(n)]) == live
     assert solved == sum(live)
     for i in range(n):
         assert scale[i] * value[i] == sum(v * value[j] for j, v in moves[i].items()) + const[i]
@@ -152,6 +156,18 @@ def test_productive_is_the_least_closed_set(rows):
             break
         inside |= more
     assert productive(rows) == [i in inside for i in range(len(rows))]
+
+
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from(["boolean", "tropical"]))
+@settings(max_examples=300, deadline=None)
+def test_productive_states_have_a_finite_mu_extent(seed, kind):
+    # the two users of `settle`: a state has a finite run tree exactly
+    # when it is productive over the successors of its transitions (on
+    # trop[B] the bound makes some productive states inf)
+    m = random_model(random.Random(seed), DESCRIPTORS[kind], max_states=8, max_arity=3)
+    succs = [[tuple(s for _, s in succ) for _, _, succ in row] for row in m.compiled.rows]
+    zero = m.semiring.zero
+    assert productive(succs) == [mu_extent(m)[s] != zero for s in m.states]
 
 
 def _leading_minors(a: list[list[Fraction]]) -> list[Fraction]:
