@@ -1,5 +1,5 @@
-"""The searches over ``CompiledModel.rows``, the linear solver's moves
-and the terms of a polynomial system: the transition index, Knuth's
+"""The searches over ``CompiledModel.rows`` and the rows of a
+probabilistic block (``evaluator._poly``): the transition index, Knuth's
 least-solution loop over it (``settle``), the zero-cost and productive
 states and the SCCs; imported on first use, as ``_linear`` and
 ``_qualitative`` are."""
@@ -83,9 +83,9 @@ def settle(owner: list, weight: list, waiting: list, uses: list,
 
 def productive(monomials) -> list[bool]:
     """The least set of states with a term whose variables are all in it:
-    `monomials[i]` lists state i's terms as tuples of state ids, a
-    constant term as the empty tuple.  `settle` with every weight 0 finds
-    it; a variable counts once per occurrence."""
+    `monomials[i]` iterates over state i's terms as tuples of state ids
+    (a row's {m: num} does), a constant term as the empty tuple.  `settle`
+    with every weight 0 finds it; a variable counts once per occurrence."""
     owner, waiting = [], []
     uses = [[] for _ in monomials]
     for i, row in enumerate(monomials):

@@ -1,17 +1,17 @@
 """Exact least solutions of nonnegative linear systems.
 
-The system is scale[i] * x_i = sum_j moves[i][j] * x_j + const[i] over
-naturals, x = A x + b with A, b >= 0, whose Kleene chain from 0 is
-bounded: the extent step of a probabilistic model whose transitions have
-at most one successor, or a fixpoint binder whose body the evaluator
-finds affine in its variable (see ``evaluator._eval``).  Its least
-solution is the limit of that chain, and this module computes it exactly
-(Baier & Katoen, Principles of Model Checking, 10.1.1):
+The system is given in the evaluator's row form (``evaluator._poly``):
+per unknown i a row (den, {m: num}) for den * x_i = sum of num * x_m,
+each monomial m a 1-tuple (j,) for a move to x_j or () for the
+constant, every num positive.  It is x = A x + b with A, b >= 0, whose
+Kleene chain from 0 is bounded: the extent step of a probabilistic model
+whose transitions have at most one successor, or a fixpoint binder whose
+body the evaluator finds affine in its variable (see ``evaluator._eval``).
+Its least solution is the limit of that chain, and this module computes
+it exactly (Baier & Katoen, Principles of Model Checking, 10.1.1):
 
-* one pass over the components (``_graph.sccs``) in reverse topological
-  order decides liveness: a component is live when a state of it has a
-  positive constant or a move into a live one, and its states are 0
-  otherwise;
+* liveness is ``_graph.productive`` on the same rows: the least set of
+  unknowns with a constant or a move into the set.  The others are 0;
 * on the live states I - A is a nonsingular M-matrix (a bounded chain
   leaves no component of spectral radius at least 1 that reaches a
   positive constant), and so are its principal submatrices and Schur
@@ -32,28 +32,22 @@ import heapq
 from fractions import Fraction
 from math import gcd
 
-from ._graph import sccs
+from ._graph import productive
 
 
-def least_solution(scale: list[int], moves: list[dict[int, int]],
-                   const: list[int]) -> tuple[list[Fraction], int]:
-    """The least solution, and the number of states solved by elimination
-    (those that reach a positive constant)."""
-    live = [False] * len(scale)
-    for comp in sccs(moves):
-        # components it reaches came first, so a move out of it is decided
-        if any(const[i] > 0 or any(live[j] for j in moves[i]) for i in comp):
-            for i in comp:
-                live[i] = True
-    rows = {i: {j: -v for j, v in moves[i].items() if live[j]}  # dead ones are 0
-            for i in range(len(scale)) if live[i]}
-    for i, row in rows.items():
-        row[i] = row.get(i, 0) + scale[i]
-        row[_RHS] = const[i]
-    value = [Fraction(0)] * len(scale)
-    for i, v in _eliminate(rows).items():
-        value[i] = v
-    return value, len(rows)
+def least_solution(rows: list) -> tuple[list[Fraction], int]:
+    """The least solution of the system in `rows`, and the number of
+    states solved by elimination (the live ones)."""
+    live = productive([nums for _, nums in rows])
+    system = {}
+    for i, (den, nums) in enumerate(rows):
+        if live[i]:
+            eq = {m[0]: -v for m, v in nums.items() if m and live[m[0]]}  # dead ones are 0
+            eq[i] = eq.get(i, 0) + den
+            eq[_RHS] = nums.get((), 0)
+            system[i] = eq
+    value, zero = _eliminate(system), Fraction(0)
+    return [value.get(i, zero) for i in range(len(rows))], len(system)
 
 
 _RHS = -1  # the column key of the right-hand side in `_eliminate` rows

@@ -1,13 +1,13 @@
 """The states of value 0 and of value 1 in the least solution of a
 probabilistic polynomial system, decided exactly and without iteration.
 
-The system is x = P(x): per state s, P_s is a sum of terms n/d * x_m1 *
-... * x_mk with positive coefficients, given as rows of ``(n, d, m)``,
-the monomial m a tuple of state ids (``evaluator._step_terms``).  It is
-the mu extent of a branching model, or a mu binder's body in its
-variable.  Following Etessami & Yannakakis (Recursive Markov chains,
-stochastic grammars, and monotone systems of nonlinear equations, JACM
-2009, section 8):
+The system is x = P(x): per state s, P_s is a sum of terms num/den *
+x_m1 * ... * x_mk with positive coefficients, given in the evaluator's
+row form (den, {m: num}), the monomial m a sorted tuple of state ids
+(``evaluator._poly``).  It is the mu extent of a branching model, or a
+mu binder's body in its variable.  Following Etessami & Yannakakis
+(Recursive Markov chains, stochastic grammars, and monotone systems of
+nonlinear equations, JACM 2009, section 8):
 
 * value 0: the states that are not productive (``_graph.productive``).
   Every term of such a state has a variable of value 0, so a Kleene
@@ -40,8 +40,6 @@ module on first use.
 
 from __future__ import annotations
 
-from math import lcm
-
 from ._graph import productive, sccs
 from ._linear import m_matrix
 
@@ -51,8 +49,8 @@ _ELIMINATED = 100  # the most states of a component `m_matrix` is run on
 def one_states(rows: list) -> list[bool]:
     """Per state, whether its value in the least solution of the system
     in `rows` is 1 (see the module docstring)."""
-    live = productive([[m for _, _, m in row] for row in rows])
-    succ = [{j for _, _, m in row for j in m} for row in rows]
+    live = productive([nums for _, nums in rows])
+    succ = [{j for m in nums for j in m} for _, nums in rows]
     one = [False] * len(rows)
     for comp in sccs(succ):  # each after every component it reaches
         inside = set(comp)
@@ -65,22 +63,20 @@ def one_states(rows: list) -> list[bool]:
 
 def _subcritical(rows: list, comp: list, inside: set) -> bool:
     """Whether P_s(1) = 1 on `comp` and the spectral radius of P'(1) on
-    it is at most 1: whether each row of I - P'(1), scaled to integers,
+    it is at most 1: whether each row of I - P'(1), times the row's den,
     sums to at least 0, or else that matrix is an M-matrix (only tested
-    up to `_ELIMINATED` states).  A term n/d * x_m adds n/d to the
-    derivative by x_t once per occurrence of t in m."""
+    up to `_ELIMINATED` states).  A term num/den * x_m adds num/den to
+    the derivative by x_t once per occurrence of t in m."""
     system = {}
     for s in comp:
-        lcd = lcm(*(d for _, d, _ in rows[s]))
-        row, total = {s: lcd}, 0
-        for n, d, m in rows[s]:
-            v = n * (lcd // d)
-            total += v
+        den, nums = rows[s]
+        if sum(nums.values()) != den:
+            return False
+        row = {s: den}
+        for m, v in nums.items():
             for t in m:
                 if t in inside:
                     row[t] = row.get(t, 0) - v
-        if total != lcd:
-            return False
         system[s] = row
     if all(sum(row.values()) >= 0 for row in system.values()):
         return True

@@ -26,13 +26,12 @@ Two kinds of fixpoint block are not iterated, so they never depend on
   Knuth's generalisation of Dijkstra's algorithm;
 * probabilistic blocks affine in their variable on offset-free models:
   ``_affine_fixpoint`` solves x = A x + c exactly with
-  ``_linear.least_solution`` (liveness from the strongly connected
-  components, then one elimination over all live states on primitive
-  integer rows).  The extent's block has the variable in every argument
-  position; a binder's is built by ``_eval``, with the variable bound to
-  a ``_Poly`` identity (terms with monomials in the variable), and is
-  affine unless a transition has two successors that depend on the
-  variable or an inner binder mentions it.
+  ``_linear.least_solution``.  Each prob block's equations have one row
+  form, built only by ``_poly`` and read as is by every solver: the
+  extent's straight from the model's transitions, a binder's by
+  ``_eval`` with the variable bound to a ``_Poly`` identity, affine
+  unless a transition has two successors that depend on the variable
+  or an inner binder mentions it.
 
 A probabilistic ``mu`` block of degree 2 or more on an offset-free model
 (a branching extent, or a binder such as ``mu X. ([s](X, X) | [e])``) is
@@ -314,12 +313,11 @@ def _trop_extent(cm: CompiledModel, direction: str) -> KleeneResult:
 
 class _Poly(list):
     """A prob value polynomial in the variable x of the binder being
-    solved: per state, terms (n, d, m) for n/d * x_m1 * ... * x_mk, the
-    monomial m a sorted tuple of state ids (m = (): the constant n/d)."""
+    solved: per state, a row in the form of `_poly`."""
 
 
 class _NotPoly(Exception):
-    """Ends the attempt to solve a binder from its terms; its chain runs
+    """Ends the attempt to solve a binder from its rows; its chain runs
     from the plain start instead.  The args name the variable when an
     inner binder mentions it."""
 
@@ -333,28 +331,29 @@ _ENCLOSING = object()  # an enclosing binder's variable, inside an inner binder
 _PRODUCT_CAP = 64
 
 
-def _poly(rows: list) -> _Poly:
-    """`rows` as a polynomial value, with one nonzero term per monomial in
-    a row.  Ends the attempt when a row exceeds 1 at x = 1 (only on a
-    model or formula validation rejects): the chain runs and raises at
-    its sum."""
+def _poly(rows) -> _Poly:
+    """`rows`, per state terms (n, d, m) for n/d * x_m1 * ... * x_mk, in
+    the row form of every prob block: per state (den, {m: num}), den the
+    terms' least common denominator, each monomial m a sorted tuple of
+    state ids (() for the constant) and no numerator 0.  The one mass
+    check: ends the attempt when a row exceeds 1 at x = 1 (only on a model
+    or formula validation rejects), and the chain runs and raises at its sum."""
     out = _Poly()
     for row in rows:
-        lcd, merged = lcm(*(d for _, d, _ in row)), {}
+        den, nums = lcm(*[d for _, d, _ in row]), {}
         for n, d, m in row:
-            merged[m] = merged.get(m, 0) + n * (lcd // d)
-        if sum(merged.values()) > lcd:
+            nums[m] = nums.get(m, 0) + n * (den // d)
+        if sum(nums.values()) > den:
             raise _NotPoly
-        out.append([(n, lcd, m) for m, n in merged.items() if n])
+        out.append((den, nums if all(nums.values()) else {m: n for m, n in nums.items() if n}))
     return out
 
 
-def _step_terms(cm: CompiledModel, args: list) -> list:
+def _step_terms(cm: CompiledModel, args: list) -> _Poly:
     """`cm.step(args)` where some arguments are polynomial values
-    (`_Poly`), as rows of terms (see `_poly`): a transition with several
-    polynomial successors contributes the product of their terms.  Ends
-    the attempt when a product would have more than `_PRODUCT_CAP`
-    terms."""
+    (`_Poly`), as rows (`_poly`): a transition with several polynomial
+    successors contributes the product of their terms.  Ends the attempt
+    when a product would have more than `_PRODUCT_CAP` terms."""
     out = []
     for row in cm.rows:
         terms = []
@@ -365,7 +364,8 @@ def _step_terms(cm: CompiledModel, args: list) -> list:
             sub = None  # the product of the polynomial successors' terms
             for k, s in succs:
                 if type(preds[k]) is _Poly:
-                    p = preds[k][s]
+                    den, nums = preds[k][s]
+                    p = [(v, den, q) for q, v in nums.items()]
                     if sub is None:
                         sub = p
                     elif len(sub) * len(p) > _PRODUCT_CAP:
@@ -380,7 +380,7 @@ def _step_terms(cm: CompiledModel, args: list) -> list:
             if n:
                 terms += [(n, d, ())] if sub is None else [(n * a, d * c, m) for a, c, m in sub]
         out.append(terms)
-    return out
+    return _poly(out)
 
 
 def _sum_terms(terms: list) -> _Poly:
@@ -388,53 +388,43 @@ def _sum_terms(terms: list) -> _Poly:
     out = [[] for _ in terms[0][1]]
     for c, p in terms:
         a, b = c.as_integer_ratio()
-        for row, v in zip(out, p if type(p) is _Poly else ([(n, d, ())] for n, d in p)):
-            row += [(a * n, b * d, m) for n, d, m in v]
+        for row, (d, nums) in zip(out, p if type(p) is _Poly else ((d, {(): n}) for n, d in p)):
+            row += [(a * n, b * d, m) for m, n in nums.items()]
     return _poly(out)
 
 
-def _affine_fixpoint(terms: list, top: list | None) -> tuple[list, int] | None:
-    """The fixpoint of the prob affine map f(x) = A x + c in `terms`
-    (rows of nonzero terms of degree at most 1, see `_poly`), exactly:
-    the least when `top` is None, else the greatest below `top`.  Returns
-    pairs and the states solved by elimination, or None when the check
-    fails and the chain must run.
+def _affine_fixpoint(rows: _Poly, top: list | None) -> tuple[list, int] | None:
+    """The fixpoint of the prob affine map f(x) = A x + c in `rows`
+    (`_poly`, of degree at most 1), exactly: the least when `top` is
+    None, else the greatest below `top`.  Returns pairs and the states
+    solved by elimination, or None when the chain must run.
 
-    The lfp solves x = A x + c, if A 1 + c <= 1 (the chain from 0 stays
-    in [0, 1]).  The gfp is top - y, y the lfp of y = A y + top - f(top),
-    if top - f(top) >= 0 (else the chain from `top` rises); its chain
-    stays below `top`.  Both chains are bounded, as `least_solution`
-    needs.  Sums inside f are checked as `_poly` builds them.
+    The lfp is `least_solution` of the rows as they are (`_poly` checked
+    A 1 + c <= 1, so the chain from 0 stays in [0, 1]).  The gfp is
+    top - y, y the lfp of y = A y + top - f(top), if top - f(top) >= 0
+    (else the chain from `top` rises); its rows take the same form, on
+    integers, and its chain stays below `top`.
     """
     # imported on first use: with no bytecode cache, every process that
     # imports semimc would otherwise compile the solver; a relative import is slower
     import semimc._linear as linear
 
-    scale, moves, const = [], [], []
-    for i, row in enumerate(terms):
-        if top is None:
-            lcd, b = lcm(*(d for _, d, _ in row)), 0
-        else:  # the y system: the same moves, constant top - f(top)
-            tn, td = top[i]
-            lcd = lcm(td, *(d * top[m[0]][1] if m else d for _, d, m in row))
-            b = tn * (lcd // td)
-        out = {}
-        for n, d, m in row:
-            v = n * (lcd // d)
-            if not m:
-                b += v if top is None else -v
-            else:
-                j = m[0]
-                out[j] = out.get(j, 0) + v
-                if top is not None:  # d * top[j][1] divides lcd
-                    tn, td = top[j]
-                    b -= v * tn // td
-        if b < 0 or (top is None and b + sum(out.values()) > lcd):
-            return None
-        scale.append(lcd)
-        moves.append(out)
-        const.append(b)
-    value, solved = linear.least_solution(scale, moves, const)
+    if top is not None:
+        complement = []
+        for (tn, td), (den, nums) in zip(top, rows):
+            # den * lcm(the top denominators of the moves) clears f(top)
+            scale = lcm(td, den * lcm(*[top[m[0]][1] for m in nums if m]))
+            row = {m: n * (scale // den) for m, n in nums.items()}
+            b = tn * (scale // td) - row.pop((), 0)
+            for (j,), v in row.items():
+                b -= v * top[j][0] // top[j][1]
+            if b < 0:
+                return None
+            if b:
+                row[()] = b
+            complement.append((scale, row))
+        rows = complement
+    value, solved = linear.least_solution(rows)
     # pairs in lowest terms, as the grid test needs
     pairs = [v.as_integer_ratio() for v in value]
     if top is not None:  # x = top - y
@@ -445,26 +435,26 @@ def _affine_fixpoint(terms: list, top: list | None) -> tuple[list, int] | None:
     return pairs, solved
 
 
-def _solve_block(cm: CompiledModel, op: Callable, terms: list | None, start: list,
+def _solve_block(cm: CompiledModel, op: Callable, rows: _Poly | None, start: list,
                  direction: str, cfg: EvalConfig, bound: int | None,
                  nested: bool = False) -> KleeneResult:
     """A fixpoint block of operator `op`: the extent's, or a binder's.
-    `terms` is its body as rows of terms in its variable (see
-    `_step_terms`), or None off an offset-free prob model or when building
-    them ended (`_NotPoly`).  A body of degree at most 1 is solved exactly
-    by `_affine_fixpoint` when its check passes.  Otherwise `kleene` runs
+    `rows` is its body in its variable, in the one row form (`_poly`), or
+    None off an offset-free prob model or when building them ended
+    (`_NotPoly`).  A body of degree at most 1 is solved exactly by
+    `_affine_fixpoint` when its check passes.  Otherwise `kleene` runs
     (`force_exact` when `nested`), for an lfp of degree 2 or more from the
     indicator of its states of value 1 (`_qualitative.one_states`): a
     pre-fixpoint below the lfp, so the chain keeps its checks and limit,
     and where every state has value 0 or 1 it stabilises on its first step."""
-    if terms is not None:
-        if all(len(m) < 2 for row in terms for _, _, m in row):
-            res = _affine_fixpoint(terms, start if direction == "gfp" else None)
+    if rows is not None:
+        if all(len(m) < 2 for _, nums in rows for m in nums):
+            res = _affine_fixpoint(rows, start if direction == "gfp" else None)
             if res:
                 return KleeneResult(res[0], KleeneReport(res[1], Fraction(0), Fraction(0)))
         elif direction == "lfp":
             import semimc._qualitative as qualitative  # loaded on first use, as `_linear` is
-            start = [(1, 1) if one else (0, 1) for one in qualitative.one_states(terms)]
+            start = [(1, 1) if one else (0, 1) for one in qualitative.one_states(rows)]
     return kleene(cm.semiring, op, start, direction, cfg, bound,
                   force_exact=nested, names=cm.states)
 
@@ -506,13 +496,15 @@ def _extent(model: Model, cfg: EvalConfig, direction: str) -> KleeneResult:
     if not cm.offset_ids and semiring.kind != "probabilistic":  # bool has no offsets
         return _trop_extent(cm, direction)
     start = semiring.pack([semiring.one if direction == "gfp" else semiring.zero] * len(cm.states))
-    terms = None
+    rows = None
     if not cm.offset_ids:
-        # the block whose body is every label with the variable in every
-        # position: one term per transition, so no product reaches the cap
-        x = _Poly([(1, 1, (i,))] for i in range(len(cm.states)))
-        terms = _step_terms(cm, [(x,) * cm.max_arity] * len(cm.label_ids))
-    return _solve_block(cm, cm.extent_step, terms, start, direction, cfg,
+        # every label with the variable in every position: a term per transition
+        try:
+            rows = _poly([(n, d, tuple(sorted([s for _, s in succs]))) for (n, d), _, succs in row]
+                         for row in cm.rows)
+        except _NotPoly:
+            pass
+    return _solve_block(cm, cm.extent_step, rows, start, direction, cfg,
                         _promote_bound(model, cfg))
 
 
@@ -571,7 +563,7 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
             poly = poly or _Poly in map(type, preds)
             if lbl in cm.label_ids:  # other labels have no transitions
                 args[cm.label_ids[lbl]] = preds
-        return _poly(_step_terms(cm, args)) if poly else cm.step(args)
+        return _step_terms(cm, args) if poly else cm.step(args)
     if isinstance(f, (Mu, Nu)):
         if isinstance(f, Mu):
             direction, start = "lfp", semiring.pack([semiring.zero] * len(cm.states))
@@ -579,10 +571,10 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
             direction, start = "gfp", _eval(ctx, TOP, env)
         body = None
         if semiring.kind == "probabilistic" and not cm.offset_ids:
-            # the body at the identity, as terms (_sum_terms) even without f.var;
+            # the body at the identity, as rows (_sum_terms) even without f.var;
             # an enclosing binder's variable used here ends that binder's attempt
             env = {k: _ENCLOSING if type(v) is _Poly else v for k, v in env.items()}
-            x = _Poly([(1, 1, (i,))] for i in range(len(cm.states)))
+            x = _Poly((1, {(i,): 1}) for i in range(len(cm.states)))
             try:
                 body = _sum_terms([(1, _eval(ctx, f.body, {**env, f.var: x}, True))])
             except _NotPoly as e:
@@ -602,6 +594,10 @@ def _check_valuation(model: Model, valuation: dict[str, Predicate] | None):
         if set(pred) != set(model.states):
             raise EvaluationError(
                 f"valuation for {name!r} is not a total map over the states")
+        for state, v in pred.items():
+            if not model.semiring.contains(v):
+                raise EvaluationError(f"valuation for {name!r} at state {quote(state)} "
+                                      f"is {v!r}, outside the semiring's carrier")
 
 
 def eval_formula(model: Model, formula: Formula,

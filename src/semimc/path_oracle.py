@@ -48,9 +48,12 @@ def root_state(q: PathFragment) -> str:
 def enum_fragments(model: Model, state: str, depth: int, cap: int | None = None):
     """Uniform-depth path fragments from `state`: state leaves exactly at
     the cut depth, branches may complete earlier through nullary labels.
-    Depth 0 yields just the state leaf.  The cap is checked against the
-    exact fragment count before anything is materialised; enumerated
-    fragments share their sub-fragments."""
+    Depth 0 yields just the state leaf, and a negative depth is a
+    ValidationError.  The cap is checked against the exact fragment count
+    before anything is materialised; enumerated fragments share their
+    sub-fragments."""
+    if depth < 0:
+        raise ValidationError(f"depth must be at least 0, got {depth}")
     if cap is not None:
         n = count_fragments(model, state, depth)
         if n > cap:
@@ -265,8 +268,10 @@ def compare_semantics(model: Model, phi: Formula, k: int,
     step-wise and through the path oracle at the matching enumeration
     depth; on boolean and tropical-family models any nonzero discrepancy
     is a mismatch, on probabilistic models the tolerance comes from the
-    extent's convergence certificate.
+    extent's convergence certificate.  A negative k is a ValidationError.
     """
+    if k < 0:
+        raise ValidationError(f"unrolling depth must be at least 0, got {k}")
     cfg = cfg or EvalConfig()
     cls = classify(phi)
     if not (cls.closed and cls.qualitative):

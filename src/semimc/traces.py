@@ -129,6 +129,8 @@ def enumerate_fragments(signature: Signature, max_depth: int,
     (shallow fragments first, stable label order within each depth).
     Every fragment, the top leaf included, counts against `cap` before it
     is yielded."""
+    if max_depth < 0:
+        raise ValidationError(f"depth must be at least 0, got {max_depth}")
     return _capped(_fragments(signature, max_depth), cap, "fragment")
 
 
@@ -162,6 +164,8 @@ def _fragments(signature: Signature, max_depth: int) -> Iterator[tuple[int, Trac
 def truncations(signature: Signature, n: int, cap: int | None = None) -> Iterator[TraceFragment]:
     """Depth-n truncations of maximal traces: every top leaf under exactly
     n nodes, nullary completions allowed earlier."""
+    if n < 0:
+        raise ValidationError(f"depth must be at least 0, got {n}")
     return _capped(((n, frag) for frag in _truncs(signature, n)), cap, "truncation")
 
 
@@ -273,13 +277,16 @@ def equiv_upto(model: Model, c: str, d: str, max_depth: int,
     kind "lt" ranges over all trace fragments; kind "tr" ranges over
     depth-n truncations for each n up to `max_depth` and compares the
     matching approximants (plain models only); any other kind is a
-    ValidationError.  Values are compared exactly on finite carriers and
-    up to cfg.epsilon on probabilistic models (both sides share one
-    extent table, so equal behaviours agree exactly there too).
+    ValidationError, and so is a negative `max_depth`.  Values are
+    compared exactly on finite carriers and up to cfg.epsilon on
+    probabilistic models (both sides share one extent table, so equal
+    behaviours agree exactly there too).
     """
     i, j = _state_id(model, c), _state_id(model, d)
     if kind not in ("lt", "tr"):
         raise ValidationError(f"unknown kind {quote(kind)}; expected 'lt' or 'tr'")
+    if max_depth < 0:
+        raise ValidationError(f"depth must be at least 0, got {max_depth}")
     cfg = cfg or EvalConfig()
     semiring = model.semiring
     checked = 0

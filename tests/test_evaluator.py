@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -372,6 +372,50 @@ def test_affine_binders_match_kleene(seed):
             assert (g <= x[s]) if binder is Mu else (g >= x[s])
 
 
+def _poly_body(rng: random.Random, signature: Signature, depth: int = 3):
+    """A random body in X of any degree: X, T, F, a modality whose
+    arguments are bodies (X in several of them multiplies) or a weighted
+    sum of bodies."""
+    r = rng.random()
+    if not depth or r < 0.3:
+        return rng.choice([Var("X"), Var("X"), TOP, BOT])
+    if r < 0.75:
+        return Modal(tuple((label.name, tuple(_poly_body(rng, signature, depth - 1)
+                                              for _ in range(label.arity)))
+                           for label in rng.sample(signature.labels,
+                                                   rng.randint(1, min(2, len(signature.labels))))))
+    parts = [_poly_body(rng, signature, depth - 1) for _ in range(rng.randint(1, 3))]
+    return WeightedSum(tuple(zip(_prob_weights(rng, len(parts)), parts)))
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_rows_evaluate_to_the_body_at_any_point(seed):
+    # the rows `_eval` builds with X the identity, read at a random
+    # rational point p, are the body evaluated at p, exactly; the body
+    # with X in every argument of every label has the extent's rows
+    rng = random.Random(seed)
+    m = random_model(rng, DESCRIPTORS["probabilistic"], max_states=5, max_arity=2)
+    cm, sr = m.compiled, m.semiring
+    ctx = evaluator._EvalContext(m, EvalConfig(), None)
+    x = evaluator._Poly((1, {(i,): 1}) for i in range(len(cm.states)))
+    bodies = [Modal(tuple((label.name, (Var("X"),) * label.arity)
+                          for label in m.signature.labels)),
+              *(_poly_body(rng, m.signature) for _ in range(3))]
+    for body in bodies:
+        try:
+            rows = evaluator._sum_terms([(1, evaluator._eval(ctx, body, {"X": x}))])
+        except evaluator._NotPoly:
+            continue
+        p = [Fraction(rng.randint(0, den), den) for den in (rng.randint(1, 12) for _ in cm.states)]
+        at_p = []
+        for den, nums in rows:
+            # one positive denominator, sorted monomials, no zero numerator
+            assert den > 0 and all(n > 0 and list(mono) == sorted(mono) for mono, n in nums.items())
+            at_p.append(sum(Fraction(n, den) * prod(p[j] for j in mono) for mono, n in nums.items()))
+        assert at_p == sr.unpack(evaluator._eval(ctx, body, {"X": sr.pack(p)}))
+
+
 def test_grid_test_sees_solver_values_in_lowest_terms():
     # a 60-state ring, each state 1/2 a -> next and 1/6 e: the extent is
     # exactly 1/3 in both directions, but the solver's determinant
@@ -667,12 +711,12 @@ def test_nested_modalities_keep_one_term_per_state():
                     "state t { 1/2 a -> s; 1/2 a -> t }")
     depth = 12
     f = parse_formula("[a](" * depth + "X" + ")" * depth, m.signature, m.descriptor)
-    x = evaluator._Poly([(1, 1, (i,))] for i in range(2))
+    x = evaluator._Poly((1, {(i,): 1}) for i in range(2))
     rows = evaluator._eval(evaluator._EvalContext(m, EvalConfig(), None), f, {"X": x})
-    assert [sorted(j for _, _, j in row) for row in rows] == [[(0,), (1,)], [(0,), (1,)]]
+    assert [sorted(nums) for _, nums in rows] == [[(0,), (1,)], [(0,), (1,)]]
     # at X = 1 the terms sum to the formula's value there
     ones = eval_formula(m, f, {"X": dict.fromkeys(m.states, Fraction(1))})
-    assert [sum(Fraction(n, d) for n, d, _ in row) for row in rows] == [ones["s"], ones["t"]]
+    assert [Fraction(sum(nums.values()), den) for den, nums in rows] == [ones["s"], ones["t"]]
 
 
 def test_zero_terms_of_an_affine_body_are_no_moves():
@@ -731,6 +775,31 @@ def test_prob_non_convergence_pinned():
         "u": Fraction(42458859500337784413639989063636046173, 42535295865117307932921825928971026432)}
     assert info.value.previous == {
         "u": Fraction(339602932567342698847536057517679498043, GRID)}
+
+
+@pytest.mark.parametrize("name, formula, bad", [
+    ("extent-example.prob.model", "X", Fraction(2)),
+    ("extent-example.trop.model", "[b](X)", -3),
+    ("extent-example.btrop.model", "[b](X)", 7),  # above the bound 6
+    ("deadlock.bool.model", "[b](X)", 2),
+])
+def test_valuation_outside_the_carrier_is_an_evaluation_error(name, formula, bad):
+    # a value the semiring does not contain is refused, naming the
+    # variable and the state, before any computation on it
+    m = load_corpus_model(name)
+    f = parse_formula(formula, m.signature, m.descriptor)
+    good = dict.fromkeys(m.states, m.semiring.one)
+    with pytest.raises(EvaluationError, match=r"^valuation for 'X' at state 'y' is "):
+        eval_formula(m, f, {"X": {**good, "y": bad}})
+
+
+def test_prob_valuation_of_another_type_is_an_evaluation_error(extent_prob):
+    # negative values and strings are refused too, where a string raised
+    # a bare AttributeError
+    f = parse_formula("[b](X)", extent_prob.signature, extent_prob.descriptor)
+    for bad in (-1, Fraction(-1, 2), "1/2"):
+        with pytest.raises(EvaluationError, match="^valuation for 'X' at state 'x' is "):
+            eval_formula(extent_prob, f, {"X": dict.fromkeys(extent_prob.states, bad)})
 
 
 def test_unbound_variable():
@@ -890,7 +959,7 @@ def _one_states(text: str) -> dict:
     """The qualitative pass on the mu extent of the model in `text`."""
     import semimc._qualitative as qualitative
     cm = parse_model(text).compiled
-    x = evaluator._Poly([(1, 1, (i,))] for i in range(len(cm.states)))
+    x = evaluator._Poly((1, {(i,): 1}) for i in range(len(cm.states)))
     terms = evaluator._step_terms(cm, [(x,) * cm.max_arity] * len(cm.label_ids))
     return dict(zip(cm.states, qualitative.one_states(terms)))
 

@@ -1,7 +1,7 @@
 """The qualitative graph layer (`semimc._graph`), the liveness that
-`_linear.least_solution` decides in its SCC pass, and its one elimination
-over the live states, checked against the per-component Bareiss solver it
-replaced (`tests/linear_reference.py`)."""
+`_linear.least_solution` takes from `_graph.productive`, and its one
+elimination over the live states, checked against the per-component
+Bareiss solver it replaced (`tests/linear_reference.py`)."""
 
 from __future__ import annotations
 
@@ -74,6 +74,12 @@ def _live_states(moves: list[dict], const: list[int]) -> list[bool]:
     return live
 
 
+def _rows(scale: list[int], moves: list[dict], const: list[int]) -> list:
+    """scale * x = A x + b in the evaluator's row form (den, {m: num})."""
+    return [(den, {**{(j,): v for j, v in row.items() if v}, **({(): c} if c else {})})
+            for den, row, c in zip(scale, moves, const)]
+
+
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=300, deadline=None)
 def test_least_solution_liveness_matches_reverse_search(seed):
@@ -92,7 +98,7 @@ def test_least_solution_liveness_matches_reverse_search(seed):
         scale.append(den)
         moves.append(row)
         const.append(rng.randint(1, 3) if rng.random() < 0.15 else 0)
-    value, solved = least_solution(scale, moves, const)
+    value, solved = least_solution(_rows(scale, moves, const))
     live = _live_states(moves, const)
     assert [v != 0 for v in value] == live
     # the same set, least closed under a positive constant or a move into it
@@ -132,7 +138,7 @@ def test_least_solution_matches_per_component_bareiss(seed):
         moves.append(row)
         room = den - mass
         const.append(rng.randint(1, room) if room and i < tail and rng.random() < 0.2 else 0)
-    got = least_solution(scale, moves, const)
+    got = least_solution(_rows(scale, moves, const))
     assert got == linear_reference.least_solution(scale, moves, const)
     assert all(type(v) is Fraction for v in got[0])
 

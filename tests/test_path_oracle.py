@@ -22,6 +22,16 @@ EPS = Fraction(1, 10**9)
 # enumeration
 
 
+def test_negative_depth_is_a_validation_error(extent_prob):
+    # where compare_semantics with k = -1 ran and reported ok, and path
+    # enumeration at depth -1 recursed until RecursionError
+    phi = parse_formula("nu X. [a](X) | [*]", extent_prob.signature, extent_prob.descriptor)
+    with pytest.raises(ValidationError, match="^unrolling depth must be at least 0, got -1$"):
+        compare_semantics(extent_prob, phi, -1)
+    with pytest.raises(ValidationError, match="^depth must be at least 0, got -1$"):
+        list(enum_fragments(extent_prob, "x", -1))
+
+
 def test_depth_zero_is_state_leaf(extent_prob):
     assert list(enum_fragments(extent_prob, "x", 0)) == [StateLeaf("x")]
 

@@ -169,6 +169,22 @@ def test_unknown_equiv_kind_is_a_validation_error(corpus_models, monkeypatch):
                 equiv_upto(corpus_models[name], c, d, 1, kind)
 
 
+def test_negative_depth_is_a_validation_error(extent_prob, monkeypatch):
+    # where a depth of -1 yielded the top leaf, or equiv_upto reported it
+    # as a witness; checked before any extent
+    def no_extent(*args, **kwargs):
+        raise AssertionError("extent computed before the depth was checked")
+
+    monkeypatch.setattr("semimc.traces.nu_extent", no_extent)
+    calls = [lambda: enumerate_fragments(extent_prob.signature, -1),
+             lambda: truncations(extent_prob.signature, -1),
+             lambda: equiv_upto(extent_prob, "x", "y", -1),
+             lambda: equiv_upto(extent_prob, "x", "y", -1, "tr")]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^depth must be at least 0, got -1$"):
+            call()
+
+
 def _unknown_state_calls(model, frag, n):
     """Every public entry point, called with the unknown state 'nope' on
     each side it takes a state."""
