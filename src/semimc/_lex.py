@@ -18,8 +18,9 @@ from .errors import ParseError, quote
 
 # most levels a parser keeps open at once: each formula (the whole one,
 # parenthesised ones, modal arguments and binder bodies) or list of fragment
-# children is one level.  The formula parser takes up to five Python frames
-# per level, so this stays inside the default recursion limit of 1000.
+# children is one level.  Parsing a level, or solving a binder (the one
+# recursion past the parsers, see `evaluator._eval`), takes up to five Python
+# frames, so both nest inside the default recursion limit of 1000.
 MAX_DEPTH = 160
 
 # one token: a digit run with at most one decimal point ("0.25"), an

@@ -16,6 +16,8 @@ payload or as the same content in text lines.
 
 Exit codes: 0 success, 1 validation or usage errors, 2 non-convergence or
 enumeration caps, 3 I/O errors; `main` maps each error class to its code.
+A deep `--depth` or `--unroll` ends in one of these codes too: the parsers
+stop at `_lex.MAX_DEPTH` levels, and every walk past them is iterative.
 """
 
 from __future__ import annotations
@@ -397,8 +399,6 @@ def main(argv: list[str] | None = None) -> int:
         code, message = EXIT_USER, str(e)
     except OSError as e:
         code, message = EXIT_IO, str(e)
-    except RecursionError:  # the parsers stop at _lex.MAX_DEPTH; formula walks still recurse
-        code, message = EXIT_USER, "input nested too deeply"
     print(_error_payload(args.command, args.format, message, code), file=sys.stderr)
     return code
 

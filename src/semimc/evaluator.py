@@ -81,7 +81,7 @@ from operator import ge, le
 
 from ._record import Record
 from .errors import EvaluationError, NonConvergence, NonMonotoneChain, quote
-from .logic import TOP, Formula, Modal, Mu, Nu, Top, Var, WeightedSum, size
+from .logic import TOP, Formula, Modal, Mu, Nu, Top, Var, WeightedSum, _children, _fold, size
 from .model import CompiledModel, Model
 from .semiring import INF, Semiring
 
@@ -342,7 +342,7 @@ def _poly(rows) -> _Poly:
     for row in rows:
         den, nums = lcm(*[d for _, d, _ in row]), {}
         for n, d, m in row:
-            nums[m] = nums.get(m, 0) + n * (den // d)
+            nums[m] = nums[m] + n * (den // d) if m in nums else n * (den // d)
         if sum(nums.values()) > den:
             raise _NotPoly
         out.append((den, nums if all(nums.values()) else {m: n for m, n in nums.items() if n}))
@@ -500,7 +500,8 @@ def _extent(model: Model, cfg: EvalConfig, direction: str) -> KleeneResult:
     if not cm.offset_ids:
         # every label with the variable in every position: a term per transition
         try:
-            rows = _poly([(n, d, tuple(sorted([s for _, s in succs]))) for (n, d), _, succs in row]
+            rows = _poly([(n, d, (succs[0][1],) if len(succs) == 1 else
+                           tuple(sorted([s for _, s in succs]))) for (n, d), _, succs in row]
                          for row in cm.rows)
         except _NotPoly:
             pass
@@ -532,61 +533,69 @@ def mu_extent(model: Model, cfg: EvalConfig | None = None) -> Predicate:
     return mu_extent_result(model, cfg).values
 
 
-class _EvalContext(Record, top=None):
+class _EvalContext(Record, top=None, plans=None):
     # promote_bound: for the formula's fixpoints, None off the tropical kind;
-    # top: T, the greatest extent, once needed
-    __slots__ = ("model", "cfg", "promote_bound", "top")
+    # top: T, the greatest extent, once needed; plans: `_eval`'s, by formula
+    __slots__ = ("model", "cfg", "promote_bound", "top", "plans")
 
 
 def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> list:
-    """Denotation of `f` as a kernel-form list; `nested` is set inside binder bodies."""
+    """Denotation of `f` as a kernel-form list; `nested` is set inside binder
+    bodies.  One pass over the plan of `f`, its nodes in postorder down to its
+    binders, a shared one once (by `_fold`, once per query; it holds `f`, so
+    the id stays unique).  A binder is solved from this frame, so it costs
+    five frames: this, `_solve_block`, `kleene`, `_prob_kleene`, the operator."""
     cm, semiring = ctx.model.compiled, ctx.model.semiring
-    if isinstance(f, Top):
-        if ctx.top is None:
-            ctx.top = _extent(ctx.model, ctx.cfg, "gfp")
-        return ctx.top.values
-    if isinstance(f, Var):
-        v = env.get(f.name)
-        if v is None:
-            raise EvaluationError(f"unbound variable {quote(f.name)}")
-        if v is _ENCLOSING:
-            raise _NotPoly(f.name)
-        return v
-    if isinstance(f, WeightedSum):
-        terms = [(c, _eval(ctx, op, env, nested)) for c, op in f.terms]
-        poly = any(type(p) is _Poly for _, p in terms)
-        return _sum_terms(terms) if poly else semiring.weighted_sum(cm, terms)
-    if isinstance(f, Modal):
-        args, poly = [None] * len(cm.label_ids), False
-        for lbl, arglist in f.disjuncts:
-            preds = tuple(_eval(ctx, a, env, nested) for a in arglist)
-            poly = poly or _Poly in map(type, preds)
-            if lbl in cm.label_ids:  # other labels have no transitions
-                args[cm.label_ids[lbl]] = preds
-        return _step_terms(cm, args) if poly else cm.step(args)
-    if isinstance(f, (Mu, Nu)):
-        if isinstance(f, Mu):
-            direction, start = "lfp", semiring.pack([semiring.zero] * len(cm.states))
-        else:
-            direction, start = "gfp", _eval(ctx, TOP, env)
-        body = None
-        if semiring.kind == "probabilistic" and not cm.offset_ids:
-            # the body at the identity, as rows (_sum_terms) even without f.var;
-            # an enclosing binder's variable used here ends that binder's attempt
-            env = {k: _ENCLOSING if type(v) is _Poly else v for k, v in env.items()}
-            x = _Poly((1, {(i,): 1}) for i in range(len(cm.states)))
-            try:
-                body = _sum_terms([(1, _eval(ctx, f.body, {**env, f.var: x}, True))])
-            except _NotPoly as e:
-                if e.args and e.args[0] != f.var:
-                    raise
-
-        def op(p: list) -> list:
-            return _eval(ctx, f.body, {**env, f.var: p}, True)
-
-        return _solve_block(cm, op, body, start, direction, ctx.cfg, ctx.promote_bound,
-                            nested).values
-    raise TypeError(f"not a formula: {f!r}")
+    plans = ctx.plans = ctx.plans or {}
+    plan = plans.get(id(f))
+    if plan is None:
+        plan = plans[id(f)] = []
+        _fold(f, lambda g, vs: plan.append(g),
+              lambda g: () if isinstance(g, (Mu, Nu)) else _children(g), {})
+    vals: dict = {}  # by node identity
+    for g in plan:
+        if isinstance(g, Top):
+            if ctx.top is None:
+                ctx.top = _extent(ctx.model, ctx.cfg, "gfp")
+            v = ctx.top.values
+        elif isinstance(g, Var):
+            v = env.get(g.name)
+            if v is None:
+                raise EvaluationError(f"unbound variable {quote(g.name)}")
+            if v is _ENCLOSING:
+                raise _NotPoly(g.name)
+        elif isinstance(g, WeightedSum):
+            terms = [(c, vals[id(op)]) for c, op in g.terms]
+            poly = any(type(p) is _Poly for _, p in terms)
+            v = _sum_terms(terms) if poly else semiring.weighted_sum(cm, terms)
+        elif isinstance(g, Modal):
+            args, poly = [None] * len(cm.label_ids), False
+            for lbl, arglist in g.disjuncts:
+                preds = tuple([vals[id(a)] for a in arglist])
+                poly = poly or _Poly in map(type, preds)
+                if lbl in cm.label_ids:  # other labels have no transitions
+                    args[cm.label_ids[lbl]] = preds
+            v = _step_terms(cm, args) if poly else cm.step(args)
+        else:  # a binder
+            if isinstance(g, Mu):
+                direction, start = "lfp", semiring.pack([semiring.zero] * len(cm.states))
+            else:
+                direction, start = "gfp", _eval(ctx, TOP, env)
+            body, outer = None, env
+            if semiring.kind == "probabilistic" and not cm.offset_ids:
+                # the body at the identity, as rows (_sum_terms) even without g.var;
+                # an enclosing binder's variable used here ends that binder's attempt
+                outer = {x: _ENCLOSING if type(p) is _Poly else p for x, p in env.items()}
+                x = _Poly((1, {(i,): 1}) for i in range(len(cm.states)))
+                try:
+                    body = _sum_terms([(1, _eval(ctx, g.body, {**outer, g.var: x}, True))])
+                except _NotPoly as e:
+                    if e.args and e.args[0] != g.var:
+                        raise
+            v = _solve_block(cm, lambda p: _eval(ctx, g.body, {**outer, g.var: p}, True),
+                             body, start, direction, ctx.cfg, ctx.promote_bound, nested).values
+        vals[id(g)] = v
+    return v
 
 
 def _check_valuation(model: Model, valuation: dict[str, Predicate] | None):

@@ -104,56 +104,76 @@ def _shape(f: Formula) -> tuple:
     return ()
 
 
-def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Var):
-        return frozenset([f.name])
-    out = frozenset()
-    for c in _children(f):
-        out |= free_vars(c)
+def _fold(root, leave, children=_children, memo: dict | None = None):
+    """`leave(node, values)` of `root`, `values` being the results for the
+    sequence `children(node)`, on an explicit stack: depth costs no frames.
+    `children` runs in preorder and `leave` in postorder, left to right.
+    With `memo` (by identity; keep its nodes alive), a node already in it
+    is not folded again."""
+    stack, node = [], root  # stack: (node, its children, their values so far)
+    while True:
+        if memo is not None and id(node) in memo:
+            v = memo[id(node)]
+        elif kids := children(node):
+            stack.append((node, kids, []))
+            node = kids[0]
+            continue
+        else:
+            v = leave(node, kids)
+        while True:  # `node` is done, worth `v`: on to the next child, or leave the parent
+            if memo is not None:
+                memo[id(node)] = v
+            if not stack:
+                return v
+            parent, kids, vals = stack[-1]
+            vals.append(v)
+            if len(vals) < len(kids):
+                node = kids[len(vals)]
+                break
+            stack.pop()
+            node, v = parent, leave(parent, vals)
+
+
+def _free_leave(f: Formula, vs) -> frozenset[str]:
+    out = frozenset([f.name]) if isinstance(f, Var) else frozenset().union(*vs)
     return out - {f.var} if isinstance(f, (Mu, Nu)) else out
+
+
+def free_vars(f: Formula) -> frozenset[str]:
+    return _fold(f, _free_leave)
 
 
 def classify(f: Formula) -> FormulaClass:
     """Closedness, membership of the qualitative fragment (no weighted sums
     other than F), absence of fixpoints and variables, and modal depth."""
-    return FormulaClass(
-        closed=not free_vars(f),
-        qualitative=_qualitative(f),
-        modal_only=_modal_only(f),
-        modal_depth=modal_depth(f),
-    )
+    def leave(g, vs):
+        free, qual, only, depth = zip(*vs) if vs else ((),) * 4
+        return (_free_leave(g, free), all(qual) and not (isinstance(g, WeightedSum) and g.terms),
+                all(only) and not isinstance(g, (Mu, Nu, Var)),
+                max(depth, default=0) + isinstance(g, Modal))
 
-
-def _qualitative(f: Formula) -> bool:
-    if isinstance(f, WeightedSum) and f != BOT:
-        return False
-    return all(map(_qualitative, _children(f)))
-
-
-def _modal_only(f: Formula) -> bool:
-    return not isinstance(f, (Mu, Nu, Var)) and all(map(_modal_only, _children(f)))
+    free, *rest = _fold(f, leave)
+    return FormulaClass(not free, *rest)
 
 
 def modal_depth(f: Formula) -> int:
-    depth = max(map(modal_depth, _children(f)), default=0)
-    return depth + 1 if isinstance(f, Modal) else depth
+    return _fold(f, lambda g, vs: max(vs, default=0) + isinstance(g, Modal))
 
 
 def fnd(f: Formula) -> int:
     """Fixpoint nesting depth: binders add one, everything else takes the
     maximum over its children."""
-    depth = max(map(fnd, _children(f)), default=0)
-    return depth + 1 if isinstance(f, (Mu, Nu)) else depth
+    return _fold(f, lambda g, vs: max(vs, default=0) + isinstance(g, (Mu, Nu)))
 
 
 def size(f: Formula) -> int:
-    return 1 + sum(map(size, _children(f)))
+    return _fold(f, lambda g, vs: 1 + sum(vs))
 
 
 def _used_names(f: Formula) -> set[str]:
     """Every variable name in `f`, free, bound or binding."""
-    own = {f.name} if isinstance(f, Var) else {f.var} if isinstance(f, (Mu, Nu)) else set()
-    return own.union(*map(_used_names, _children(f)))
+    return _fold(f, lambda g, vs: set().union(
+        [g.name] if isinstance(g, Var) else [g.var] if isinstance(g, (Mu, Nu)) else [], *vs))
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
@@ -166,45 +186,52 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 
 
 def substitute(f: Formula, var: str, replacement: Formula) -> Formula:
-    """Capture-avoiding substitution of `replacement` for free `var`."""
-    if isinstance(f, Var):
-        return replacement if f.name == var else f
-    if isinstance(f, (Mu, Nu)):
-        if f.var == var:
-            return f
-        if f.var in free_vars(replacement) and var in free_vars(f.body):
-            fresh = fresh_name(f.var, _used_names(f.body) | _used_names(replacement) | {var})
-            f = type(f)(fresh, substitute(f.body, f.var, Var(fresh)))
-    return _rebuild(f, [substitute(c, var, replacement) for c in _children(f)])
+    """Capture-avoiding substitution of `replacement` for free `var`; a binder
+    that would capture is renamed, the renaming joining its body's substitution."""
+    def item(g, sub: dict):
+        if isinstance(g, (Mu, Nu)) and sub:
+            sub = {x: r for x, r in sub.items() if x != g.var}
+            if var in sub and g.var in free_vars(replacement) and var in free_vars(g.body):
+                fresh = fresh_name(g.var, _used_names(g.body) | _used_names(replacement) | {var})
+                g, sub = type(g)(fresh, g.body), {**sub, g.var: Var(fresh)}
+        return g, sub
+
+    def leave(it, vs):
+        g, sub = it
+        return sub.get(g.name, g) if isinstance(g, Var) else _rebuild(g, vs) if vs else g
+
+    return _fold(item(f, {var: replacement}), leave,
+                 lambda it: [item(c, it[1]) for c in _children(it[0])] if it[1] else ())
 
 
 def unroll(f: Formula, k: int) -> Formula:
     """Replace every fixpoint, innermost first, by its k-step approximant:
     mu from F, nu from T.  The result has no binders or variables."""
-    f = _rebuild(f, [unroll(c, k) for c in _children(f)])
-    if not isinstance(f, (Mu, Nu)):
-        return f
-    acc: Formula = BOT if isinstance(f, Mu) else TOP
-    for _ in range(k):
-        acc = substitute(f.body, f.var, acc)
-    return acc
+    def leave(g, vs):
+        g = _rebuild(g, vs)
+        if not isinstance(g, (Mu, Nu)):
+            return g
+        acc: Formula = BOT if isinstance(g, Mu) else TOP
+        for _ in range(k):  # the body has no binders left, so nothing is captured
+            acc = _fold(g.body, lambda h, vs, prev=acc: prev if isinstance(h, Var) and
+                        h.name == g.var else _rebuild(h, vs))
+        return acc
+    return _fold(f, leave)
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
     """Structural equality modulo bound-variable names."""
-    return _alpha(f, g, {}, {})
-
-
-def _alpha(f, g, env_f, env_g):
-    if type(f) is not type(g):
-        return False
-    if isinstance(f, Var):
-        return env_f.get(f.name, f.name) == env_g.get(g.name, g.name)
-    if isinstance(f, (Mu, Nu)):
-        mark = f"#{len(env_f)}"
-        env_f, env_g = {**env_f, f.var: mark}, {**env_g, g.var: mark}
-    return _shape(f) == _shape(g) and all(
-        _alpha(x, y, env_f, env_g) for x, y in zip(_children(f), _children(g)))
+    todo = [(f, g, {}, {})]
+    while todo:
+        f, g, env_f, env_g = todo.pop()
+        if type(f) is not type(g) or _shape(f) != _shape(g) or \
+                isinstance(f, Var) and env_f.get(f.name, f.name) != env_g.get(g.name, g.name):
+            return False
+        if isinstance(f, (Mu, Nu)):
+            mark = f"#{len(env_f)}"
+            env_f, env_g = {**env_f, f.var: mark}, {**env_g, g.var: mark}
+        todo += reversed([(x, y, env_f, env_g) for x, y in zip(_children(f), _children(g))])
+    return True
 
 
 class _FormulaParser:
@@ -345,36 +372,24 @@ def render_formula(f: Formula, descriptor: SemiringDescriptor) -> str:
     """Canonical concrete syntax; parse(render(f)) is alpha-equal to f."""
     semiring = semiring_for(descriptor)
 
-    def operand(g) -> str:
+    def operand(g, text: str) -> str:
         # position directly after '*': sums, chains and binders need parens
-        if isinstance(g, WeightedSum) and g.terms:
-            return f"({full(g)})"
-        if isinstance(g, Modal) and len(g.disjuncts) > 1:
-            return f"({full(g)})"
-        if isinstance(g, (Mu, Nu)):
-            return f"({full(g)})"
-        return full(g)
+        return f"({text})" if isinstance(g, WeightedSum) and g.terms or isinstance(g, (Mu, Nu)) \
+            or isinstance(g, Modal) and len(g.disjuncts) > 1 else text
 
-    def full(g) -> str:
+    def leave(g, vs) -> str:
         if isinstance(g, Top):
             return "T"
         if isinstance(g, Var):
             return g.name
         if isinstance(g, WeightedSum):
-            if not g.terms:
-                return "F"
-            return " + ".join(f"{semiring.render(c)}*{operand(op)}" for c, op in g.terms)
+            return " + ".join(f"{semiring.render(c)}*{operand(op, v)}"
+                              for (c, op), v in zip(g.terms, vs)) or "F"
         if isinstance(g, Modal):
-            parts = []
-            for lbl, args in g.disjuncts:
-                if args:
-                    parts.append(f"[{lbl}](" + ", ".join(full(a) for a in args) + ")")
-                else:
-                    parts.append(f"[{lbl}]")
-            return " | ".join(parts)
-        if isinstance(g, (Mu, Nu)):
-            kw = "mu" if isinstance(g, Mu) else "nu"
-            return f"{kw} {g.var}. {full(g.body)}"
-        raise TypeError(f"not a formula: {g!r}")
+            it = iter(vs)
+            return " | ".join(f"[{lbl}](" + ", ".join(next(it) for _ in args) + ")" if args
+                              else f"[{lbl}]" for lbl, args in g.disjuncts)
+        kw = "mu" if isinstance(g, Mu) else "nu"
+        return f"{kw} {g.var}. {vs[0]}"
 
-    return full(f)
+    return _fold(f, leave)

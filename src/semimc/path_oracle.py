@@ -24,7 +24,7 @@ from ._record import Record
 from .errors import EvaluationError, NonConvergence, SizingError, ValidationError
 from .evaluator import (EvalConfig, KleeneReport, Predicate, eval_formula,
                         nu_extent_result)
-from .logic import (Formula, FormulaClass, Modal, Top, WeightedSum, classify,
+from .logic import (Formula, FormulaClass, Modal, Top, WeightedSum, _fold, classify,
                     unroll)
 from .model import Model
 from .semiring import INF, UNDEFINED, render_scalar
@@ -41,10 +41,6 @@ class PathNode(Record, frozen=True):
 PathFragment = StateLeaf | PathNode
 
 
-def root_state(q: PathFragment) -> str:
-    return q.state
-
-
 def enum_fragments(model: Model, state: str, depth: int, cap: int | None = None):
     """Uniform-depth path fragments from `state`: state leaves exactly at
     the cut depth, branches may complete earlier through nullary labels.
@@ -59,27 +55,15 @@ def enum_fragments(model: Model, state: str, depth: int, cap: int | None = None)
         if n > cap:
             raise SizingError(
                 f"{n} path fragments at depth {depth} exceed cap {cap}")
-    memo: dict = {}
-
-    def pool(c: str, d: int) -> list:
-        key = (c, d)
-        if key in memo:
-            return memo[key]
-        if d == 0:
-            out = [StateLeaf(c)]
-        else:
-            out = []
-            for t in model.transitions[c]:
-                if not t.successors:
-                    out.append(PathNode(c, t.label, ()))
-                    continue
-                pools = [pool(s, d - 1) for s in t.successors]
-                for combo in product(*pools):
-                    out.append(PathNode(c, t.label, combo))
-        memo[key] = out
-        return out
-
-    yield from pool(state, depth)
+    reach = [{state}]  # reach[i]: the states i steps below `state`
+    for _ in range(depth):
+        reach.append({s for c in reach[-1] for t in model.transitions[c] for s in t.successors})
+    pools = {c: [StateLeaf(c)] for c in reach.pop()}  # built level by level from the cut up
+    while reach:
+        pools = {c: [PathNode(c, t.label, combo) for t in model.transitions[c]
+                     for combo in product(*[pools[s] for s in t.successors])]
+                 for c in reach.pop()}
+    yield from pools[state]
 
 
 def count_fragments(model: Model, state: str, depth: int) -> int:
@@ -110,50 +94,55 @@ def cyl_measure(model: Model, q: PathFragment, cfg: EvalConfig | None = None,
     cfg = cfg or EvalConfig()
     ext = _extent if _extent is not None else nu_extent_result(model, cfg).values
     semiring = model.semiring
-    memo = _memo if _memo is not None else {}
+    weights: dict = {}  # by identity, from the check in preorder to `leave`
 
-    def go(frag: PathFragment):
-        key = id(frag)
-        if key in memo:
-            return memo[key]
+    def children(frag: PathFragment) -> tuple:
         if isinstance(frag, StateLeaf):
-            v = ext[frag.state]
-        else:
-            roots = tuple(root_state(c) for c in frag.children)
-            w = model.transition_weight(frag.state, frag.label, roots)
-            if w is None:
-                raise ValidationError(
-                    f"fragment uses missing transition {frag.state} -{frag.label}-> {roots}")
-            v = w
-            for c in frag.children:
-                v = semiring.times(v, go(c))
-            v = semiring.oslash(v, model.offsets[frag.state])
-        memo[key] = v
-        return v
+            return ()
+        roots = tuple([c.state for c in frag.children])
+        w = weights[id(frag)] = model.transition_weight(frag.state, frag.label, roots)
+        if w is None:
+            raise ValidationError(
+                f"fragment uses missing transition {frag.state} -{frag.label}-> {roots}")
+        return frag.children
 
-    return go(q)
+    def leave(frag: PathFragment, vals):
+        if isinstance(frag, StateLeaf):
+            return ext[frag.state]
+        v = weights.pop(id(frag))
+        for x in vals:
+            v = semiring.times(v, x)
+        return semiring.oslash(v, model.offsets[frag.state])
+
+    return _fold(q, leave, children, _memo if _memo is not None else {})
 
 
 def frag_sat(q: PathFragment, psi: Formula) -> bool:
     """Qualitative satisfaction of a fixpoint-free formula on a fragment.
 
     The formula's modal depth must not exceed the fragment's cut depth, so
-    the recursion never asks a modal question at a state leaf.
+    the walk never asks a modal question at a state leaf.
     """
-    if isinstance(psi, Top):
-        return True
-    if isinstance(psi, WeightedSum):
-        if psi.terms:
+    todo = [(q, psi)]
+    while todo:
+        q, psi = todo.pop()
+        if isinstance(psi, Top):
+            continue
+        if isinstance(psi, WeightedSum) and psi.terms:
             raise EvaluationError("path satisfaction is defined for the qualitative fragment only")
-        return False
-    if isinstance(psi, Modal):
+        if isinstance(psi, WeightedSum):
+            return False
+        if not isinstance(psi, Modal):
+            raise EvaluationError("path satisfaction needs a fixpoint-free formula")
         if isinstance(q, StateLeaf):
             raise EvaluationError("formula deeper than the fragment cut")
         for lbl, args in psi.disjuncts:
             if lbl == q.label:
-                return all(frag_sat(c, a) for c, a in zip(q.children, args))
-        return False
-    raise EvaluationError("path satisfaction needs a fixpoint-free formula")
+                todo += zip(q.children[::-1], args[::-1])
+                break
+        else:
+            return False
+    return True
 
 
 def oracle_eval(model: Model, psi: Formula, state: str, depth: int,

@@ -476,8 +476,8 @@ def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
         raise ValueError("empty interval")
     if lo <= 0 <= hi:
         return Fraction(0)
-    if hi < 0:
-        return -simplest_in_interval(-hi, -lo)
+    if hi < 0:  # the negation of the simplest in [-hi, -lo]
+        return -Fraction(*_simplest(*(-hi).as_integer_ratio(), *(-lo).as_integer_ratio()))
     return Fraction(*_simplest(*lo.as_integer_ratio(), *hi.as_integer_ratio()))
 
 

@@ -24,13 +24,14 @@ first distinguishing fragment as a witness.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 
 from ._lex import TokenStream
 from ._record import Record
 from .errors import OffsetUnsupported, SizingError, ValidationError, quote
 from .evaluator import EvalConfig, nu_extent
-from .logic import Formula, Modal, TOP
+from .logic import Formula, Modal, TOP, _fold
 from .model import Model, Signature
 
 
@@ -50,28 +51,29 @@ TraceFragment = TopLeaf | TraceNode
 TOP_LEAF = TopLeaf()
 
 
+def _branches(b: TraceFragment) -> tuple:
+    return () if isinstance(b, TopLeaf) else b.children
+
+
 def depth(b: TraceFragment) -> int:
-    if isinstance(b, TopLeaf):
-        return 0
-    return 1 + max((depth(c) for c in b.children), default=0)
+    return _fold(b, lambda b, vs: 0 if isinstance(b, TopLeaf) else 1 + max(vs, default=0),
+                 _branches)
 
 
 def is_completed(b: TraceFragment) -> bool:
     """True when no branch is cut by a top leaf."""
-    if isinstance(b, TopLeaf):
-        return False
-    return all(is_completed(c) for c in b.children) if b.children else True
+    return _fold(b, lambda b, vs: not isinstance(b, TopLeaf) and all(vs), _branches)
 
 
 def check_fragment(b: TraceFragment, signature: Signature):
-    if isinstance(b, TopLeaf):
-        return
-    if not signature.has(b.label):
-        raise ValidationError(f"unknown label {quote(b.label)} in fragment")
-    if signature.arity(b.label) != len(b.children):
-        raise ValidationError(f"arity mismatch on label {quote(b.label)} in fragment")
-    for c in b.children:
-        check_fragment(c, signature)
+    def check(b):  # each node before the nodes below it
+        if isinstance(b, TraceNode) and not signature.has(b.label):
+            raise ValidationError(f"unknown label {quote(b.label)} in fragment")
+        if isinstance(b, TraceNode) and signature.arity(b.label) != len(b.children):
+            raise ValidationError(f"arity mismatch on label {quote(b.label)} in fragment")
+        return _branches(b)
+
+    _fold(b, lambda b, vs: None, check)
 
 
 def parse_fragment(text: str, signature: Signature) -> TraceFragment:
@@ -108,19 +110,15 @@ def _parse_frag(ts: TokenStream, signature: Signature) -> TraceFragment:
 
 
 def render_fragment(b: TraceFragment) -> str:
-    if isinstance(b, TopLeaf):
-        return "T"
-    if not b.children:
-        return b.label
-    return f"{b.label}(" + ", ".join(render_fragment(c) for c in b.children) + ")"
+    return _fold(b, lambda b, vs: "T" if isinstance(b, TopLeaf) else
+                 f"{b.label}({', '.join(vs)})" if vs else b.label, _branches)
 
 
 def fragment_to_formula(b: TraceFragment) -> Formula:
     """Top leaves become T, nodes become single-disjunct modalities; the
     result is modal-only and qualitative."""
-    if isinstance(b, TopLeaf):
-        return TOP
-    return Modal(((b.label, tuple(fragment_to_formula(c) for c in b.children)),))
+    return _fold(b, lambda b, vs: TOP if isinstance(b, TopLeaf) else
+                 Modal(((b.label, tuple(vs)),)), _branches)
 
 
 def enumerate_fragments(signature: Signature, max_depth: int,
@@ -131,7 +129,7 @@ def enumerate_fragments(signature: Signature, max_depth: int,
     is yielded."""
     if max_depth < 0:
         raise ValidationError(f"depth must be at least 0, got {max_depth}")
-    return _capped(_fragments(signature, max_depth), cap, "fragment")
+    return _capped(_levels(signature, max_depth, True), cap, "fragment")
 
 
 def _capped(fragments: Iterator[tuple[int, TraceFragment]], cap: int | None,
@@ -143,43 +141,36 @@ def _capped(fragments: Iterator[tuple[int, TraceFragment]], cap: int | None,
         yield frag
 
 
-def _fragments(signature: Signature, max_depth: int) -> Iterator[tuple[int, TraceFragment]]:
-    by_depth: list[list[TraceFragment]] = [[TOP_LEAF]]
-    yield 0, TOP_LEAF
-    for d in range(1, max_depth + 1):
-        pool = [f for level in by_depth for f in level]  # depth < d
-        level: list[TraceFragment] = []
-        for label in signature.labels:
-            if label.arity == 0 and d > 1:
-                continue  # nullary nodes exist only at depth 1
-            for combo in product(pool, repeat=label.arity):
-                if label.arity and max(depth(c) for c in combo) != d - 1:
-                    continue  # at least one child must reach depth d-1
-                frag = TraceNode(label.name, combo)
-                level.append(frag)
-                yield d, frag
-        by_depth.append(level)
-
-
 def truncations(signature: Signature, n: int, cap: int | None = None) -> Iterator[TraceFragment]:
     """Depth-n truncations of maximal traces: every top leaf under exactly
     n nodes, nullary completions allowed earlier."""
     if n < 0:
         raise ValidationError(f"depth must be at least 0, got {n}")
-    return _capped(((n, frag) for frag in _truncs(signature, n)), cap, "truncation")
+    return _capped(((d, f) for d, f in _levels(signature, n, False) if d == n), cap, "truncation")
 
 
-def _truncs(signature: Signature, n: int) -> Iterator[TraceFragment]:
-    """Built bottom-up: each level below n is listed once and shared by
-    the level above; level n is yielded lazily, so a cap can stop it."""
-    def unfold(below: list) -> Iterator[TraceFragment]:
-        return (TraceNode(label.name, combo) for label in signature.labels
-                for combo in product(below, repeat=label.arity))
-
-    level = iter((TOP_LEAF,))
-    for _ in range(n):
-        level = unfold(list(level))
-    return level
+def _levels(signature: Signature, last: int,
+            every_depth: bool) -> Iterator[tuple[int, TraceFragment]]:
+    """(d, fragment) for d up to `last`, level d yielded as it is built (so a
+    cap can stop it) and kept (for identity memos).  With `every_depth`, the
+    fragments of depth d, over children of every depth below d; else the
+    depth-d truncations, over the children of level d - 1 only."""
+    levels: list[list[TraceFragment]] = [[TOP_LEAF]]
+    pool: list[TraceFragment] = []
+    yield 0, TOP_LEAF
+    for d in range(1, last + 1):
+        below = levels[-1]
+        pool = pool + below if every_depth else below
+        deep = {id(f) for f in below} if every_depth else ()  # each fragment is in one level
+        levels.append([])
+        for label in signature.labels:
+            if every_depth and label.arity == 0 and d > 1:
+                continue  # nullary nodes exist only at depth 1
+            for combo in product(pool, repeat=label.arity):
+                if every_depth and label.arity and deep.isdisjoint(map(id, combo)):
+                    continue  # at least one child must reach depth d-1
+                levels[-1].append(TraceNode(label.name, combo))
+                yield d, levels[-1][-1]
 
 
 def _state_id(model: Model, state: str) -> int:
@@ -195,28 +186,23 @@ def _require_plain(model: Model, op: str):
         raise OffsetUnsupported(f"{op} requires a model without offsets")
 
 
-def _behaviour(model: Model, fragment: TraceFragment, leaf: list | None) -> list:
+def _behaviour(model: Model, fragment: TraceFragment, leaf: list | None,
+               memo: dict | None = None) -> list:
     """Values of every state on `fragment`, as a list by state id: top
     leaves take `leaf` (a list by state id) and each node is one kernel
-    step over its label, with the children's values as arguments.
-    Sub-fragment values are shared per call, keyed by identity, as
-    `enumerate_fragments` shares sub-trees; the steps run on the kernel form."""
-    cm = model.compiled
-    memo: dict = {}
+    step over its label, with the children's values as arguments, on the
+    kernel form.  `memo` (default: one per call) shares sub-fragment values
+    by identity, as the enumerations share sub-trees."""
+    cm, semiring = model.compiled, model.semiring
 
-    def go(b: TraceFragment) -> list:
-        v = memo.get(id(b))
-        if v is None:
-            if isinstance(b, TopLeaf):
-                v = model.semiring.pack(leaf)
-            else:
-                args = [None] * len(cm.label_ids)
-                args[cm.label_ids[b.label]] = tuple(go(c) for c in b.children)
-                v = cm.step(args)
-            memo[id(b)] = v
-        return v
+    def leave(b: TraceFragment, vals) -> list:
+        if isinstance(b, TopLeaf):
+            return semiring.pack(leaf)
+        args = [None] * len(cm.label_ids)
+        args[cm.label_ids[b.label]] = tuple(vals)
+        return cm.step(args)
 
-    return model.semiring.unpack(go(fragment))
+    return semiring.unpack(_fold(fragment, leave, _branches, {} if memo is None else memo))
 
 
 def lt(model: Model, state: str, fragment: TraceFragment, cfg: EvalConfig | None = None):
@@ -238,16 +224,15 @@ def finite_tr(model: Model, state: str, trace: TraceFragment):
     return _behaviour(model, trace, None)[i]
 
 
-def _check_truncation(b: TraceFragment, n: int):
+def _check_truncation(item: tuple[TraceFragment, int]) -> list:
+    # `_fold`'s children of (node, nodes left above the cut), checked first:
     # top leaves under exactly n nodes; nodes only above the cut
-    if isinstance(b, TopLeaf):
-        if n != 0:
-            raise ValidationError("top leaf above the truncation depth")
-        return
-    if n == 0:
+    b, n = item
+    if isinstance(b, TopLeaf) and n != 0:
+        raise ValidationError("top leaf above the truncation depth")
+    if isinstance(b, TraceNode) and n == 0:
         raise ValidationError("fragment deeper than the truncation depth")
-    for c in b.children:
-        _check_truncation(c, n - 1)
+    return [(c, n - 1) for c in _branches(b)]
 
 
 def tr_approx(model: Model, state: str, truncation: TraceFragment, n: int):
@@ -260,7 +245,7 @@ def tr_approx(model: Model, state: str, truncation: TraceFragment, n: int):
     i = _state_id(model, state)
     _require_plain(model, "tr_approx")
     check_fragment(truncation, model.signature)
-    _check_truncation(truncation, n)
+    _fold((truncation, n), lambda item, vs: None, _check_truncation)
     return _behaviour(model, truncation, [model.semiring.one] * len(model.states))[i]
 
 
@@ -289,15 +274,14 @@ def equiv_upto(model: Model, c: str, d: str, max_depth: int,
         raise ValidationError(f"depth must be at least 0, got {max_depth}")
     cfg = cfg or EvalConfig()
     semiring = model.semiring
-    checked = 0
 
     def differ(a, b) -> bool:
         if semiring.kind == "probabilistic":
             return abs(a - b) >= cfg.epsilon
         return a != b
 
-    # each fragment is generated well-formed, so its state vector is built
-    # once, without the public entry points' checks, and read at c and d
+    # fragments are generated well-formed, so no entry point's checks run;
+    # one memo serves them all, as both enumerations keep every fragment
     if kind == "lt":
         ext = nu_extent(model, cfg)
         leaf = [ext[s] for s in model.states]
@@ -305,11 +289,12 @@ def equiv_upto(model: Model, c: str, d: str, max_depth: int,
     else:
         _require_plain(model, "equiv_upto(kind='tr')")
         leaf = [semiring.one] * len(model.states)
-        frags = (frag for n in range(max_depth + 1)
-                 for frag in truncations(model.signature, n, cfg.enum_cap))
-    for frag in frags:
-        checked += 1
-        vec = _behaviour(model, frag, leaf)
+        frags = (frag for _, level in groupby(_levels(model.signature, max_depth, False),
+                                              itemgetter(0))
+                 for frag in _capped(level, cfg.enum_cap, "truncation"))  # capped per depth
+    memo: dict = {}
+    for checked, frag in enumerate(frags, 1):
+        vec = _behaviour(model, frag, leaf, memo)
         if differ(vec[i], vec[j]):
             return EquivResult(False, frag, vec[i], vec[j], checked)
     return EquivResult(True, None, None, None, checked)

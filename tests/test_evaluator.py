@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -1252,3 +1252,40 @@ def test_approximants_converge_probabilistic(extent_prob):
         dist.append(max(abs(approx[s] - target[s]) for s in extent_prob.states))
     assert all(a > b for a, b in zip(dist, dist[1:]))
     assert dist[-1] < Fraction(1, 100)
+
+
+def _sorted_rows(cm) -> list:
+    """The extent's rows as `_poly` formed them before one-successor
+    monomials skipped sorting and merging stopped using `dict.get`."""
+    out = []
+    for row in cm.rows:
+        terms = [(n, d, tuple(sorted([s for _, s in succs]))) for (n, d), _, succs in row]
+        den, nums = lcm(*[d for _, d, _ in terms]), {}
+        for n, d, m in terms:
+            nums[m] = nums.get(m, 0) + n * (den // d)
+        out.append((den, {m: n for m, n in nums.items() if n}))
+    return out
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=150, deadline=None)
+def test_extent_rows_match_the_sorted_form(seed):
+    # the rows `_extent` hands to `_solve_block`, key order included, are
+    # those of the sorted comprehension on random offset-free prob models
+    rng = random.Random(seed)
+    m = random_model(rng, DESCRIPTORS["probabilistic"], max_states=6, max_arity=3, max_out=4)
+    seen = []
+    solve = evaluator._solve_block
+
+    def spy(cm, op, rows, *args, **kwargs):
+        seen.append(rows)
+        return solve(cm, op, rows, *args, **kwargs)
+
+    evaluator._solve_block = spy
+    try:
+        evaluator._extent(m, EvalConfig(), "lfp")
+    finally:
+        evaluator._solve_block = solve
+    (rows,) = seen
+    assert [(den, list(nums.items())) for den, nums in rows] == \
+        [(den, list(nums.items())) for den, nums in _sorted_rows(m.compiled)]
