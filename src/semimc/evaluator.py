@@ -30,8 +30,8 @@ Two kinds of fixpoint block are not iterated, so they never depend on
   form, built only by ``_poly`` and read as is by every solver: the
   extent's straight from the model's transitions, a binder's by
   ``_eval`` with the variable bound to a ``_Poly`` identity, affine
-  unless a transition has two successors that depend on the variable
-  or an inner binder mentions it.
+  unless a transition has two successors that depend on the variable.
+  A binder whose variable an inner binder mentions builds no rows.
 
 A probabilistic ``mu`` block of degree 2 or more on an offset-free model
 (a branching extent, or a binder such as ``mu X. ([s](X, X) | [e])``) is
@@ -58,9 +58,9 @@ once, on first use, by ``_extent``, the routine behind ``extent --nu``
 (``nu_extent_result``), so T under a binder is the extent itself bit for
 bit.  Greatest fixpoints of formulas are seeded at T, while the extent
 computation itself is seeded at the constant-one predicate (the lattice
-top).  Nesting is lexical: ``_eval`` marks binder bodies as nested, and
-fixpoints inside them that still iterate run with ``force_exact`` (see
-``kleene``).
+top).  ``_compile`` fixes each binder's block from the formula before
+``_eval`` runs: nested ones (in another binder's body) that still
+iterate run with ``force_exact`` (see ``kleene``).
 
 The extent operator, the Modal clause and T all run through one
 transition-step kernel (``Semiring.step``: one for prob, one shared by
@@ -81,7 +81,7 @@ from operator import ge, le
 
 from ._record import Record
 from .errors import EvaluationError, NonConvergence, NonMonotoneChain, quote
-from .logic import TOP, Formula, Modal, Mu, Nu, Top, Var, WeightedSum, _children, _fold, size
+from .logic import TOP, Formula, Modal, Mu, Nu, Top, Var, WeightedSum, _children, _fold
 from .model import CompiledModel, Model
 from .semiring import INF, Semiring
 
@@ -318,11 +318,8 @@ class _Poly(list):
 
 class _NotPoly(Exception):
     """Ends the attempt to solve a binder from its rows; its chain runs
-    from the plain start instead.  The args name the variable when an
-    inner binder mentions it."""
+    from the plain start instead."""
 
-
-_ENCLOSING = object()  # an enclosing binder's variable, inside an inner binder
 
 # The most terms `_step_terms` forms as one transition's product of
 # polynomial successors.  Modalities nested in a binder body could
@@ -478,7 +475,7 @@ def default_promote_bound(model: Model, formula_size: int = 0) -> int:
     return n * (1 + weight) * (1 + formula_size) * branching
 
 
-def _promote_bound(model: Model, cfg: EvalConfig, formula_size: int = 0) -> int | None:
+def _promote_bound(model: Model, cfg: EvalConfig, formula_size: int | None = 0) -> int | None:
     """The promote bound of `model`'s Kleene chains: None off the tropical
     kind, where no chain promotes (see `kleene`), else `cfg.promote_bound`
     or, when that is unset, `default_promote_bound`."""
@@ -533,27 +530,58 @@ def mu_extent(model: Model, cfg: EvalConfig | None = None) -> Predicate:
     return mu_extent_result(model, cfg).values
 
 
-class _EvalContext(Record, top=None, plans=None):
-    # promote_bound: for the formula's fixpoints, None off the tropical kind;
-    # top: T, the greatest extent, once needed; plans: `_eval`'s, by formula
-    __slots__ = ("model", "cfg", "promote_bound", "top", "plans")
+class _EvalContext(Record, top=None):
+    # promote_bound: None off the tropical kind; top: T, once needed
+    __slots__ = ("model", "cfg", "promote_bound", "top")
 
 
-def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> list:
-    """Denotation of `f` as a kernel-form list; `nested` is set inside binder
-    bodies.  One pass over the plan of `f`, its nodes in postorder down to its
-    binders, a shared one once (by `_fold`, once per query; it holds `f`, so
-    the id stays unique).  A binder is solved from this frame, so it costs
-    five frames: this, `_solve_block`, `kleene`, `_prob_kleene`, the operator."""
+class _Block(Record):
+    # a binder's fixpoint block (`_compile`): direction "lfp" or "gfp", nested
+    # in another binder's body, rows (`_poly`) may be built, body: its plan
+    __slots__ = ("var", "direction", "nested", "rows", "body")
+
+
+def _compile(f: Formula, model: Model) -> tuple[dict, int | None]:
+    """`_eval`'s plan of `f` and, on the tropical kind, the size of `f`, in
+    one fold.  A plan maps the distinct nodes of `f` or of a binder's body,
+    by identity in postorder, to themselves, a binder to its `_Block`.  A
+    binder's rows are built on an offset-free prob model unless its variable
+    is free in a binder inside its body."""
+    rows = model.semiring.kind == "probabilistic" and not model.compiled.offset_ids
+    count, sizes = model.descriptor.kind == "tropical", {}
+    blocks = [_Block(None, None, False, rows, {})]  # `f`, then the binders being walked
+
+    def children(g):
+        if id(g) in blocks[-1].body:  # in this plan already
+            return ()
+        if isinstance(g, (Mu, Nu)):
+            blocks.append(_Block(g.var, "lfp" if isinstance(g, Mu) else "gfp", len(blocks) > 1,
+                                 rows, {}))
+        return _children(g)
+
+    def leave(g, vs):
+        if id(g) not in blocks[-1].body:
+            if rows and isinstance(g, Var) and g.name != blocks[-1].var:
+                # g is free in the innermost binder, so its own binder builds no rows
+                # (a free g marks the block of `f`, whose flag nothing reads)
+                next((b for b in reversed(blocks) if b.var == g.name), blocks[0]).rows = False
+            step = blocks.pop() if isinstance(g, (Mu, Nu)) else g
+            blocks[-1].body[id(g)] = step
+            if count:
+                sizes[id(g)] = 1 + sum(vs)
+        return sizes.get(id(g))
+
+    return blocks[0].body, _fold(f, leave, children)
+
+
+def _eval(ctx: _EvalContext, plan: dict, env: dict) -> list:
+    """Denotation as a kernel-form list of the formula whose plan
+    (`_compile`) is `plan`, in one pass over it.  A binder is solved from
+    this frame, so it costs five frames: this, `_solve_block`, `kleene`,
+    `_prob_kleene`, the operator."""
     cm, semiring = ctx.model.compiled, ctx.model.semiring
-    plans = ctx.plans = ctx.plans or {}
-    plan = plans.get(id(f))
-    if plan is None:
-        plan = plans[id(f)] = []
-        _fold(f, lambda g, vs: plan.append(g),
-              lambda g: () if isinstance(g, (Mu, Nu)) else _children(g), {})
     vals: dict = {}  # by node identity
-    for g in plan:
+    for key, g in plan.items():
         if isinstance(g, Top):
             if ctx.top is None:
                 ctx.top = _extent(ctx.model, ctx.cfg, "gfp")
@@ -562,8 +590,6 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
             v = env.get(g.name)
             if v is None:
                 raise EvaluationError(f"unbound variable {quote(g.name)}")
-            if v is _ENCLOSING:
-                raise _NotPoly(g.name)
         elif isinstance(g, WeightedSum):
             terms = [(c, vals[id(op)]) for c, op in g.terms]
             poly = any(type(p) is _Poly for _, p in terms)
@@ -576,25 +602,19 @@ def _eval(ctx: _EvalContext, f: Formula, env: dict, nested: bool = False) -> lis
                 if lbl in cm.label_ids:  # other labels have no transitions
                     args[cm.label_ids[lbl]] = preds
             v = _step_terms(cm, args) if poly else cm.step(args)
-        else:  # a binder
-            if isinstance(g, Mu):
-                direction, start = "lfp", semiring.pack([semiring.zero] * len(cm.states))
-            else:
-                direction, start = "gfp", _eval(ctx, TOP, env)
-            body, outer = None, env
-            if semiring.kind == "probabilistic" and not cm.offset_ids:
-                # the body at the identity, as rows (_sum_terms) even without g.var;
-                # an enclosing binder's variable used here ends that binder's attempt
-                outer = {x: _ENCLOSING if type(p) is _Poly else p for x, p in env.items()}
+        else:  # a binder's block
+            var, body, rows = g.var, g.body, None
+            start = (_eval(ctx, {id(TOP): TOP}, env) if g.direction == "gfp"
+                     else semiring.pack([semiring.zero] * len(cm.states)))
+            if g.rows:  # the body at the identity, as rows (_sum_terms) even without var
                 x = _Poly((1, {(i,): 1}) for i in range(len(cm.states)))
                 try:
-                    body = _sum_terms([(1, _eval(ctx, g.body, {**outer, g.var: x}, True))])
-                except _NotPoly as e:
-                    if e.args and e.args[0] != g.var:
-                        raise
-            v = _solve_block(cm, lambda p: _eval(ctx, g.body, {**outer, g.var: p}, True),
-                             body, start, direction, ctx.cfg, ctx.promote_bound, nested).values
-        vals[id(g)] = v
+                    rows = _sum_terms([(1, _eval(ctx, body, {**env, var: x}))])
+                except _NotPoly:
+                    pass
+            v = _solve_block(cm, lambda p: _eval(ctx, body, {**env, var: p}), rows, start,
+                             g.direction, ctx.cfg, ctx.promote_bound, g.nested).values
+        vals[key] = v
     return v
 
 
@@ -627,9 +647,10 @@ def eval_with_certificate(model: Model, formula: Formula,
     embedded extent computation (None when T never had to be computed)."""
     cfg = cfg or EvalConfig()
     _check_valuation(model, valuation)
-    ctx = _EvalContext(model, cfg, _promote_bound(model, cfg, size(formula)))
+    plan, n = _compile(formula, model)
+    ctx = _EvalContext(model, cfg, _promote_bound(model, cfg, n))
     states, semiring = model.compiled.states, model.semiring
     env = {name: semiring.pack([pred[s] for s in states])
            for name, pred in (valuation or {}).items()}
-    values = semiring.unpack(_eval(ctx, formula, env))
+    values = semiring.unpack(_eval(ctx, plan, env))
     return dict(zip(states, values)), None if ctx.top is None else ctx.top.report

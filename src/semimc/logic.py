@@ -152,22 +152,22 @@ def classify(f: Formula) -> FormulaClass:
                 all(only) and not isinstance(g, (Mu, Nu, Var)),
                 max(depth, default=0) + isinstance(g, Modal))
 
-    free, *rest = _fold(f, leave)
+    free, *rest = _fold(f, leave, memo={})
     return FormulaClass(not free, *rest)
 
 
 def modal_depth(f: Formula) -> int:
-    return _fold(f, lambda g, vs: max(vs, default=0) + isinstance(g, Modal))
+    return _fold(f, lambda g, vs: max(vs, default=0) + isinstance(g, Modal), memo={})
 
 
 def fnd(f: Formula) -> int:
     """Fixpoint nesting depth: binders add one, everything else takes the
     maximum over its children."""
-    return _fold(f, lambda g, vs: max(vs, default=0) + isinstance(g, (Mu, Nu)))
+    return _fold(f, lambda g, vs: max(vs, default=0) + isinstance(g, (Mu, Nu)), memo={})
 
 
 def size(f: Formula) -> int:
-    return _fold(f, lambda g, vs: 1 + sum(vs))
+    return _fold(f, lambda g, vs: 1 + sum(vs), memo={})
 
 
 def _used_names(f: Formula) -> set[str]:
@@ -206,7 +206,7 @@ def substitute(f: Formula, var: str, replacement: Formula) -> Formula:
 
 def unroll(f: Formula, k: int) -> Formula:
     """Replace every fixpoint, innermost first, by its k-step approximant:
-    mu from F, nu from T.  The result has no binders or variables."""
+    mu from F, nu from T.  No binders or variables; approximants are shared."""
     def leave(g, vs):
         g = _rebuild(g, vs)
         if not isinstance(g, (Mu, Nu)):
@@ -214,7 +214,7 @@ def unroll(f: Formula, k: int) -> Formula:
         acc: Formula = BOT if isinstance(g, Mu) else TOP
         for _ in range(k):  # the body has no binders left, so nothing is captured
             acc = _fold(g.body, lambda h, vs, prev=acc: prev if isinstance(h, Var) and
-                        h.name == g.var else _rebuild(h, vs))
+                        h.name == g.var else _rebuild(h, vs), memo={})
         return acc
     return _fold(f, leave)
 

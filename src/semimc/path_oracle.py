@@ -45,16 +45,13 @@ def enum_fragments(model: Model, state: str, depth: int, cap: int | None = None)
     """Uniform-depth path fragments from `state`: state leaves exactly at
     the cut depth, branches may complete earlier through nullary labels.
     Depth 0 yields just the state leaf, and a negative depth is a
-    ValidationError.  The cap is checked against the exact fragment count
+    ValidationError.  The cap is checked against the fragment count
     before anything is materialised; enumerated fragments share their
     sub-fragments."""
     if depth < 0:
         raise ValidationError(f"depth must be at least 0, got {depth}")
-    if cap is not None:
-        n = count_fragments(model, state, depth)
-        if n > cap:
-            raise SizingError(
-                f"{n} path fragments at depth {depth} exceed cap {cap}")
+    if cap is not None and count_fragments(model, state, depth, cap) > cap:
+        raise SizingError(f"more than {cap} path fragments at depth {depth}")
     reach = [{state}]  # reach[i]: the states i steps below `state`
     for _ in range(depth):
         reach.append({s for c in reach[-1] for t in model.transitions[c] for s in t.successors})
@@ -66,8 +63,9 @@ def enum_fragments(model: Model, state: str, depth: int, cap: int | None = None)
     yield from pools[state]
 
 
-def count_fragments(model: Model, state: str, depth: int) -> int:
-    """Number of uniform-depth fragments from `state`, without enumerating."""
+def count_fragments(model: Model, state: str, depth: int, cap: int | None = None) -> int:
+    """Number of uniform-depth fragments from `state`, without enumerating;
+    with `cap`, each count stops at cap + 1, so the integers stay small."""
     counts = {s: 1 for s in model.states}  # depth 0: the state leaf
     for _ in range(depth):
         nxt = {}
@@ -78,7 +76,7 @@ def count_fragments(model: Model, state: str, depth: int) -> int:
                 for succ in t.successors:
                     prod *= counts[succ]
                 total += prod
-            nxt[s] = total
+            nxt[s] = total if cap is None else min(total, cap + 1)
         counts = nxt
     return counts[state]
 

@@ -279,7 +279,12 @@ class ProbabilisticSemiring(Semiring):
         return v
 
     def render(self, v):
-        return str(Fraction(v))
+        try:
+            return str(Fraction(v))
+        except ValueError:  # more digits than Python prints: "~" and the first 16, truncated
+            from decimal import ROUND_DOWN, Context, Decimal
+            n, d = Fraction(v).as_integer_ratio()
+            return f"~{Context(16, ROUND_DOWN).divide(Decimal(n), Decimal(d)):.15e}"
 
 
 class TropicalSemiring(Semiring):

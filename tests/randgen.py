@@ -123,7 +123,7 @@ def pick_unroll(model: Model, phi, cap: int = 50_000, max_k: int = 3) -> int:
     stays within `cap` fragments from every state; 0 if none does."""
     for k in range(max_k, 0, -1):
         depth = modal_depth(unroll(phi, k))
-        if all(count_fragments(model, s, depth) <= cap for s in model.states):
+        if all(count_fragments(model, s, depth, cap) <= cap for s in model.states):
             return k
     return 0
 

@@ -147,6 +147,27 @@ def test_oracle_report_without_fixpoint_distance(tmp_path, capsys):
     assert code == 0 and out.endswith("(diagnostic): n/a\n")
 
 
+@pytest.mark.parametrize("unroll", ["16", "60"])
+def test_oracle_past_the_enumeration_cap_exits_2(tmp_path, capsys, unroll):
+    # where the exact fragment count, a doubly exponential integer, was
+    # counted in full and failed to print
+    path = tmp_path / "bin.model"
+    path.write_text("semiring prob\nlabel f/2\nlabel e/0\nstate x { 1/2 f -> x x; 1/2 e }\n")
+    code, out, err = run(capsys, "oracle", str(path), "nu X. [f](X, X) | [e]", "--unroll", unroll)
+    assert (code, out) == (2, "")
+    assert err == f"error: more than 200000 path fragments at depth {unroll}\n"
+
+
+def test_check_renders_a_mass_too_long_to_print_exactly(tmp_path, capsys):
+    n = 10**1500
+    path = tmp_path / "long.model"
+    path.write_text(f"semiring prob\nlabel e/0\nlabel a/1\nlabel b/1\n"
+                    f"state x {{ 1/{n - 1} e; 1/{n} a -> x; 1/{n + 1} b -> x }}\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 0 and err == ""
+    assert "substochastic: x (outgoing mass ~3.000000000000000e-1500)" in out
+
+
 def test_formula_from_file(tmp_path, capsys):
     f = tmp_path / "formula.txt"
     f.write_text(FORMULA)

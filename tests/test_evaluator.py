@@ -15,8 +15,9 @@ from semimc import (BOT, INF, TOP, TOP_LEAF, EvalConfig, KleeneResult, Label, Mo
                     OffsetUnsupported, SemiringDescriptor, Signature, Transition, Var,
                     WeightedSum, eval_formula, eval_with_certificate, finite_tr, kleene,
                     mu_extent, mu_extent_result, nu_extent, nu_extent_result,
-                    parse_formula, parse_fragment, parse_model, semiring_for, tr_approx)
+                    parse_formula, parse_fragment, parse_model, semiring_for, tr_approx, unroll)
 from semimc import evaluator
+from semimc.logic import _children, free_vars, size
 from semimc._linear import _RHS, _eliminate
 from conftest import leq_pointwise, load_corpus_model
 from test_kernel import naive_step
@@ -347,13 +348,14 @@ def test_affine_binders_match_kleene(seed):
     body = _affine_body(rng, m.signature, free)
     ctx = evaluator._EvalContext(m, cfg, None)
     env = {z: sr.pack([p[s] for s in cm.states]) for z, p in valuation.items()}
+    plan, _ = evaluator._compile(body, m)
 
     def op(p):
-        return evaluator._eval(ctx, body, {**env, "X": p})
+        return evaluator._eval(ctx, plan, {**env, "X": p})
 
     for binder, direction in ((Mu, "lfp"), (Nu, "gfp")):
         start = (sr.pack([sr.zero] * len(cm.states)) if binder is Mu
-                 else evaluator._eval(ctx, TOP, env))
+                 else evaluator._eval(ctx, evaluator._compile(TOP, m)[0], env))
         try:
             x = eval_formula(m, binder("X", body), valuation, cfg)
         except NonMonotoneChain:
@@ -364,7 +366,8 @@ def test_affine_binders_match_kleene(seed):
             continue
         assert eval_formula(m, body, {**valuation, "X": x}, cfg) == x
         # pairs in lowest terms, as the grid test of an enclosing chain needs
-        assert all(gcd(n, d) == 1 for n, d in evaluator._eval(ctx, binder("X", body), env))
+        assert all(gcd(n, d) == 1 for n, d in
+                   evaluator._eval(ctx, evaluator._compile(binder("X", body), m)[0], env))
         ref = kleene(sr, op, start, direction, cfg, names=cm.states)
         grid = kleene(sr, op, start, direction, cfg, force_exact=True, names=cm.states)
         for s, r, g in zip(cm.states, sr.unpack(ref.values), sr.unpack(grid.values)):
@@ -403,8 +406,9 @@ def test_rows_evaluate_to_the_body_at_any_point(seed):
                           for label in m.signature.labels)),
               *(_poly_body(rng, m.signature) for _ in range(3))]
     for body in bodies:
+        plan, _ = evaluator._compile(body, m)
         try:
-            rows = evaluator._sum_terms([(1, evaluator._eval(ctx, body, {"X": x}))])
+            rows = evaluator._sum_terms([(1, evaluator._eval(ctx, plan, {"X": x}))])
         except evaluator._NotPoly:
             continue
         p = [Fraction(rng.randint(0, den), den) for den in (rng.randint(1, 12) for _ in cm.states)]
@@ -413,7 +417,7 @@ def test_rows_evaluate_to_the_body_at_any_point(seed):
             # one positive denominator, sorted monomials, no zero numerator
             assert den > 0 and all(n > 0 and list(mono) == sorted(mono) for mono, n in nums.items())
             at_p.append(sum(Fraction(n, den) * prod(p[j] for j in mono) for mono, n in nums.items()))
-        assert at_p == sr.unpack(evaluator._eval(ctx, body, {"X": sr.pack(p)}))
+        assert at_p == sr.unpack(evaluator._eval(ctx, plan, {"X": sr.pack(p)}))
 
 
 def test_grid_test_sees_solver_values_in_lowest_terms():
@@ -712,7 +716,8 @@ def test_nested_modalities_keep_one_term_per_state():
     depth = 12
     f = parse_formula("[a](" * depth + "X" + ")" * depth, m.signature, m.descriptor)
     x = evaluator._Poly((1, {(i,): 1}) for i in range(2))
-    rows = evaluator._eval(evaluator._EvalContext(m, EvalConfig(), None), f, {"X": x})
+    rows = evaluator._eval(evaluator._EvalContext(m, EvalConfig(), None),
+                           evaluator._compile(f, m)[0], {"X": x})
     assert [sorted(nums) for _, nums in rows] == [[(0,), (1,)], [(0,), (1,)]]
     # at X = 1 the terms sum to the formula's value there
     ones = eval_formula(m, f, {"X": dict.fromkeys(m.states, Fraction(1))})
@@ -743,6 +748,96 @@ def test_inner_binder_that_mentions_the_variable_ends_the_attempt(counterexample
     f = parse_formula("nu X. mu Y. ([b](Y) | [c](Y) | [a](X))", m.signature, m.descriptor)
     assert eval_formula(m, f) == dict.fromkeys(m.states, Fraction(1))
     assert entered == ["gfp"]
+
+
+def test_outer_binder_that_an_inner_binder_mentions_builds_no_rows(monkeypatch):
+    # mu Z (a critical branching chain, started at 1 by the qualitative
+    # pass) comes before mu Y, which mentions X, in postorder.  X builds
+    # no rows, so its own chain is the first to run: no attempt runs Z's
+    # chain and then is thrown away when it reaches Y.  Z, nested, runs
+    # force_exact once per step of X's chain; Y's rows are constant in Y
+    chains = []
+
+    def recording(*args, **kwargs):
+        chains.append((args[3], kwargs.get("force_exact", False)))
+        return kleene(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "kleene", recording)
+    m = parse_model("semiring prob label f/2 label a/1 label e/0 state x { 1/2 f -> x x; 1/2 e }")
+    f = parse_formula("mu X. 1/2 * (mu Z. [f](Z, Z) | [e]) + 1/2 * (mu Y. [a](X) | [e])",
+                      m.signature, m.descriptor)
+    assert eval_formula(m, f) == {"x": Fraction(3, 4)}
+    assert chains == [("lfp", False), ("lfp", True), ("lfp", True)]
+
+
+def _blocks(plan):
+    """Every block of `plan`, outermost first, with the blocks inside their bodies."""
+    out = []
+    for step in plan.values():
+        if isinstance(step, evaluator._Block):
+            out += [step, *_blocks(step.body)]
+    return out
+
+
+def test_compile_decides_every_block_from_the_formula(counterexample_prob):
+    m = counterexample_prob
+    f = parse_formula("nu X. [a](X) | [b](mu Y. [b](Y) | [c](mu Z. [c](Y) | [a](T)))",
+                      m.signature, m.descriptor)
+    plan, n = evaluator._compile(f, m)
+    assert n is None  # the size is counted on the tropical kind only
+    # Y is free in Z, so Y builds no rows; X is free in no binder
+    assert [(b.var, b.direction, b.nested, b.rows) for b in _blocks(plan)] == [
+        ("X", "gfp", False, True), ("Y", "lfp", True, False), ("Z", "lfp", True, True)]
+    # off an offset-free prob model no block builds rows
+    for text in ("semiring trop label a/1 label b/1 label c/1 state x { 1 a -> x }",
+                 "semiring prob label a/1 label b/1 label c/1 state x { 1 a -> x } offset x = 1/2"):
+        t = parse_model(text)
+        plan, n = evaluator._compile(f, t)
+        assert not any(b.rows for b in _blocks(plan))
+        assert n == (size(f) if t.descriptor.kind == "tropical" else None)
+
+
+def _binders(g, depth=0):
+    """Every binder of `g` with the number of binders above it."""
+    if isinstance(g, (Mu, Nu)):
+        yield g, depth
+        depth += 1
+    for c in _children(g):
+        yield from _binders(c, depth)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300, deadline=None)
+def test_compile_agrees_with_the_formula_walks(seed):
+    # the one pass gives the size `size` counts, on the tropical kind only,
+    # and for each binder the block read off the formula by `free_vars`
+    rng = random.Random(seed)
+    m = random_model(rng, DESCRIPTORS[rng.choice(sorted(DESCRIPTORS))], max_states=3, max_arity=2)
+    f = random_qualitative_formula(rng, m.signature, max_size=16, max_fnd=3)
+    plan, n = evaluator._compile(f, m)
+    assert n == (size(f) if m.descriptor.kind == "tropical" else None)
+    rows = m.semiring.kind == "probabilistic" and not m.compiled.offset_ids
+    assert {b.var: (b.direction, b.nested, b.rows) for b in _blocks(plan)} == {
+        g.var: ("lfp" if isinstance(g, Mu) else "gfp", depth > 0,
+                rows and not any(g.var in free_vars(h) for h, _ in _binders(g.body)))
+        for g, depth in _binders(f)}
+
+
+def test_compile_lists_a_shared_node_in_every_body_it_occurs_in():
+    # T is one object, in both bodies and outside them; the plans run in
+    # frames of their own, so each lists it once.  An unrolled approximant
+    # shares its subformulas: its plan lists each distinct node once
+    m = parse_model("semiring trop label f/2 label e/0 state x { 1 f -> x x; 2 e }")
+    f = parse_formula("[f](mu X. [f](X, T) | [e], [f](T, nu Y. [f](T, Y) | [e]))",
+                      m.signature, m.descriptor)
+    plan, n = evaluator._compile(f, m)
+    assert n == size(f)
+    for p in (plan, *(b.body for b in _blocks(plan))):
+        assert id(TOP) in p
+    assert eval_formula(m, f) == {"x": 8}
+    psi = unroll(parse_formula("nu X. [f](X, X) | [e]", m.signature, m.descriptor), 30)
+    plan, n = evaluator._compile(psi, m)
+    assert len(plan) == 31 and n == 2 ** 31 - 1 == size(psi)
 
 
 @pytest.mark.parametrize("formula", [

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from semimc import (BOT, TOP, EvalConfig, Modal, Mu, Nu, ParseError, Var,
                     WeightedSum, alpha_equal, classify, eval_formula, fnd,
-                    modal_depth, parse_formula, render_formula, substitute,
+                    modal_depth, parse_formula, parse_model, render_formula, substitute,
                     unroll)
-from semimc.logic import free_vars, size
+from semimc.logic import FormulaClass, _children, _rebuild, free_vars, size
 from conftest import leq_pointwise
 from randgen import DESCRIPTORS, random_model, random_qualitative_formula
 
@@ -172,6 +172,39 @@ def test_unroll_properties(sig, prob):
         assert cls.modal_only and cls.qualitative
         assert fnd(u) == 0
         assert modal_depth(u) <= (k + 1) ** fnd(g) * bound_base
+
+
+def _tree_copy(f):
+    """`f` with no inner node shared: every occurrence is a node of its own."""
+    return _rebuild(f, [_tree_copy(c) for c in _children(f)])
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=100, deadline=None)
+def test_unrolled_dags_fold_as_their_trees(seed):
+    # unroll shares each approximant among its occurrences; the folds walk
+    # the DAG once per node and give what they give on the tree
+    rng = random.Random(seed)
+    m = random_model(rng, DESCRIPTORS["probabilistic"], max_states=2, max_arity=2)
+    u = unroll(random_qualitative_formula(rng, m.signature, max_fnd=2), rng.randint(0, 3))
+    t = _tree_copy(u)
+    assert (classify(u), size(u), modal_depth(u), fnd(u)) == \
+        (classify(t), size(t), modal_depth(t), fnd(t))
+
+
+def test_deep_unrolling_is_walked_as_a_dag():
+    # 2^41 - 1 nodes as a tree, 41 distinct ones: the tree walk of the
+    # folds (and of unroll's substitution) would not finish
+    m = parse_model("semiring prob label f/2 label e/0 state x { 1/2 f -> x x; 1/2 e }")
+    phi = parse_formula("nu X. [f](X, X) | [e]", m.signature, m.descriptor)
+    u = unroll(phi, 40)
+    assert size(u) == 2 ** 41 - 1
+    assert classify(u) == FormulaClass(True, True, True, 40)
+    assert (modal_depth(u), fnd(u)) == (40, 0)
+    # a binder inside the body: each outer step substitutes into the inner
+    # binder's approximant, a DAG of its own
+    psi = unroll(parse_formula("nu X. mu Y. [f](X, Y) | [e]", m.signature, m.descriptor), 40)
+    assert modal_depth(psi) == 40 * 40
 
 
 @given(st.integers(min_value=0, max_value=10**9))

@@ -13,6 +13,7 @@ from semimc import (EvalConfig, EvaluationError, PathNode, SizingError,
                     StateLeaf, TOP, ValidationError, compare_semantics,
                     cyl_measure, enum_fragments, eval_formula, frag_sat,
                     nu_extent, oracle_eval, parse_formula, parse_model, unroll)
+from semimc.path_oracle import count_fragments
 from randgen import DESCRIPTORS, pick_unroll, random_model, random_qualitative_formula
 
 EPS = Fraction(1, 10**9)
@@ -58,6 +59,37 @@ def test_nullary_terminates_branch(extent_prob):
 def test_enum_cap(extent_prob):
     with pytest.raises(SizingError):
         list(enum_fragments(extent_prob, "x", 6, cap=10))
+
+
+BRANCHING = "semiring prob label f/2 label e/0 state x { 1/2 f -> x x; 1/2 e }"
+
+
+def test_count_fragments_stops_past_the_cap():
+    # c(d + 1) = c(d)^2 + 1: doubly exponential without a cap
+    m = parse_model(BRANCHING)
+    exact = [1, 2, 5, 26, 677, 458330]
+    assert [count_fragments(m, "x", d) for d in range(6)] == exact
+    for cap in (0, 1, 5, 25, 26, 677, 10**6):
+        assert [count_fragments(m, "x", d, cap) for d in range(6)] == \
+            [min(c, cap + 1) for c in exact]
+    assert count_fragments(m, "x", 10_000, 200_000) == 200_001
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=100, deadline=None)
+def test_capped_count_is_exact_up_to_the_cap(seed):
+    rng = random.Random(seed)
+    kind = rng.choice(sorted(DESCRIPTORS))
+    m = random_model(rng, DESCRIPTORS[kind], max_states=4, max_arity=3)
+    depth, cap = rng.randint(0, 5), rng.randint(0, 300)
+    for s in m.states:
+        assert count_fragments(m, s, depth, cap) == min(count_fragments(m, s, depth), cap + 1)
+
+
+def test_enum_cap_message_does_not_count_past_the_cap():
+    # the exact count at depth 40 has about 2^40 bits
+    with pytest.raises(SizingError, match="^more than 200000 path fragments at depth 40$"):
+        next(enum_fragments(parse_model(BRANCHING), "x", 40, cap=200_000))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -372,3 +373,21 @@ def test_prob_parse_long_exponent(text, expected):
         with pytest.raises(expected) as info:
             sr.parse(text)
         assert type(info.value) is expected
+
+
+def test_prob_render_marks_values_too_long_to_print_exactly():
+    # past the interpreter's limit on printing an int, "~" and the first
+    # 16 significant digits (truncated); below it, exact as before
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    render = semiring_for(DESCRIPTORS["probabilistic"]).render
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert render(Fraction(1, 10**5000)) == "~1.000000000000000e-5000"
+        assert render(1 - Fraction(1, 10**5000)) == "~9.999999999999999e-1"
+        assert render(Fraction(2, 3) + Fraction(1, 3**10000)) == "~6.666666666666666e-1"
+        assert render(Fraction(10**4299 - 1, 10**4299)) == f"{10**4299 - 1}/{10**4299}"
+        assert render(Fraction(1, 7)) == "1/7" and render(1) == "1" and render(0) == "0"
+    finally:
+        sys.set_int_max_str_digits(old)
