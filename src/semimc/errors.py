@@ -5,10 +5,14 @@ from __future__ import annotations
 
 def quote(token) -> str:
     """`token` as error messages show it: repr, a string clipped past 32
-    characters (programmatic models may name states by other values)."""
-    if not isinstance(token, str) or len(token) <= 32:
+    characters, and a number past Python's digit limit by its type alone
+    (programmatic models may name states by other values)."""
+    if isinstance(token, str) and len(token) > 32:
+        return f"{token[:32]!r}... ({len(token)} characters)"
+    try:
         return repr(token)
-    return f"{token[:32]!r}... ({len(token)} characters)"
+    except ValueError:  # an integer with more digits than Python prints
+        return f"<{type(token).__name__} with more digits than Python prints>"
 
 
 class SemimcError(Exception):

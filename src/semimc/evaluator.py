@@ -626,7 +626,7 @@ def _check_valuation(model: Model, valuation: dict[str, Predicate] | None):
         for state, v in pred.items():
             if not model.semiring.contains(v):
                 raise EvaluationError(f"valuation for {name!r} at state {quote(state)} "
-                                      f"is {v!r}, outside the semiring's carrier")
+                                      f"is {quote(v)}, outside the semiring's carrier")
 
 
 def eval_formula(model: Model, formula: Formula,

@@ -434,7 +434,9 @@ def _ratio_sum(ratios):
 
 
 def render_model(model: Model) -> str:
-    """Canonical text for a model; reparses to an equal model."""
+    """Canonical text for a model; reparses to an equal model, unless a
+    weight or offset has more digits than Python prints: `render` gives
+    it as "~" and 16 digits, which does not reparse."""
     semiring = model.semiring
     lines = [f"semiring {model.descriptor.short_name}"]
     for l in model.signature.labels:

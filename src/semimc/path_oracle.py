@@ -110,7 +110,8 @@ def cyl_measure(model: Model, q: PathFragment, cfg: EvalConfig | None = None,
         v = weights.pop(id(frag))
         for x in vals:
             v = semiring.times(v, x)
-        return semiring.oslash(v, model.offsets[frag.state])
+        o = model.offsets[frag.state]  # oslash(v, one) == v, as in `Semiring.step`
+        return v if o == semiring.one else semiring.oslash(v, o)
 
     return _fold(q, leave, children, _memo if _memo is not None else {})
 
@@ -200,41 +201,40 @@ class ComparisonReport(Record, rows=None, max_discrepancy=0, approximant_distanc
             "semiring": self.semiring,
             "unroll": self.unroll_depth,
             "depth": self.enum_depth,
-            "tolerance": _render_diff(self.tolerance),
-            "max_discrepancy": _render_diff(self.max_discrepancy),
-            "approximant_distance": _render_diff(self.approximant_distance),
+            "tolerance": _render_diff(self.tolerance, descriptor),
+            "max_discrepancy": _render_diff(self.max_discrepancy, descriptor),
+            "approximant_distance": _render_diff(self.approximant_distance, descriptor),
             "ok": self.ok,
             "rows": [
                 {"state": r.state,
                  "stepwise": render_scalar(r.stepwise, descriptor),
                  "oracle": render_scalar(r.oracle, descriptor),
-                 "difference": _render_diff(r.difference),
+                 "difference": _render_diff(r.difference, descriptor),
                  "verdict": r.verdict}
                 for r in self.rows
             ],
         }
 
     def to_text(self, descriptor) -> str:
-        lines = [f"semantics cross-check (unroll {self.unroll_depth}, depth {self.enum_depth}, "
-                 f"tolerance {_render_diff(self.tolerance)})"]
-        for r in self.rows:
-            lines.append(f"  {r.state}: stepwise={render_scalar(r.stepwise, descriptor)} "
-                         f"oracle={render_scalar(r.oracle, descriptor)} "
-                         f"diff={_render_diff(r.difference)} {r.verdict}")
-        lines.append(f"  max discrepancy: {_render_diff(self.max_discrepancy)}")
+        d = self.to_dict(descriptor)
+        lines = [f"semantics cross-check (unroll {d['unroll']}, depth {d['depth']}, "
+                 f"tolerance {d['tolerance']})"]
+        lines += [f"  {r['state']}: stepwise={r['stepwise']} oracle={r['oracle']} "
+                  f"diff={r['difference']} {r['verdict']}" for r in d["rows"]]
+        lines.append(f"  max discrepancy: {d['max_discrepancy']}")
         lines.append(f"  approximant vs fixpoint distance (diagnostic): "
-                     f"{_render_diff(self.approximant_distance) or 'n/a'}")
+                     f"{d['approximant_distance'] or 'n/a'}")
         return "\n".join(lines)
 
 
-def _render_diff(d) -> str | None:
+def _render_diff(d, descriptor) -> str | None:
+    """A difference as the report's semiring renders it, except a prob one
+    with a denominator of 1000 or more, which prints as `%.3e`."""
     if d is None:  # unavailable
         return None
-    if d == INF:
-        return "inf"
-    if isinstance(d, Fraction):
-        return str(d) if d.denominator < 1000 else f"{float(d):.3e}"
-    return str(d)
+    if isinstance(d, Fraction) and d.denominator >= 1000:
+        return f"{float(d):.3e}"
+    return render_scalar(d, descriptor)
 
 
 def certificate_tolerance(report: KleeneReport | None, depth: int, n_states: int) -> Fraction:

@@ -25,6 +25,9 @@ method call per scalar.  It runs on the kernel form (``pack``, ``unpack``):
 integer pairs ``(numerator, denominator)`` on prob, the scalars themselves
 on the tropical family, and on bool the trop[0] value (1 as 0, 0 as INF).
 
+``render`` is the one scalar formatter: exact text, and for a value with
+more digits than Python prints, "~" and its first 16 significant digits.
+
 All values are immutable and all operations are pure, so ``semiring_for``
 shares one instance per descriptor across concurrent evaluations.
 """
@@ -167,7 +170,12 @@ class Semiring:
         raise NotImplementedError
 
     def render(self, v) -> str:
-        raise NotImplementedError
+        try:
+            return str(v)
+        except ValueError:  # more digits than Python prints: "~" and the first 16, truncated
+            from decimal import ROUND_DOWN, Context, Decimal
+            n, d = Decimal(v.numerator), Decimal(v.denominator)
+            return f"~{Context(16, ROUND_DOWN).divide(n, d):.15e}"
 
     # metric used in cross-check reports; infinity if exactly one side is
     # the tropical infinity
@@ -279,12 +287,7 @@ class ProbabilisticSemiring(Semiring):
         return v
 
     def render(self, v):
-        try:
-            return str(Fraction(v))
-        except ValueError:  # more digits than Python prints: "~" and the first 16, truncated
-            from decimal import ROUND_DOWN, Context, Decimal
-            n, d = Fraction(v).as_integer_ratio()
-            return f"~{Context(16, ROUND_DOWN).divide(Decimal(n), Decimal(d)):.15e}"
+        return super().render(Fraction(v))
 
 
 class TropicalSemiring(Semiring):
@@ -358,9 +361,6 @@ class TropicalSemiring(Semiring):
         if v > self.bound:
             raise CarrierError(f"scalar {quote(text)} exceeds bound {self.bound}")
         return v
-
-    def render(self, v):
-        return "inf" if v == INF else str(v)
 
 
 class BooleanSemiring(TropicalSemiring):
@@ -449,17 +449,18 @@ def render_certified(value, descriptor: SemiringDescriptor, epsilon: Fraction) -
     the simplest rational in [value - epsilon, value + epsilon] (clipped
     to [0, 1]), which recovers the exact value whenever the limit is a
     small fraction; the descent of `simplest_in_interval` finds it on
-    integers.  Other semirings render exactly.
+    integers.  Other semirings, and results too long to print, go to `render`.
     """
     if descriptor.kind != "probabilistic":
         return render_scalar(value, descriptor)
     vn, vd = value.as_integer_ratio()
     en, ed = epsilon.as_integer_ratio()
     lo, hi, den = vn * ed - en * vd, vn * ed + en * vd, vd * ed
-    if lo <= 0:
-        return "0"
-    p, q = _simplest(lo, den, min(hi, den), den)
-    return f"{p}/{q}" if q != 1 else str(p)
+    p, q = _simplest(lo, den, min(hi, den), den) if lo > 0 else (0, 1)
+    try:
+        return f"{p}/{q}" if q != 1 else str(p)
+    except ValueError:  # more digits than Python prints
+        return render_scalar(Fraction(p, q), descriptor)
 
 
 def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:

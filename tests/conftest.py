@@ -56,6 +56,18 @@ def counterexample_prob():
     return load_corpus_model("counterexample.prob.model")
 
 
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit on printing an int (4300 digits) for one test,
+    whatever the interpreter runs with; skipped where there is no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
 # ---------------------------------------------------------------------------
 # acceptance summary: one pass/fail line per criterion at the end of the run
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -159,22 +158,42 @@ def test_oracle_past_the_enumeration_cap_exits_2(tmp_path, capsys, unroll):
     assert err == f"error: more than 200000 path fragments at depth {unroll}\n"
 
 
-def test_check_renders_a_mass_too_long_to_print_exactly(tmp_path, capsys):
+def test_check_renders_a_mass_too_long_to_print_exactly(tmp_path, capsys, default_digit_limit):
     # the mass has about 4500 digits, past Python's default limit of 4300
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter prints integers of any length")
     n = 10**1500
     path = tmp_path / "long.model"
     path.write_text(f"semiring prob\nlabel e/0\nlabel a/1\nlabel b/1\n"
                     f"state x {{ 1/{n - 1} e; 1/{n} a -> x; 1/{n + 1} b -> x }}\n")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        code, out, err = run(capsys, "check", str(path))
-    finally:
-        sys.set_int_max_str_digits(old)
+    code, out, err = run(capsys, "check", str(path))
     assert code == 0 and err == ""
     assert "substochastic: x (outgoing mass ~3.000000000000000e-1500)" in out
+
+
+LONG_TROP = (f"semiring trop\nlabel f/2\nlabel e/0\nstate s0 {{ {'9' * 4300} e }}\n"
+             "state s1 { 0 f -> s0 s0 }\n")  # s1 = 2 * (10^4300 - 1), 4301 digits
+LONG_PROB = (f"semiring prob\nlabel e/0\nlabel a/1\nlabel b/1\nstate x {{ 1/{10**1500 - 1} e; "
+             f"1/{10**1500} a -> x; 1/{10**1500 + 1} b -> x }}\n")  # CI's long-mass model
+
+
+@pytest.mark.parametrize("model, argv, end", [
+    (LONG_TROP, ["extent", "--mu", "_"], "s1 = ~1.999999999999999e+4300"),
+    (LONG_TROP, ["eval", "_", "mu X. [f](X, X) | [e]"], "s1 = ~1.999999999999999e+4300"),
+    (LONG_TROP, ["lt", "_", "f(T, T)", "--state", "s1"], "s1 = ~1.999999999999999e+4300"),
+    (LONG_TROP, ["ftr", "_", "f(e, e)", "--state", "s1"], "s1 = ~1.999999999999999e+4300"),
+    (LONG_TROP, ["equiv", "_", "s0", "s1", "--depth", "1"], "s1: ~1.999999999999999e+4300)"),
+    (LONG_TROP, ["oracle", "_", "nu X. [f](X, X) | [e]", "--unroll", "1"],
+     "s1: stepwise=~1.999999999999999e+4300 oracle=~1.999999999999999e+4300 diff=0 ok"),
+    (LONG_PROB, ["extent", "--mu", "_", "--epsilon", "1e-9000"], "x = ~1.000000000000000e-1500"),
+])
+def test_values_too_long_to_print_render_marked(tmp_path, capsys, default_digit_limit,
+                                                 model, argv, end):
+    # every command prints through `Semiring.render`, where each of these
+    # ended in a ValueError traceback; the prob value is certified to 10^-9000
+    path = tmp_path / "long.model"
+    path.write_text(model)
+    code, out, err = run(capsys, *[str(path) if a == "_" else a for a in argv])
+    assert (code, err) == (0, "") and "Traceback" not in out
+    assert any(line.endswith(end) for line in out.splitlines())
 
 
 def test_formula_from_file(tmp_path, capsys):

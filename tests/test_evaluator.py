@@ -888,11 +888,12 @@ def test_valuation_outside_the_carrier_is_an_evaluation_error(name, formula, bad
         eval_formula(m, f, {"X": {**good, "y": bad}})
 
 
-def test_prob_valuation_of_another_type_is_an_evaluation_error(extent_prob):
+def test_prob_valuation_of_another_type_is_an_evaluation_error(extent_prob, default_digit_limit):
     # negative values and strings are refused too, where a string raised
-    # a bare AttributeError
+    # a bare AttributeError, and so is a value too long to print, where
+    # echoing it raised ValueError
     f = parse_formula("[b](X)", extent_prob.signature, extent_prob.descriptor)
-    for bad in (-1, Fraction(-1, 2), "1/2"):
+    for bad in (-1, Fraction(-1, 2), "1/2", Fraction(10**5000)):
         with pytest.raises(EvaluationError, match="^valuation for 'X' at state 'x' is "):
             eval_formula(extent_prob, f, {"X": dict.fromkeys(extent_prob.states, bad)})
 

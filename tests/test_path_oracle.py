@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimc import (EvalConfig, EvaluationError, PathNode, SizingError,
+from semimc import (INF, EvalConfig, EvaluationError, PathNode, SizingError,
                     StateLeaf, TOP, ValidationError, compare_semantics,
                     cyl_measure, enum_fragments, eval_formula, frag_sat,
                     nu_extent, oracle_eval, parse_formula, parse_model, unroll)
-from semimc.path_oracle import count_fragments
+from semimc.path_oracle import _render_diff, count_fragments
 from randgen import DESCRIPTORS, pick_unroll, random_model, random_qualitative_formula
 
 EPS = Fraction(1, 10**9)
@@ -107,6 +107,35 @@ def test_single_step_measure(extent_prob):
     ext = nu_extent(extent_prob)
     q = PathNode("x", "a", (StateLeaf("y"),))
     assert abs(cyl_measure(extent_prob, q, _extent=ext) - Fraction(3, 10)) < EPS
+
+
+def test_cylinder_measures_offset_only_at_offset_states(corpus_models, monkeypatch):
+    # oslash(v, one) == v, so a plain model makes no oslash call, and a
+    # model with offsets one per distinct fragment node at an offset state
+    for name, m in corpus_models.items():
+        sr, ext = m.semiring, nu_extent(m)
+        moved = {s for s in m.states if m.offsets[s] != sr.one}
+        calls, oslash = [], type(sr).oslash
+
+        def counted(self, v, t, oslash=oslash):
+            calls.append(t)
+            return oslash(self, v, t)
+        monkeypatch.setattr(type(sr), "oslash", counted)
+        expected = 0
+        for s in m.states:
+            fragments, memo, nodes = list(enum_fragments(m, s, 3, cap=100_000)), {}, {}
+            for q in fragments:
+                cyl_measure(m, q, _extent=ext, _memo=memo)
+            todo = fragments[:]
+            while todo:
+                q = todo.pop()
+                if isinstance(q, PathNode) and id(q) not in nodes:
+                    nodes[id(q)] = q
+                    todo += q.children
+            expected += sum(q.state in moved for q in nodes.values())
+        monkeypatch.undo()
+        assert len(calls) == expected and (moved or not calls), name
+        assert all(t != sr.one for t in calls), name
 
 
 def test_unknown_transition_is_an_error(extent_prob):
@@ -284,6 +313,16 @@ def test_compare_rejects_quantitative(extent_prob):
     phi = parse_formula("1/2*T + 1/2*T", extent_prob.signature, extent_prob.descriptor)
     with pytest.raises(EvaluationError, match="qualitative"):
         compare_semantics(extent_prob, phi, 1)
+
+
+def test_render_diff_goes_through_the_report_semiring(default_digit_limit):
+    # only a prob difference with a denominator of 1000 or more has its
+    # own format; everything else prints as the semiring renders it
+    trop, prob = DESCRIPTORS["tropical"], DESCRIPTORS["probabilistic"]
+    assert _render_diff(2 * 10**4300 - 2, trop) == "~1.999999999999999e+4300"
+    assert _render_diff(INF, trop) == "inf" and _render_diff(None, trop) is None
+    assert _render_diff(0, prob) == "0" and _render_diff(Fraction(1, 3), prob) == "1/3"
+    assert _render_diff(Fraction(1, 3000), prob) == "3.333e-04"
 
 
 def test_compare_report_serialises(extent_trop):

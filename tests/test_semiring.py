@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +14,7 @@ from semimc import (INF, UNDEFINED, CarrierError, ParseError,
                     SemiringDescriptor, parse_scalar, render_scalar,
                     semiring_for, simplest_in_interval)
 from semimc.errors import quote
+from semimc.semiring import render_certified
 from randgen import DESCRIPTORS, carrier_values
 
 ALL = list(DESCRIPTORS.values())
@@ -375,19 +375,33 @@ def test_prob_parse_long_exponent(text, expected):
         assert type(info.value) is expected
 
 
-def test_prob_render_marks_values_too_long_to_print_exactly():
+def test_prob_render_marks_values_too_long_to_print_exactly(default_digit_limit):
     # past the interpreter's limit on printing an int, "~" and the first
     # 16 significant digits (truncated); below it, exact as before
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter prints integers of any length")
     render = semiring_for(DESCRIPTORS["probabilistic"]).render
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        assert render(Fraction(1, 10**5000)) == "~1.000000000000000e-5000"
-        assert render(1 - Fraction(1, 10**5000)) == "~9.999999999999999e-1"
-        assert render(Fraction(2, 3) + Fraction(1, 3**10000)) == "~6.666666666666666e-1"
-        assert render(Fraction(10**4299 - 1, 10**4299)) == f"{10**4299 - 1}/{10**4299}"
-        assert render(Fraction(1, 7)) == "1/7" and render(1) == "1" and render(0) == "0"
-    finally:
-        sys.set_int_max_str_digits(old)
+    assert render(Fraction(1, 10**5000)) == "~1.000000000000000e-5000"
+    assert render(1 - Fraction(1, 10**5000)) == "~9.999999999999999e-1"
+    assert render(Fraction(2, 3) + Fraction(1, 3**10000)) == "~6.666666666666666e-1"
+    assert render(Fraction(10**4299 - 1, 10**4299)) == f"{10**4299 - 1}/{10**4299}"
+    assert render(Fraction(1, 7)) == "1/7" and render(1) == "1" and render(0) == "0"
+
+
+@pytest.mark.parametrize("kind", ["tropical", "boolean", "bounded_tropical"])
+def test_integer_render_marks_values_too_long_to_print_exactly(kind, default_digit_limit):
+    # the same rule as on prob, from the one formatter in the base class
+    render = semiring_for(DESCRIPTORS[kind]).render
+    assert render(2 * 10**4300 - 2) == "~1.999999999999999e+4300"
+    assert render(10**4300 - 1) == "9" * 4300  # at the limit: exact
+    assert render(INF) == "inf" and render(0) == "0" and render(1) == "1"
+
+
+def test_certified_render_hands_results_too_long_to_print_to_render(default_digit_limit):
+    # within 10^-9000 of 1/3 + 10^-5000 the simplest rational has about
+    # 4500 digits; near 2/5 it is 2/5, through the fast text
+    d, eps = DESCRIPTORS["probabilistic"], Fraction(1, 10**9000)
+    assert render_certified(Fraction(1, 3) + Fraction(1, 10**5000), d, eps) \
+        == "~3.333333333333333e-1"
+    assert render_certified(Fraction(2, 5) + Fraction(1, 10**9500), d, eps) == "2/5"
+    assert render_certified(Fraction(1, 10**9500), d, eps) == "0"
+    assert render_certified(2 * 10**4300 - 2, DESCRIPTORS["tropical"], eps) \
+        == "~1.999999999999999e+4300"
