@@ -2,7 +2,8 @@
 
 A token is its text, and the list ends with the empty text ''.  The text
 fixes the kind: an identifier passes `str.isidentifier`, a number starts
-with a digit, anything else is a symbol.  The parsers hold token indices;
+with a digit, anything else is a symbol.  `tokenize` strips the comments
+and collects the texts in one `findall`.  The parsers hold token indices;
 line and column are worked out only when a `ParseError` is raised, by
 scanning the text again up to that token.  Columns count characters, so a
 tab and a carriage return are one column each.  Identifiers and digits are
@@ -28,12 +29,14 @@ MAX_DEPTH = 160
 # non-ASCII digits and letters.  '*' is a symbol; parsers take it as a name
 # where a nullary label is expected.
 _SYMBOLS = r"{};=/\[\](),.|+*"
-_ONE = r"[0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|->|[" + _SYMBOLS + "]"
+_ONE = re.compile(r"[0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|->|[" + _SYMBOLS + "]")
+_COMMENT = re.compile(r"\#[^\n]*")
 _GAP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"  # whitespace and comments
 _LEAD = re.compile(_GAP)
-# a token and the gap after it: from the end of `_LEAD` or of the last
-# match, on a text `_CLEAN` accepts, each search succeeds where it starts
-_TOKEN = re.compile(f"({_ONE}){_GAP}")
+# for the offsets of `TokenStream.error`: a token and the gap after it; from
+# the end of `_LEAD` or of the last match, on a text `_CLEAN` accepts, each
+# search succeeds where it starts
+_TOKEN = re.compile(f"({_ONE.pattern}){_GAP}")
 # runs of token characters, '->' and gaps: nothing after the loop can fail,
 # so the match never backtracks and ends at the first character no token
 # can start.  (A gap loop before a part that fails backtracks exponentially.)
@@ -43,11 +46,12 @@ _CLEAN = re.compile(r"(?:[ \t\r\n0-9A-Za-z_" + _SYMBOLS + r"]+|->|\#[^\n]*)*")
 def tokenize(source: str) -> list[str]:
     """Whitespace-insensitive tokenization; '#' starts a line comment.
     The list ends with ''; the first character no token can start raises
-    `ParseError`."""
+    `ParseError`.  Past it, what is left once comments are stripped is
+    tokens and whitespace, which `findall` skips."""
     end = _CLEAN.match(source).end()
     if end < len(source):
         raise error(source, end, f"unexpected character {source[end]!r}")
-    tokens = _TOKEN.findall(source, _LEAD.match(source).end())
+    tokens = _ONE.findall(_COMMENT.sub("", source) if "#" in source else source)
     tokens.append("")
     return tokens
 

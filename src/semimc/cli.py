@@ -117,9 +117,28 @@ class _Output:
     def emit(self) -> str:
         self.payload.setdefault("diagnostics", [])
         if self.fmt == "json":
-            import json  # loaded only for JSON output: text output never needs it
-            return json.dumps(self.payload, indent=2, sort_keys=False)
+            return _json(self.payload)
         return "\n".join(self.lines) if self.lines else "ok"
+
+
+def _json(payload) -> str:
+    """`json.dumps(payload, indent=2)` for string keys, without the chain
+    of generators json's own indented encoder runs: strings go to json's C
+    escaper, the layout is joined here.  Text output never loads json."""
+    from json import dumps
+    from json.encoder import encode_basestring_ascii as escape
+
+    def write(x, indent: str) -> str:
+        inner = indent + "  "
+        if isinstance(x, dict) and x:
+            items = [f"{escape(k)}: {escape(v) if isinstance(v, str) else write(v, inner)}"
+                     for k, v in x.items()]
+            return f"{{{inner}{f',{inner}'.join(items)}{indent}}}"
+        if isinstance(x, (list, tuple)) and x:
+            items = [escape(v) if isinstance(v, str) else write(v, inner) for v in x]
+            return f"[{inner}{f',{inner}'.join(items)}{indent}]"
+        return escape(x) if isinstance(x, str) else dumps(x)
+    return write(payload, "\n")
 
 
 def _load_model(path: str) -> Model:
@@ -375,8 +394,7 @@ _COMMANDS = build_parser()
 
 def _error_payload(command: str, fmt: str, message: str, code: int) -> str:
     if fmt == "json":
-        import json
-        return json.dumps({"command": command, "error": message, "exit": code}, indent=2)
+        return _json({"command": command, "error": message, "exit": code})
     return f"error: {message}"
 
 

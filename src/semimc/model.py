@@ -21,10 +21,11 @@ needs its own "state" block.  The parser is one loop over the token texts
 of ``_lex.tokenize`` and keeps a token's index where an error may need it;
 line and column are worked out only when the error is raised.  Each
 distinct weight text is parsed once per model.  Models are immutable after
-parsing; each shares the one semiring instance of its descriptor and
-builds, on first evaluation, its indexed ``CompiledModel`` from the
-transition entries the parser recorded (a model built by hand makes them
-from its ``Transition`` records).
+parsing; each shares the one semiring instance of its descriptor.  The
+parser records each transition once, as an entry: the indexed
+``CompiledModel`` is built from the entries on first evaluation, and the
+``Transition`` records of ``transitions`` only when something reads them.
+A model built by hand makes its entries from the records it is given.
 """
 
 from __future__ import annotations
@@ -87,6 +88,16 @@ class Model(Record, frozen=True, offsets=None):
         for s in self.states:
             self.transitions.setdefault(s, [])
             self.offsets.setdefault(s, one)
+
+    def __getattr__(self, name):
+        """`transitions` of a parsed model, built from its entries on first use."""
+        if name != "transitions" or "_entries" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        names = [l.name for l in self.signature.labels]
+        object.__setattr__(self, name, {
+            s: [Transition(w, names[lid], succs) for (lid, succs), (w, _) in row]
+            for s, row in zip(self.states, self._entries[0])})
+        return self.transitions
 
     @cached_property
     def semiring(self) -> Semiring:
@@ -225,8 +236,7 @@ def parse_model(text: str) -> Model:
 
     labels: dict[str, tuple] = {}  # name -> (label id, arity)
     weights: dict[str, tuple] = {}  # weight text -> (scalar, kernel form or None for the zero)
-    transitions: dict[str, list[Transition]] = {}
-    rows: list = []  # per state, its ((label id, successors), weights entry) pairs
+    rows: dict[str, object] = {}  # state -> its ((label id, successors), weights entry) pairs
     offsets: dict[str, tuple] = {}  # state -> (weight, index of its name)
     referenced: dict[str, int] = {}  # state -> index of the first token naming it
     overfull: list[Diagnostic] = []
@@ -238,7 +248,7 @@ def parse_model(text: str) -> Model:
             name = toks[k + 1]
             if not name.isidentifier():
                 raise error(f"expected identifier, got {quote(name)}", k + 1)
-            if name in transitions:
+            if name in rows:
                 raise error(f"duplicate state {quote(name)}", k + 1)
             if toks[k + 2] != "{":
                 raise error(f"expected '{{', got {quote(toks[k + 2])}", k + 2)
@@ -301,10 +311,7 @@ def parse_model(text: str) -> Model:
             if prob and _ratio_sum([w for _, w in row.values()]) is UNDEFINED:
                 overfull.append(Diagnostic(
                     "error", f"state {quote(name)}: outgoing weight sum is undefined"))
-            names = list(labels)
-            transitions[name] = [Transition(w, names[lid], succs)
-                                 for (lid, succs), (w, _) in row.items()]
-            rows.append(row.items())
+            rows[name] = row.items()
             k = i + 1
         elif kw == "label":  # label NAME / ARITY
             name = toks[k + 1]
@@ -344,19 +351,24 @@ def parse_model(text: str) -> Model:
     if not labels:
         raise ValidationError("model declares no labels")
     for name, k in referenced.items():
-        if name not in transitions:
+        if name not in rows:
             raise error(f"undeclared successor state {quote(name)}", k)
     for name, (_, k) in offsets.items():
-        if name not in transitions:
+        if name not in rows:
             raise error(f"offset for unknown state {quote(name)}", k)
     if overfull:
         raise ValidationError(overfull[0].message, overfull)
 
-    one = semiring.one
-    model = Model(descriptor, Signature(tuple(Label(n, a) for n, (_, a) in labels.items())),
-                  tuple(transitions), transitions, {s: w for s, (w, _) in offsets.items()})
-    model.__dict__["_entries"] = rows, {s: semiring.pack([w])[0]
-                                        for s, (w, _) in offsets.items() if w != one}
+    # the fields `Model.__init__` stores but `transitions`, which `__getattr__`
+    # builds from the entries on first use
+    one, model = semiring.one, Model.__new__(Model)
+    fields = (descriptor, Signature(tuple(Label(n, a) for n, (_, a) in labels.items())),
+              tuple(rows), {s: w for s, (w, _) in offsets.items()}
+              | {s: one for s in rows if s not in offsets})
+    for name, value in zip(("descriptor", "signature", "states", "offsets"), fields):
+        object.__setattr__(model, name, value)
+    model.__dict__.update(semiring=semiring, _entries=(list(rows.values()), {
+        s: semiring.pack([w])[0] for s, (w, _) in offsets.items() if w != one}))
     return model
 
 

@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semimc import ParseError, SemiringDescriptor, cli, parse_scalar
 from semimc.cli import main
@@ -452,3 +454,37 @@ def test_doubling_model_with_offset_is_exact(tmp_path, capsys):
     code, out, err = run(capsys, "extent", "--nu", str(path))
     assert code == 0
     assert out.splitlines()[-1] == "s13 = 16382"
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+_TEXTS = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", " ", "😀"])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.sampled_from([float("inf"), -float("inf")]) | _TEXTS)
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(_TEXTS, inner, max_size=4), max_leaves=20)
+
+
+@given(_JSON)
+@settings(max_examples=400, deadline=None)
+@example({"a": [], "b": {}, "c": [{}, [[]]], "d": (1, ("x",))})
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", DEADLOCK),
+    ("eval", MODEL, FORMULA),
+    ("extent", "--mu", TROP),
+    ("lt", COUNTER, "a(T)", "--state", "x"),
+    ("tr", COUNTER, "a(T)", "--state", "u", "--n", "1"),
+    ("ftr", MODEL, "a(*)", "--state", "x"),
+    ("equiv", COUNTER, "x", "u", "--depth", "1"),
+    ("oracle", TROP, FORMULA, "--unroll", "3"),
+    ("info", OFFSET_S),
+    pytest.param(("eval", MODEL, "[q](T)"), id="error"),  # the payload on standard error
+], ids=lambda argv: argv[0])
+def test_json_output_is_json_dumps_indent_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    text = out or err
+    assert (code == 0) == bool(out) and text
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"

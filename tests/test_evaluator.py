@@ -1120,6 +1120,37 @@ def test_critical_component_with_a_row_sum_above_one_is_one(monkeypatch):
         mu_extent(parse_model(TWO_CYCLE), EvalConfig(max_iterations=1000))
 
 
+def _ring_rows(n: int, head: Fraction, tail: Fraction) -> list:
+    """The qualitative pass's rows (den, {monomial: num}) of a ring of n
+    states: s0 = head * s1^2 + (1 - head), and each other state
+    s_i = tail * s_(i+1) + (1 - tail), with s0 after the last one."""
+    def row(p: Fraction, monomial: tuple) -> tuple:
+        nums = {monomial: p.numerator}
+        if p < 1:
+            nums[()] = p.denominator - p.numerator
+        return p.denominator, nums
+    return [row(head, (1, 1))] + [row(tail, ((i + 1) % n,)) for i in range(1, n)]
+
+
+def test_minor_test_runs_on_a_component_of_exactly_eliminated_states():
+    import semimc._qualitative as qualitative
+    # s0 = 3/4 s1^2 + 1/4 has a row sum of P'(1) of 3/2, so only
+    # `m_matrix` decides that the ring is subcritical (the product of the
+    # row sums around it is 3/2 * 2^-(n-1)); one state more and it is not run
+    n = qualitative._ELIMINATED
+    assert qualitative.one_states(_ring_rows(n, Fraction(3, 4), Fraction(1, 2))) == [True] * n
+    assert qualitative.one_states(_ring_rows(n + 1, Fraction(3, 4), Fraction(1, 2))) == [False] * (n + 1)
+
+
+def test_row_sum_bound_decides_a_critical_component_past_the_minor_test():
+    import semimc._qualitative as qualitative
+    # s0 = 1/2 s1^2 + 1/2 and s_i = s_(i+1): every row sum of P'(1) is 1,
+    # so the bound alone decides 1 past `_ELIMINATED` states, where the
+    # chain from 0 converges like 1/n and hits any iteration cap
+    n = qualitative._ELIMINATED + 1
+    assert qualitative.one_states(_ring_rows(n, Fraction(1, 2), Fraction(1))) == [True] * n
+
+
 def test_decided_binder_stabilises_on_its_first_step(monkeypatch):
     # mu X. ([s](X, X) | [e]) on x = 1/2 x^2 + 1/2: the chain starts at 1
     chains = []

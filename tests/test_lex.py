@@ -11,12 +11,14 @@ first unexpected character.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semimc import ParseError
-from semimc._lex import TokenStream, tokenize
+from semimc._lex import _LEAD, _TOKEN, TokenStream, tokenize
 
 _REF_TOKEN = re.compile(r"""(?:[ \t\r\n]+|\#[^\n]*)*(?:
     (?P<number>[0-9]+(?:\.[0-9]+)?)
@@ -74,3 +76,58 @@ def test_tokenize_matches_reference(text):
     for k, (_, _, offset) in enumerate(ref):
         e = ts.error("here", k)
         assert (e.line, e.col) == _ref_position(text, offset), k
+
+
+# the tokenizer as it was before `tokenize` stripped comments first, frozen
+# here as the reference for the tokens and for every error position: one
+# search for a token and the gap after it, from the end of the leading gap
+_OLD_GAP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
+_OLD_LEAD = re.compile(_OLD_GAP)
+_OLD_TOKEN = re.compile(r"([0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|->|[{};=/\[\](),.|+*])"
+                        + _OLD_GAP)
+_OLD_CLEAN = re.compile(r"(?:[ \t\r\n0-9A-Za-z_{};=/\[\](),.|+*]+|->|\#[^\n]*)*")
+
+
+def _old_tokenize(source: str):
+    """The token texts ending in '', or the offset of the first
+    unexpected character."""
+    end = _OLD_CLEAN.match(source).end()
+    if end < len(source):
+        return end
+    return _OLD_TOKEN.findall(source, _OLD_LEAD.match(source).end()) + [""]
+
+
+def _old_error_position(source: str, k: int) -> tuple[int, int]:
+    m = next(islice(_OLD_TOKEN.finditer(source, _OLD_LEAD.match(source).end()), k, None), None)
+    if m is None:
+        comment = source.find("#", source.rfind("\n") + 1)
+        return _ref_position(source, len(source) if comment < 0 else comment)
+    return _ref_position(source, m.start())
+
+
+# tabs, carriage returns, comments with a '#' inside them, and symbols that
+# join their neighbours when nothing separates them
+_LAYOUT = ["\t", "\r", "\r\n", "\n", " ", "# c\n", "# a # b\n", "#\n", "## ->\n", "#"]
+_ADJACENT = ["->", "-", ">", "{", "}", ";", "/", "[", "]", "(", ")", ",", ".", "|", "+", "*",
+             "=", "x", "y_1", "0", "12", "0.25", "3."]
+
+
+@given(st.lists(st.sampled_from(_LAYOUT + _ADJACENT), max_size=40).map("".join),
+       st.sampled_from(["", "\n", "# last line", "# a # b", "\t#"]))
+@settings(max_examples=500, deadline=None)
+@example("a/1 # one\r\n\tb->c # two # three", "# no newline")
+@example("{};=/[](),.|+*->", "")
+def test_tokenize_matches_the_token_search_and_its_positions(body, end):
+    text = body + end
+    old = _old_tokenize(text)
+    if isinstance(old, int):  # a lone '-' or '>': the same error at the same place
+        with pytest.raises(ParseError) as e:
+            tokenize(text)
+        assert (e.value.line, e.value.col) == _ref_position(text, old)
+        return
+    tokens = tokenize(text)
+    assert tokens == _TOKEN.findall(text, _LEAD.match(text).end()) + [""] == old
+    ts = TokenStream(text)
+    for k in range(len(tokens) + 1):
+        e = ts.error("here", k)
+        assert (e.line, e.col) == _old_error_position(text, k), k

@@ -7,6 +7,10 @@ hand-built compiled forms."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimc import Model, Transition, parse_model, render_model, validate
+from semimc import Model, Transition, cli, parse_model, render_model, validate
 from semimc._lex import tokenize
 import model_reference
 from conftest import CORPUS_MODELS, ROOT, load_corpus_model
@@ -197,3 +201,66 @@ def test_validate_matches_reference_on_hand_built_models(seed, kind):
     h = Model(m.descriptor, m.signature, m.states, transitions,
               {s: odd(v) for s, v in m.offsets.items()})
     assert [d.render() for d in validate(h)] == [d.render() for d in model_reference.validate(h)]
+
+
+def _built(m: Model) -> bool:
+    """Whether `m` holds its `transitions`, read through the slot itself so
+    that the read does not build them."""
+    try:
+        Model.transitions.__get__(m, Model)
+    except AttributeError:
+        return False
+    return True
+
+
+def _hash(m: Model):
+    try:
+        return hash(m)
+    except TypeError as e:  # a model holds dicts
+        return str(e)
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(DESCRIPTORS)))
+@settings(max_examples=200, deadline=None)
+def test_parsed_model_builds_its_transitions_on_first_use(seed, kind, tmp_path_factory):
+    m = random_model(random.Random(seed), DESCRIPTORS[kind], allow_offsets=True)
+    text = render_model(m)
+    parsed, ref = parse_model(text), model_reference.parse_model(text)
+    assert not _built(parsed) and _built(ref)
+    assert parsed == ref and _hash(parsed) == _hash(ref) and _built(parsed)
+    assert pickle.loads(pickle.dumps(parse_model(text))) == ref
+    assert render_model(parse_model(text)) == render_model(ref) == text
+    path = tmp_path_factory.getbasetemp() / "lazy.model"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["info", str(path), "--format", "json"]) == 0
+    count = json.loads(out.getvalue())["stats"]["transitions"]
+    assert count == sum(len(ts) for ts in ref.transitions.values())
+
+
+def test_hand_built_model_keeps_its_transitions():
+    m = random_model(random.Random(5), DESCRIPTORS["tropical"])
+    given_ = {s: list(ts) for s, ts in m.transitions.items()}
+    h = Model(m.descriptor, m.signature, m.states, given_, dict(m.offsets))
+    assert h.transitions is given_ and h == m
+
+
+def test_extent_and_eval_never_build_transitions(monkeypatch, capsys):
+    # what `Model.transitions` costs is paid only by the commands that read it
+    parsed = []
+
+    def recording(text):
+        parsed.append(parse_model(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_model", recording)
+    for name in CORPUS_MODELS:
+        path = str(ROOT / "corpus" / name)
+        label = load_corpus_model(name).signature.labels[0]
+        modal = f"[{label.name}]({', '.join(['X'] * label.arity)})" if label.arity else \
+            f"[{label.name}]"
+        for argv in (["extent", "--mu", path], ["extent", "--nu", path],
+                     ["eval", path, f"nu X. {modal}"]):
+            assert cli.main(argv + ["--format", "json"]) == 0, argv
+    assert parsed and len(parsed) == 3 * len(CORPUS_MODELS)
+    assert not any(map(_built, parsed))
