@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the probe table of ROADMAP.md (P1-P9), one command-line call per row.
+"""Run the probe table of ROADMAP.md (P1-P10), one command-line call per row.
 
     python scripts/probes.py --timeout 60
 
@@ -10,8 +10,8 @@ the exit code or ``timeout``, the seconds taken and the first lines of
 the output (standard error when it holds a traceback or standard output
 is empty), clipped.  It exits 0 whatever the rows print.
 
-The probe models are the ones the table names: ``EQ``, ``BR`` and
-``DOUBLING`` from ``tests/test_probes.py``, ``po.model`` and the random
+The probe models are the ones the table names: ``EQ``, ``BR``, ``BR2``
+and ``DOUBLING`` from ``tests/test_probes.py``, ``po.model`` and the random
 3-successor family of ROADMAP item 8 at n = 600, seed 7 (P9, ``--mu`` and
 ``--nu``).
 """
@@ -31,7 +31,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from test_probes import BR, DOUBLING, EQ  # noqa: E402
+from test_probes import BR, BR2, DOUBLING, EQ  # noqa: E402
 
 # P7: u = min(1, (u/2 + 10^-12)/(1/2 + 10^-12)), least solution 1
 PO = ("semiring prob label a/1 label e/0 "
@@ -62,7 +62,7 @@ def three_successor(n: int, seed: int = 7) -> str:
 
 def rows(tmp: pathlib.Path) -> list[tuple[str, list[str]]]:
     """The probe rows as (id, command-line arguments), the models written to `tmp`."""
-    models = {"eq": EQ, "br": BR, "po": PO, "doubling": DOUBLING,
+    models = {"eq": EQ, "br": BR, "br2": BR2, "po": PO, "doubling": DOUBLING,
               "doubling-offset": DOUBLING + "offset s13 = 1\n", "p9": three_successor(600)}
     path = {}
     for name, text in models.items():
@@ -81,6 +81,7 @@ def rows(tmp: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("P8", ["eval", counterexample, P8_FORMULA, "--max-iters", "1000"]),
         ("P9mu", ["extent", "--mu", path["p9"]]),
         ("P9nu", ["extent", "--nu", path["p9"]]),
+        ("P10", ["extent", "--nu", path["br2"]]),
     ]
 
 

@@ -9,11 +9,15 @@ class keywords, and then calls the class's `__post_init__`, if it has one::
 
 Two records are equal when they have the same type and equal fields.  A
 frozen record hashes by its fields and refuses assignment; any other record
-is mutable and unhashable.
+is mutable and unhashable.  `repr` walks nested records and tuples on an
+explicit stack, and so do `==` and `hash` of the outermost record once
+Python's own runs out of recursion depth, with Python's results.
 """
 
 from __future__ import annotations
 
+import sys
+from itertools import repeat
 from operator import attrgetter
 
 
@@ -56,14 +60,81 @@ class Record:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values(self) == other._values(other)
+        try:
+            return self._values(self) == other._values(other)
+        except RecursionError:  # too deep for Python's own comparison
+            if sys._getframe(1).f_code is Record.__eq__.__code__:
+                raise  # called by a record's own comparison: the outermost one walks
+            return _deep_eq(self, other)
 
     def __hash__(self):
-        return hash(self._values(self))
+        try:
+            return hash(self._values(self))
+        except RecursionError:
+            if sys._getframe(1).f_code is Record.__hash__.__code__:
+                raise  # as in `__eq__`
+            return hash(_walk(self, _hash, "__hash__"))
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
-        return f"{type(self).__name__}({fields})"
+        return _walk(self, _repr, "__repr__")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self._fields)
+
+
+def _parts(x, op: str):
+    """The items of a tuple, or the fields of a record whose type takes `op`
+    from Record; None for any other value, which Python's own `op` handles."""
+    t = type(x)
+    if t is tuple:
+        return x
+    if isinstance(x, Record) and getattr(t, op) is getattr(Record, op):
+        return tuple([getattr(x, n) for n in t._fields])
+
+
+def _walk(x, leave, op: str):
+    """`logic._fold` of `x` through its `_parts` for `op`."""
+    from .logic import _fold  # logic imports this module
+    return _fold(x, leave, lambda y: _parts(y, op))
+
+
+class _Hashed(int):
+    """A walked value's hash, standing for it in its parent's tuple: it
+    hashes to itself, so the parent's hash is the one Python computes."""
+    __hash__ = int.__int__
+
+
+def _hash(x, hashed):
+    """What stands for `x` in its parent's tuple: `x` itself, unless walked;
+    a record hashes as its `_values`, which is its lone field if it has one."""
+    if hashed is None:
+        return x
+    return hashed[0] if isinstance(x, Record) and len(hashed) == 1 else \
+        _Hashed(hash(tuple(hashed)))
+
+
+def _repr(x, texts) -> str:
+    if texts is None:
+        return repr(x)
+    if type(x) is tuple:
+        return f"({', '.join(texts)}{',' if len(texts) == 1 else ''})"
+    return f"{type(x).__name__}({', '.join(map('{}={}'.format, x._fields, texts))})"
+
+
+def _deep_eq(a, b) -> bool:
+    """`a == b` for records of one type, pair by pair in Python's order;
+    `is` decides a pair of tuple items, as in a tuple comparison."""
+    todo = [(a, b, False)]
+    while todo:
+        x, y, item = todo.pop()
+        if item and x is y:
+            continue
+        xs, ys = _parts(x, "__eq__"), _parts(y, "__eq__")
+        if xs is None or ys is None:
+            if not x == y:
+                return False
+        elif type(x) is type(y) and len(xs) == len(ys):  # a record compares its `_values`
+            todo += zip(xs[::-1], ys[::-1], repeat(type(x) is tuple or len(xs) != 1))
+        else:
+            return False
+    return True

@@ -124,20 +124,23 @@ class _Output:
 def _json(payload) -> str:
     """`json.dumps(payload, indent=2)` for string keys, without the chain
     of generators json's own indented encoder runs: strings go to json's C
-    escaper, the layout is joined here.  Text output never loads json."""
+    escaper, other scalars but floats are written here as json writes them
+    (ints by `int.__repr__`), and so is the layout.  Text output never loads json."""
     from json import dumps
     from json.encoder import encode_basestring_ascii as escape
 
     def write(x, indent: str) -> str:
         inner = indent + "  "
-        if isinstance(x, dict) and x:
+        if isinstance(x, dict):
             items = [f"{escape(k)}: {escape(v) if isinstance(v, str) else write(v, inner)}"
                      for k, v in x.items()]
-            return f"{{{inner}{f',{inner}'.join(items)}{indent}}}"
-        if isinstance(x, (list, tuple)) and x:
+            return f"{{{inner}{f',{inner}'.join(items)}{indent}}}" if items else "{}"
+        if isinstance(x, (list, tuple)):
             items = [escape(v) if isinstance(v, str) else write(v, inner) for v in x]
-            return f"[{inner}{f',{inner}'.join(items)}{indent}]"
-        return escape(x) if isinstance(x, str) else dumps(x)
+            return f"[{inner}{f',{inner}'.join(items)}{indent}]" if items else "[]"
+        if isinstance(x, int):  # bools among them
+            return ("true" if x else "false") if isinstance(x, bool) else int.__repr__(x)
+        return "null" if x is None else escape(x) if isinstance(x, str) else dumps(x)
     return write(payload, "\n")
 
 
@@ -244,7 +247,7 @@ def _cmd_info(args) -> _Output:
     model = _load_model(args.model)
     labels, deadlocks = model.signature.labels, model.deadlock_states()
     stats = {"states": len(model.states),
-             "transitions": sum(len(ts) for ts in model.transitions.values()),
+             "transitions": sum(map(len, model._rows())),
              "labels": {l.name: l.arity for l in labels}, "deadlocks": deadlocks,
              "plain": model.is_plain}
     out = _Output("info", model, args.format)

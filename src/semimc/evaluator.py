@@ -631,25 +631,31 @@ def _check_valuation(model: Model, valuation: dict[str, Predicate] | None):
 
 def eval_formula(model: Model, formula: Formula,
                  valuation: dict[str, Predicate] | None = None,
-                 cfg: EvalConfig | None = None) -> Predicate:
+                 cfg: EvalConfig | None = None, _top: KleeneResult | None = None) -> Predicate:
     """Denotation of `formula` on `model` as a predicate over its states.
 
     `valuation` must cover the free variables.  Greatest fixpoints are
     seeded at the interpretation of T; least fixpoints at constant zero.
+    `_top` is `nu_extent_result(model, cfg)` when the caller has it, so
+    that T is not computed again.
     """
-    return eval_with_certificate(model, formula, valuation, cfg)[0]
+    return eval_with_certificate(model, formula, valuation, cfg, _top)[0]
 
 
 def eval_with_certificate(model: Model, formula: Formula,
                           valuation: dict[str, Predicate] | None = None,
-                          cfg: EvalConfig | None = None) -> tuple[Predicate, KleeneReport | None]:
+                          cfg: EvalConfig | None = None, _top: KleeneResult | None = None,
+                          ) -> tuple[Predicate, KleeneReport | None]:
     """Like eval_formula, also returning the convergence certificate of the
-    embedded extent computation (None when T never had to be computed)."""
+    embedded extent computation (None when T never had to be computed), or
+    `_top`'s when given."""
     cfg = cfg or EvalConfig()
     _check_valuation(model, valuation)
     plan, n = _compile(formula, model)
-    ctx = _EvalContext(model, cfg, _promote_bound(model, cfg, n))
     states, semiring = model.compiled.states, model.semiring
+    top = None if _top is None else KleeneResult(
+        semiring.pack([_top.values[s] for s in states]), _top.report)
+    ctx = _EvalContext(model, cfg, _promote_bound(model, cfg, n), top)
     env = {name: semiring.pack([pred[s] for s in states])
            for name, pred in (valuation or {}).items()}
     values = semiring.unpack(_eval(ctx, plan, env))

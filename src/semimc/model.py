@@ -148,8 +148,21 @@ class Model(Record, frozen=True, offsets=None):
         one = self.semiring.one
         return all(v == one for v in self.offsets.values())
 
+    @property
+    def _fresh(self) -> bool:
+        """True while a parsed model has not built `transitions`: its entries are all it holds."""
+        try:
+            Model.transitions.__get__(self)
+        except AttributeError:
+            return True
+        return False
+
+    def _rows(self) -> list:  # per state, its entries while `_fresh`, else its records
+        return self._entries[0] if self._fresh else [self.transitions[s] for s in self.states]
+
     def deadlock_states(self) -> list[str]:
-        return [s for s in self.states if not self.transitions[s]]
+        """The states without transitions; builds no records (see `_rows`)."""
+        return [s for s, row in zip(self.states, self._rows()) if not row]
 
     def transition_weight(self, state: str, label: str, successors: tuple[str, ...]):
         """Weight of the unique matching transition, or None."""
@@ -374,15 +387,26 @@ def parse_model(text: str) -> Model:
 
 def validate(model: Model) -> list[Diagnostic]:
     """Re-check every model invariant, one pass per state; warnings for
-    deadlocks and, on probabilistic models, for substochastic states."""
+    deadlocks and, on probabilistic models, for substochastic states.
+    On a `_fresh` model, which holds only what `parse_model` proved, only
+    the offsets (a plain dict) are checked, and the warnings come from each
+    entry row's length and kernel-form weights; no record is built."""
     out: list[Diagnostic] = []
-    substochastic: list[Diagnostic] = []
     semiring = model.semiring
     prob = model.descriptor.kind == "probabilistic"
-    arities = {l.name: l.arity for l in model.signature.labels}
     err = lambda m: out.append(Diagnostic("error", m))
-
     names = set(model.states)
+    if model._fresh:
+        if set(model.offsets) != names:
+            err("offset table does not match the state set")
+        for state in model.states:
+            off = model.offsets.get(state)
+            if off is not None and not semiring.contains(off):
+                err(f"state {quote(state)}: offset outside the carrier")
+        return out + _warnings(model, [_ratio_sum([w for _, (_, w) in row])
+                                       for row in model._entries[0]] if prob else [])
+    masses = []  # per state: its prob mass as an integer pair, or None
+    arities = {l.name: l.arity for l in model.signature.labels}
     if len(names) != len(model.states):
         err("duplicate state names")
     if set(model.transitions) != names:
@@ -423,15 +447,19 @@ def validate(model: Model) -> list[Diagnostic]:
         off = model.offsets.get(state)
         if off is not None and not semiring.contains(off):
             err(f"state {quote(state)}: offset outside the carrier")
-        if prob and None not in ratios:
-            if len(weights) < len(row):  # the mass counts unknown labels too
-                total = _ratio_sum(ratios)
-            if total is not UNDEFINED and total[0] < total[1]:
-                substochastic.append(Diagnostic("warning", f"substochastic: {state} "
-                                                f"(outgoing mass {semiring.render(Fraction(*total))})"))
+        if prob and len(weights) < len(row) and None not in ratios:  # unknown labels count too
+            total = _ratio_sum(ratios)
+        masses.append(total if prob and None not in ratios else None)
+    return out + _warnings(model, masses)
 
-    out.extend(Diagnostic("warning", f"deadlock: {s}") for s in model.deadlock_states())
-    return out + substochastic
+
+def _warnings(model: Model, masses: list) -> list[Diagnostic]:
+    """Each deadlock state, then each state whose mass in `masses` is below 1."""
+    out = [Diagnostic("warning", f"deadlock: {s}") for s in model.deadlock_states()]
+    return out + [Diagnostic("warning", f"substochastic: {s} (outgoing mass "
+                             f"{model.semiring.render(Fraction(*m))})")
+                  for s, m in zip(model.states, masses)
+                  if m is not None and m is not UNDEFINED and m[0] < m[1]]
 
 
 def _ratio_sum(ratios):

@@ -256,6 +256,9 @@ def compare_semantics(model: Model, phi: Formula, k: int,
     depth; on boolean and tropical-family models any nonzero discrepancy
     is a mismatch, on probabilistic models the tolerance comes from the
     extent's convergence certificate.  A negative k is a ValidationError.
+    T is computed once per call: the oracle's state leaves and both
+    step-wise evaluations (of psi, and of phi for the diagnostic distance)
+    use the same extent.
     """
     if k < 0:
         raise ValidationError(f"unrolling depth must be at least 0, got {k}")
@@ -268,8 +271,8 @@ def compare_semantics(model: Model, phi: Formula, k: int,
     psi_cls = classify(psi)
     depth = psi_cls.modal_depth
 
-    ext_res = nu_extent_result(model, cfg)
-    stepwise = eval_formula(model, psi, cfg=cfg)
+    ext_res = nu_extent_result(model, cfg)  # T, for both evaluations and every oracle call
+    stepwise = eval_formula(model, psi, cfg=cfg, _top=ext_res)
     tolerance = Fraction(0)
     if semiring.kind == "probabilistic":
         tolerance = certificate_tolerance(ext_res.report, depth, len(model.states))
@@ -289,7 +292,7 @@ def compare_semantics(model: Model, phi: Formula, k: int,
     report.max_discrepancy = worst
 
     try:
-        full = eval_formula(model, phi, cfg=cfg)
+        full = eval_formula(model, phi, cfg=cfg, _top=ext_res)
         report.approximant_distance = max(
             (semiring.distance(full[s], stepwise[s]) for s in model.states),
             key=lambda v: (v == INF, v), default=0)

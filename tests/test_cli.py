@@ -459,7 +459,10 @@ def test_doubling_model_with_offset_is_exact(tmp_path, capsys):
 # strings with quotes, backslashes, control and non-ASCII characters
 _TEXTS = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", " ", "😀"])
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
-            | st.sampled_from([float("inf"), -float("inf")]) | _TEXTS)
+            | st.sampled_from([float("inf"), -float("inf")]) | _TEXTS
+            # ints past 2^64 either way, and empty containers as leaves
+            | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+            | st.sampled_from([(), {}, []]))
 _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
                      | st.dictionaries(_TEXTS, inner, max_size=4), max_leaves=20)
 

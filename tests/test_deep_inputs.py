@@ -5,10 +5,14 @@ a nest of binders costs a fixed number of frames per binder."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import semimc
 from semimc import EvaluationError, ValidationError, cli, evaluator
 from semimc.evaluator import KleeneReport, KleeneResult, eval_formula
 from semimc.logic import (BOT, TOP, Modal, Nu, Var, WeightedSum, alpha_equal, classify,
@@ -48,9 +52,10 @@ def test_formula_walks(model):
         (False, True, False, DEEP)
     assert free_vars(f) == {"X"} and free_vars(g) == frozenset()
     assert (modal_depth(f), fnd(g), size(g)) == (DEEP, 1, DEEP + 2)
-    # deep records compare by recursion, so results are compared by alpha_equal
-    assert alpha_equal(unroll(g, 1), chain(TOP, a_modal))
-    assert alpha_equal(substitute(f, "X", BOT), chain(BOT, a_modal))
+    # records compare on an explicit stack, so deep results compare by ==;
+    # alpha_equal compares the results that differ in a bound name
+    assert unroll(g, 1) == chain(TOP, a_modal)
+    assert substitute(f, "X", BOT) == chain(BOT, a_modal)
     assert alpha_equal(g, Nu("Y", substitute(f, "X", Var("Y"))))
     assert not alpha_equal(g, Nu("Y", chain(Var("Y"), a_modal, DEEP - 1)))
     text = render_formula(g, model.descriptor)
@@ -58,6 +63,46 @@ def test_formula_walks(model):
     # a sum at the bottom of the chain is rendered in parentheses after '*'
     s = WeightedSum(((Fraction(1, 2), chain(TOP, a_modal)),))
     assert render_formula(s, model.descriptor).startswith("1/2*[a]([a](")
+
+
+def test_deep_records_compare_hash_and_print():
+    # ==, hash and repr walk nested records and tuples on an explicit stack
+    f, g = chain(TOP, a_modal), chain(TOP, a_modal)
+    assert f == g and not f != g and hash(f) == hash(g)
+    assert f != chain(Var("X"), a_modal) and f != chain(TOP, a_modal, DEEP - 1)
+    assert Nu("X", f) == Nu("X", g) and Nu("X", f) != Nu("Y", g)
+    assert {f: 1}[g] == 1
+    assert repr(f) == "Modal(disjuncts=(('a', (" * DEEP + "T" + ",)),))" * DEEP
+    cut = chain(TOP_LEAF, lambda b: TraceNode("a", (b,)))
+    assert repr(cut) == "TraceNode(label='a', children=(" * DEEP + "T" + ",))" * DEEP
+    q = chain(StateLeaf("x"), lambda c: PathNode("x", "a", (c,)))
+    assert q == chain(StateLeaf("x"), lambda c: PathNode("x", "a", (c,)))
+    assert q != chain(StateLeaf("y"), lambda c: PathNode("x", "a", (c,)))
+
+
+def test_values_the_walks_do_not_enter_end_in_recursion_error():
+    # Python compares and hashes a list or a namedtuple itself, so deep inside
+    # one, == and hash end in RecursionError at once, as Python's own do: only
+    # the outermost record walks, so the levels below it retry nothing.  The
+    # subprocess turns a regression into a failure instead of a hang
+    code = ("from collections import namedtuple\n"
+            "from semimc.logic import Var\n"
+            "P = namedtuple('P', 'x')\n"
+            "def chain(wrap):\n"
+            "    x = Var('X')\n"
+            f"    for _ in range({DEEP}):\n"
+            "        x = Var(wrap(x))\n"
+            "    return x\n"
+            "for wrap, op in ((lambda v: [v], '=='), (P, '=='), (P, 'hash')):\n"
+            "    a, b = chain(wrap), chain(wrap)\n"
+            "    try:\n"
+            "        a == b if op == '==' else hash(a)\n"
+            "    except RecursionError:\n"
+            "        print(op, 'RecursionError')\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(semimc.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.splitlines() == ["== RecursionError"] * 2 + ["hash RecursionError"]
 
 
 def test_eval_formula(model):
@@ -75,7 +120,7 @@ def test_trace_fragment_walks(model):
     assert not is_completed(cut) and is_completed(done)
     check_fragment(cut, model.signature)
     assert render_fragment(cut) == "a(" * DEEP + "T" + ")" * DEEP
-    assert alpha_equal(fragment_to_formula(cut), chain(TOP, a_modal))
+    assert fragment_to_formula(cut) == chain(TOP, a_modal)
     assert lt(model, "x", cut) == Fraction(1, 2 ** DEEP)
     assert finite_tr(model, "x", done) == Fraction(1, 2 ** (DEEP + 1))
     assert tr_approx(model, "x", cut, DEEP) == Fraction(1, 2 ** DEEP)

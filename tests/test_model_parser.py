@@ -260,7 +260,46 @@ def test_extent_and_eval_never_build_transitions(monkeypatch, capsys):
         modal = f"[{label.name}]({', '.join(['X'] * label.arity)})" if label.arity else \
             f"[{label.name}]"
         for argv in (["extent", "--mu", path], ["extent", "--nu", path],
-                     ["eval", path, f"nu X. {modal}"]):
+                     ["eval", path, f"nu X. {modal}"], ["check", path], ["info", path]):
             assert cli.main(argv + ["--format", "json"]) == 0, argv
-    assert parsed and len(parsed) == 3 * len(CORPUS_MODELS)
+    assert parsed and len(parsed) == 5 * len(CORPUS_MODELS)
     assert not any(map(_built, parsed))
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(DESCRIPTORS)))
+@settings(max_examples=300, deadline=None)
+def test_validate_on_parsed_models_matches_reference(seed, kind):
+    # deadlocks, substochastic prob rows and offsets, in text with comments;
+    # validate reads a parsed model's entries and builds no records
+    rng = random.Random(seed)
+    m = random_model(rng, DESCRIPTORS[kind], allow_offsets=True)
+    if kind != "tropical":
+        values = carrier_values(m.descriptor, rng, len(m.states))
+        m = m.with_offsets({s: v for s, v in zip(m.states, values) if rng.random() < 0.4})
+    text = _join(tokenize(render_model(m))[:-1], rng)
+    parsed = parse_model(text)
+    got = [d.render() for d in validate(parsed)]
+    assert not _built(parsed)
+    assert got == [d.render() for d in model_reference.validate(model_reference.parse_model(text))]
+
+
+_CHANGED = "semiring prob label a/1 label e/0 state x { 1/2 a -> y; 1/4 e } state y { }"
+
+
+@pytest.mark.parametrize("change, error", [
+    (lambda m: m.transitions["y"].append(Transition(Fraction(0), "e", ())),
+     "error: state 'y': transition weight is the semiring zero"),
+    (lambda m: m.transitions["x"].append(Transition(Fraction(1, 8), "a", ("z",))),
+     "error: state 'x': undeclared successor 'z'"),
+    (lambda m: m.offsets.update(x=Fraction(3, 2)), "error: state 'x': offset outside the carrier"),
+    (lambda m: m.offsets.update(z=1), "error: offset table does not match the state set"),
+])
+def test_validate_checks_what_was_changed_after_parsing(change, error):
+    # records built and then changed take the full path; the offsets, a
+    # plain dict, are checked on a model that never built its records too
+    parsed, ref = parse_model(_CHANGED), model_reference.parse_model(_CHANGED)
+    change(parsed)
+    change(ref)
+    got = [d.render() for d in validate(parsed)]
+    assert error in got
+    assert got == [d.render() for d in model_reference.validate(ref)]

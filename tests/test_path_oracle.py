@@ -309,6 +309,31 @@ def test_compare_classifies_each_formula_once(extent_prob, monkeypatch):
     assert rep.ok and rep.tolerance == 0 and rep.max_discrepancy == 0
 
 
+def test_compare_computes_the_extent_once(corpus_models, monkeypatch):
+    # T serves the oracle's state leaves and both step-wise evaluations
+    from semimc import evaluator
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    solve = evaluator._extent
+    monkeypatch.setattr(evaluator, "_extent", counting)
+    for name, m in corpus_models.items():
+        label = m.signature.labels[0]
+        formulas = [TOP, parse_formula(f"nu X. [{label.name}]" + (
+            f"({', '.join(['X'] * label.arity)})" if label.arity else ""), m.signature,
+            m.descriptor)]
+        if all(m.signature.has(l) and m.signature.arity(l) == 1 for l in "abc"):
+            formulas.append(parse_formula("mu X. ([a](T) | [b](X) | [c](X))",
+                                          m.signature, m.descriptor))
+        for phi in formulas:
+            calls.clear()
+            rep = compare_semantics(m, phi, 2)
+            assert len(calls) == 1 and rep.ok, (name, phi)
+
+
 def test_compare_rejects_quantitative(extent_prob):
     phi = parse_formula("1/2*T + 1/2*T", extent_prob.signature, extent_prob.descriptor)
     with pytest.raises(EvaluationError, match="qualitative"):

@@ -18,6 +18,8 @@ EQ = ("semiring prob label a/1 label e/0 state c { 1/2 a -> x; 1/2 e } "
 BR = ("semiring prob label f/2 label e/0 "
       "state u { 999999999999/1000000000000 f -> u w; 1/1000000000000 e } "
       "state w { 1 e } state v { 1/2 f -> v w; 1/2 e }")
+# P10: x = x^2/2 + 1/4, whose nu extent is its one root in [0, 1], 1 - 1/sqrt(2)
+BR2 = "semiring prob label f/2 label e/0 state x { 1/2 f -> x x; 1/4 e }"
 # P6: s_i unfolds to two copies of s_(i-1), no offset
 DOUBLING = "semiring trop\nlabel e/0\nlabel f/2\nstate s0 { 1 e }\n" + "".join(
     f"state s{i} {{ 1 f -> s{i - 1} s{i - 1} }}\n" for i in range(1, 14))
@@ -72,3 +74,16 @@ def test_p6_doubling_nu_formula_is_finite(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", _model(tmp_path, DOUBLING), "nu X. [f](2 * X, X) | [e]")
     assert code == 0
     assert out.splitlines()[-2:] == ["s12 = 16381", "s13 = 32765"]
+
+
+def test_p10_nu_extent_is_within_epsilon_of_the_root(tmp_path, capsys):
+    # the value p/q printed is within eps = 10^-9 of r = 1 - 1/sqrt(2),
+    # decided on integers: with c = 1 - p/q and c - eps >= 0, |c - r| <= eps
+    # exactly when (c - eps)^2 <= 1/2 <= (c + eps)^2.  Marking the value
+    # as not exact is ROADMAP item 1's job
+    code, out, err = run(capsys, "extent", "--nu", _model(tmp_path, BR2))
+    assert (code, err) == (0, "") and out.startswith("x = ")
+    p, q = map(int, out[4:].split("/"))
+    eps = 10**9  # the reciprocal of epsilon
+    low, high = (q - p) * eps - q, (q - p) * eps + q  # (c -+ eps) * q * eps
+    assert low >= 0 and 2 * low * low <= (q * eps) ** 2 <= 2 * high * high

@@ -5,17 +5,22 @@ from __future__ import annotations
 
 import copy
 import os
+import random
 import subprocess
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semimc
 from semimc import (ComparisonReport, Diagnostic, EquivResult, EvalConfig, KleeneReport,
                     Label, Modal, Model, Mu, Nu, PathNode, SemiringDescriptor, Signature,
                     StateLeaf, TOP, TOP_LEAF, Top, TopLeaf, TraceNode, Transition, Var,
                     WeightedSum, classify, parse_model)
+from semimc._record import Record, _deep_eq, _hash, _walk
 from semimc.model import CompiledModel
 
 MODEL = "semiring prob label a/1 label e/0 state x { 1/2 a -> x; 1/2 e }"
@@ -123,3 +128,60 @@ def test_cli_import_loads_no_dataclasses_typing_or_inspect():
     assert "semimc.cli" in loaded
     assert not loaded & {"dataclasses", "typing", "inspect", "json", "argparse", "gettext",
                          "semimc._linear", "semimc._graph"}, sorted(loaded)
+
+
+# values for the walks of `_record`: records of one and two fields, a
+# mutable (unhashable) one, Top with its own repr, tuples and a namedtuple
+# (tuple's == and hash, its own repr) over leaves that are equal across
+# types (1, 1.0, Fraction(1), True), one NaN object (equal to itself only
+# as a tuple item) and a fresh NaN
+_NAN = float("nan")
+_Pair = namedtuple("_Pair", "x y")
+_LEAVES = st.sampled_from([0, 1, 1.0, Fraction(1), True, "a", None, _NAN, TOP, ()])
+_NESTED = st.recursive(_LEAVES | st.just(float("nan")), lambda inner: st.one_of(
+    st.lists(inner, max_size=3).map(tuple), st.builds(Var, inner), st.builds(Label, inner, inner),
+    st.builds(Modal, inner), st.builds(TraceNode, inner, inner), st.builds(_Pair, inner, inner),
+    st.builds(KleeneReport, inner)), max_leaves=12)
+_ONE = (1, 1.0, Fraction(1), True)
+
+
+def _twin(x, rng: random.Random):
+    """A value of `x`'s shape whose leaves 1 may be any of the equal `_ONE`."""
+    if isinstance(x, Record) and type(x).__repr__ is Record.__repr__:
+        return type(x)(*[_twin(getattr(x, n), rng) for n in x._fields])
+    if isinstance(x, tuple):
+        return type(x)(*[_twin(v, rng) for v in x]) if hasattr(x, "_fields") else \
+            tuple(_twin(v, rng) for v in x)
+    return rng.choice(_ONE) if x in _ONE and not isinstance(x, str) else x
+
+
+def _native_repr(x) -> str:
+    """`repr` with Record's as it was written: each field through `!r`."""
+    old = Record.__repr__
+    Record.__repr__ = lambda r: (f"{type(r).__name__}("
+                                 f"{', '.join(f'{n}={getattr(r, n)!r}' for n in r._fields)})")
+    try:
+        return repr(x)
+    finally:
+        Record.__repr__ = old
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except TypeError as e:  # unhashable
+        return str(e)
+
+
+@given(_NESTED, _NESTED, st.randoms(use_true_random=False))
+@settings(max_examples=400, deadline=None)
+def test_walks_give_what_python_gives(a, b, rng):
+    # the walks that `==`, `hash` and `repr` fall back on past the recursion
+    # limit agree with Python's own on values shallow enough for both
+    for x, y in ((Var(a), Var(_twin(a, rng))), (Var(a), Var(b)),
+                 (Label(a, b), Label(_twin(a, rng), _twin(b, rng))), (Label(a, b), Label(b, a))):
+        assert _deep_eq(x, y) == (x == y)
+        assert _outcome(lambda v: hash(_walk(v, _hash, "__hash__")), x) == _outcome(hash, x)
+        if x == y:
+            assert _outcome(hash, x) == _outcome(hash, y)
+        assert repr(x) == _native_repr(x)
