@@ -5,10 +5,14 @@
 
 Each row runs ``python -m semimc.cli ...`` from ``src/`` in its own
 subprocess, which is killed when --timeout seconds pass; a timeout is a
-result, not an error.  The script prints one line per row: the probe id,
-the exit code or ``timeout``, the seconds taken and the first lines of
-the output (standard error when it holds a traceback or standard output
-is empty), clipped.  It exits 0 whatever the rows print.
+result, not an error.  The last row, ``L2cyc``, runs this script with
+``--two-cycles 3000`` instead: it times ``semimc._linear.least_solution``
+on 3000 independent 2-cycles (ROADMAP item 8) against the per-component
+reference ``tests/linear_reference.py``, best of three each, and checks
+that both give the same values.  The script prints one line per row:
+the probe id, the exit code or ``timeout``, the seconds taken and the
+first lines of the output (standard error when it holds a traceback or
+standard output is empty), clipped.  It exits 0 whatever the rows print.
 
 The probe models are the ones the table names: ``EQ``, ``BR``, ``BR2``
 and ``DOUBLING`` from ``tests/test_probes.py``, ``po.model`` and the random
@@ -27,7 +31,8 @@ import sys
 import tempfile
 import time
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+SELF = str(pathlib.Path(__file__).resolve())
+ROOT = pathlib.Path(SELF).parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
@@ -82,17 +87,60 @@ def rows(tmp: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("P9mu", ["extent", "--mu", path["p9"]]),
         ("P9nu", ["extent", "--nu", path["p9"]]),
         ("P10", ["extent", "--nu", path["br2"]]),
+        ("L2cyc", [SELF, "--two-cycles", "3000"]),
     ]
 
 
+def two_cycles(k: int, seed: int = 1) -> tuple[list, list, list]:
+    """k independent 2-cycles as scale * x = A x + b: per state a scale
+    of 5 to 23, a move to its partner and a positive constant."""
+    rng = random.Random(seed)
+    scale, moves, const = [], [], []
+    for c in range(k):
+        for partner in (2 * c + 1, 2 * c):
+            den = rng.randint(5, 23)
+            w = rng.randint(1, den - 2)
+            scale.append(den)
+            moves.append({partner: w})
+            const.append(rng.randint(1, den - 1 - w))
+    return scale, moves, const
+
+
+def time_two_cycles(k: int) -> str:
+    """The L2cyc row: both solvers on `two_cycles(k)`, best of three."""
+    from fractions import Fraction
+
+    import linear_reference
+    from semimc._linear import least_solution
+
+    scale, moves, const = two_cycles(k)
+    rows_ = [(d, {(j,): v for j, v in m.items()} | {(): c}) for d, m, c in zip(scale, moves, const)]
+    times = {}
+    for name, solve in (("least_solution", lambda: least_solution(rows_)[0]),
+                        ("linear_reference", lambda: linear_reference.least_solution(
+                            scale, moves, const)[0])):
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            value = solve()
+            runs.append(time.perf_counter() - start)
+        times[name] = min(runs), value
+    same = [Fraction(*v) for v in times["least_solution"][1]] == times["linear_reference"][1]
+    return (f"{2 * k} states: least_solution {1000 * times['least_solution'][0]:.0f} ms, "
+            f"linear_reference {1000 * times['linear_reference'][0]:.0f} ms"
+            + ("" if same else ", VALUES DIFFER"))
+
+
 def run_row(argv: list[str], timeout: float) -> tuple[str, float, str]:
-    """One call of the command-line tool: its exit code or 'timeout', the
-    seconds taken and its first output lines, joined and clipped."""
+    """One call of the command-line tool (of this script, when `argv`
+    starts with its path): its exit code or 'timeout', the seconds taken
+    and its first output lines, joined and clipped."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     start = time.perf_counter()
     try:
-        proc = subprocess.run([sys.executable, "-m", "semimc.cli", *argv], cwd=ROOT, env=env,
+        cmd = argv if argv[0] == SELF else ["-m", "semimc.cli", *argv]
+        proc = subprocess.run([sys.executable, *cmd], cwd=ROOT, env=env,
                               capture_output=True, text=True, timeout=timeout, check=False)
     except subprocess.TimeoutExpired:  # subprocess.run has killed the call
         return "timeout", time.perf_counter() - start, ""
@@ -110,7 +158,12 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--timeout", type=float, default=60.0,
                     help="seconds before a row's call is killed (default 60)")
+    ap.add_argument("--two-cycles", type=int, metavar="K",
+                    help="print only the L2cyc row's timing on K 2-cycles, in this process")
     args = ap.parse_args()
+    if args.two_cycles:
+        print(time_two_cycles(args.two_cycles))
+        return 0
     if args.timeout <= 0:
         ap.error("--timeout must be positive")
     with tempfile.TemporaryDirectory() as tmp:

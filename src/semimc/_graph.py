@@ -1,8 +1,8 @@
 """The searches over ``CompiledModel.rows`` and the rows of a
 probabilistic block (``evaluator._poly``): the transition index, Knuth's
-least-solution loop over it (``settle``), the zero-cost and productive
-states and the SCCs; imported on first use, as ``_linear`` and
-``_qualitative`` are."""
+least-solution loop over it (``settle``), the zero-cost states, the
+productive states (the one liveness search) and the SCCs; imported on
+first use, as ``_linear`` and ``_qualitative`` are."""
 
 from __future__ import annotations
 
@@ -84,17 +84,30 @@ def settle(owner: list, weight: list, waiting: list, uses: list,
 def productive(monomials) -> list[bool]:
     """The least set of states with a term whose variables are all in it:
     `monomials[i]` iterates over state i's terms as tuples of state ids
-    (a row's {m: num} does), a constant term as the empty tuple.  `settle`
-    with every weight 0 finds it; a variable counts once per occurrence."""
+    (a row's {m: num} does), a constant term as the empty tuple.  A
+    worklist, no heap: each term counts down its variables not yet found,
+    once per occurrence, and at 0 its owner is found."""
+    live = [False] * len(monomials)
+    todo = []
     owner, waiting = [], []
     uses = [[] for _ in monomials]
     for i, row in enumerate(monomials):
         for m in row:
-            for s in m:
-                uses[s].append(len(owner))
-            owner.append(i)
-            waiting.append(len(m))
-    return [v == 0 for v in settle(owner, [0] * len(owner), waiting, uses, [], 0)]
+            if m:
+                for s in m:
+                    uses[s].append(len(owner))
+                owner.append(i)
+                waiting.append(len(m))
+            elif not live[i]:
+                live[i] = True
+                todo.append(i)
+    while todo:
+        for t in uses[todo.pop()]:
+            waiting[t] -= 1
+            if not waiting[t] and not live[owner[t]]:
+                live[owner[t]] = True
+                todo.append(owner[t])
+    return live
 
 
 def sccs(succ) -> list[list[int]]:

@@ -44,9 +44,9 @@ value-0 and value-1 states are exact (``_solve_block``).  The other
 states converge at Kleene's rate.
 
 The graph searches (SCCs, zero-cost and productive states, the
-transition index and ``settle``, the Knuth loop behind ``_trop_extent``
-and ``productive``) are in ``_graph``.  Kleene iteration remains for
-tropical and probabilistic models with offsets (truncated subtraction
+transition index and ``settle``, the Knuth loop behind ``_trop_extent``)
+are in ``_graph``.  Kleene iteration remains for tropical and
+probabilistic models with offsets (truncated subtraction
 is not a superior function, and the probabilistic offset divides), for
 the other probabilistic blocks and the other semirings' formula
 fixpoints; ``kleene`` stays the reference both solvers are tested
@@ -422,14 +422,10 @@ def _affine_fixpoint(rows: _Poly, top: list | None) -> tuple[list, int] | None:
             complement.append((scale, row))
         rows = complement
     value, solved = linear.least_solution(rows)
-    # pairs in lowest terms, as the grid test needs
-    pairs = [v.as_integer_ratio() for v in value]
     if top is not None:  # x = top - y
-        for i, ((tn, td), (p, q)) in enumerate(zip(top, pairs)):
-            n, d = tn * q - p * td, td * q
-            g = gcd(n, d)
-            pairs[i] = n // g, d // g
-    return pairs, solved
+        value = [(tn * q - p * td, td * q) for (tn, td), (p, q) in zip(top, value)]
+    # each pair reduced once, to lowest terms as the grid test needs
+    return [(n // g, d // g) for n, d in value for g in (gcd(n, d),)], solved
 
 
 def _solve_block(cm: CompiledModel, op: Callable, rows: _Poly | None, start: list,

@@ -157,8 +157,9 @@ class Model(Record, frozen=True, offsets=None):
             return True
         return False
 
-    def _rows(self) -> list:  # per state, its entries while `_fresh`, else its records
-        return self._entries[0] if self._fresh else [self.transitions[s] for s in self.states]
+    def _rows(self) -> list:  # per state, its entries while `_fresh`, else its records, if any
+        return self._entries[0] if self._fresh else [self.transitions.get(s, ())
+                                                     for s in self.states]
 
     def deadlock_states(self) -> list[str]:
         """The states without transitions; builds no records (see `_rows`)."""

@@ -207,5 +207,6 @@ def validate(model: Model) -> list[Diagnostic]:
                 substochastic.append(Diagnostic(
                     "warning", f"substochastic: {state} (outgoing mass {semiring.render(total)})"))
 
-    out.extend(Diagnostic("warning", f"deadlock: {s}") for s in model.deadlock_states())
+    out.extend(Diagnostic("warning", f"deadlock: {s}") for s in model.states
+               if not model.transitions.get(s))
     return out + substochastic

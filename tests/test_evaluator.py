@@ -290,8 +290,11 @@ def test_elimination_pivot_order_matches_min_rule(seed):
         rows[i] = eq
     got = _eliminate({i: dict(r) for i, r in rows.items()})
     want = _min_rule_bareiss({i: dict(r) for i, r in rows.items()})
-    # both list the unknowns in reverse pivot order
-    assert list(got.items()) == list(want.items())
+    # both list the unknowns in reverse pivot order; `_eliminate` gives
+    # integer pairs (X, D), reduced here
+    assert all(type(x) is int and type(d) is int and d > 0 for x, d in got.values())
+    assert ([(r, (x // gcd(x, d), d // gcd(x, d))) for r, (x, d) in got.items()]
+            == [(r, v.as_integer_ratio()) for r, v in want.items()])
 
 
 def _affine_body(rng: random.Random, signature: Signature, free: list[str]):

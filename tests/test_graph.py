@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,13 +101,14 @@ def test_least_solution_liveness_matches_reverse_search(seed):
         const.append(rng.randint(1, 3) if rng.random() < 0.15 else 0)
     value, solved = least_solution(_rows(scale, moves, const))
     live = _live_states(moves, const)
-    assert [v != 0 for v in value] == live
+    assert [x != 0 for x, _ in value] == live
     # the same set, least closed under a positive constant or a move into it
     assert productive([[(j,) for j in moves[i]] + [()] * (const[i] > 0) for i in range(n)]) == live
     assert solved == sum(live)
+    x = [Fraction(*v) for v in value]
     for i in range(n):
-        assert scale[i] * value[i] == sum(v * value[j] for j, v in moves[i].items()) + const[i]
-    assert all(type(v) is Fraction for v in value)
+        assert scale[i] * x[i] == sum(v * x[j] for j, v in moves[i].items()) + const[i]
+    assert all(_is_pair(v) for v in value)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -138,9 +140,93 @@ def test_least_solution_matches_per_component_bareiss(seed):
         moves.append(row)
         room = den - mass
         const.append(rng.randint(1, room) if room and i < tail and rng.random() < 0.2 else 0)
-    got = least_solution(_rows(scale, moves, const))
-    assert got == linear_reference.least_solution(scale, moves, const)
-    assert all(type(v) is Fraction for v in got[0])
+    value, solved = least_solution(_rows(scale, moves, const))
+    want, want_solved = linear_reference.least_solution(scale, moves, const)
+    assert [_lowest(v) for v in value] == [v.as_integer_ratio() for v in want]
+    assert solved == want_solved
+    assert all(_is_pair(v) for v in value)
+
+
+def _is_pair(v) -> bool:
+    """Whether `v` is a value as `least_solution` gives it: a pair of ints
+    (n, d) with d > 0."""
+    return type(v) is tuple and len(v) == 2 and all(type(k) is int for k in v) and v[1] > 0
+
+
+def _lowest(v: tuple[int, int]) -> tuple[int, int]:
+    g = gcd(*v)
+    return v[0] // g, v[1] // g
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_least_solution_gives_each_component_its_own_determinant(seed):
+    # k independent blocks on shuffled state ids: each a cycle through
+    # its states (so it is connected) with more moves inside it and a
+    # positive constant somewhere (so it is live); every value is the
+    # reference's, and its denominator is its own block's determinant
+    # det(scale - A) restricted to the block, not a product over blocks
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 8))]
+    ids = list(range(sum(sizes)))
+    rng.shuffle(ids)
+    blocks, start = [], 0
+    for k in sizes:
+        blocks.append(ids[start:start + k])
+        start += k
+    n = len(ids)
+    scale, moves, const = [0] * n, [{} for _ in ids], [0] * n
+    for block in blocks:
+        for pos, i in enumerate(block):
+            den = rng.randint(3, 23)
+            targets = {block[(pos + 1) % len(block)]}
+            targets.update(rng.sample(block, rng.randint(0, min(2, len(block)))))
+            mass = rng.randint(len(targets), den)
+            cuts = sorted(rng.sample(range(1, mass), len(targets) - 1))
+            scale[i] = den
+            moves[i] = {j: b - a for j, a, b in zip(sorted(targets), [0, *cuts], [*cuts, mass])}
+        i = rng.choice(block)
+        scale[i] += rng.randint(1, 5)  # room for a constant below the scale
+        const[i] = rng.randint(1, scale[i] - sum(moves[i].values()))
+    value, solved = least_solution(_rows(scale, moves, const))
+    want, _ = linear_reference.least_solution(scale, moves, const)
+    assert [_lowest(v) for v in value] == [v.as_integer_ratio() for v in want]
+    assert solved == n
+    for block in blocks:
+        det = _leading_minors([[Fraction((i == j) * scale[i] - moves[i].get(j, 0))
+                                for j in block] for i in block])[-1]
+        for i in block:
+            assert value[i][1] == det
+            assert det % _lowest(value[i])[1] == 0
+
+
+@st.composite
+def degree_two_rows(draw):
+    """Random rows on up to 40 states, of terms with at most two ids."""
+    n = draw(st.integers(1, 40))
+    mono = st.lists(st.integers(0, n - 1), max_size=2).map(tuple)
+    return [draw(st.lists(mono, max_size=3)) for _ in range(n)]
+
+
+@given(degree_two_rows())
+@settings(max_examples=300, deadline=None)
+def test_productive_matches_a_reverse_search(rows):
+    # the reference: from the states with a constant term, follow each
+    # found state back to the terms that mention it, and find their owner
+    # once every id of the term is found (checked afresh, no counters)
+    found = [() in row for row in rows]
+    used_by = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for m in row:
+            for s in m:
+                used_by[s].append((i, m))
+    todo = [i for i, f in enumerate(found) if f]
+    while todo:
+        for i, m in used_by[todo.pop()]:
+            if not found[i] and all(found[s] for s in m):
+                found[i] = True
+                todo.append(i)
+    assert productive(rows) == found
 
 
 @st.composite

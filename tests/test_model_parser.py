@@ -203,6 +203,19 @@ def test_validate_matches_reference_on_hand_built_models(seed, kind):
     assert [d.render() for d in validate(h)] == [d.render() for d in model_reference.validate(h)]
 
 
+@pytest.mark.parametrize("kind", sorted(DESCRIPTORS))
+def test_validate_reports_a_state_missing_from_the_transition_table(kind):
+    # a caller that deletes a state's row gets the table error, and the
+    # state counts as one without transitions, instead of a KeyError
+    m = random_model(random.Random(7), DESCRIPTORS[kind], max_states=4)
+    gone = m.states[-1]
+    m.transitions.pop(gone)
+    got = [d.render() for d in validate(m)]
+    assert got == [d.render() for d in model_reference.validate(m)]
+    assert got[0] == "error: transition table does not match the state set"
+    assert f"warning: deadlock: {gone}" in got
+
+
 def _built(m: Model) -> bool:
     """Whether `m` holds its `transitions`, read through the slot itself so
     that the read does not build them."""
